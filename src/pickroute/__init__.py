@@ -16,7 +16,6 @@ from .heuristics import (
     midpoint_moments,
     return_moments,
     sshaped_moments,
-    travel_decomposition,
 )
 from .layout import LayoutCell, LayoutRow, NoFeasibleLayoutError, layout_sweep, recommend
 from .orderdist import (
@@ -29,7 +28,7 @@ from .orderdist import (
 )
 from .prelim import AisleModel
 from .queueing import LeadTimeReport, QueueScenario, UnstableQueueError, erlang_c_wait_prob, lead_time_estimate
-from .quadrature import IntegrationError, QuadratureSettings, gap_kernel, integrate_1d, integrate_2d
+from .quadrature import IntegrationError, box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
 from .simulate import McEstimate, SampledOrder, route_time, run_replications, run_replications_all, sample_order
 
 __version__ = "0.1.0"
@@ -48,13 +47,13 @@ __all__ = [
     "NoFeasibleLayoutError",
     "OrderSizeDistribution",
     "PickTimeModel",
-    "QuadratureSettings",
     "QueueScenario",
     "SampledOrder",
     "ShiftedNegBinomial",
     "ShiftedPoisson",
     "UnstableQueueError",
     "WarehouseConfig",
+    "box_kernel",
     "compute_moments",
     "erlang_c_wait_prob",
     "gap_kernel",
@@ -63,6 +62,7 @@ __all__ = [
     "largest_gap_moments",
     "layout_sweep",
     "lead_time_estimate",
+    "log_kernel",
     "midpoint_moments",
     "parse_dist_spec",
     "recommend",
@@ -72,5 +72,4 @@ __all__ = [
     "run_replications_all",
     "sample_order",
     "sshaped_moments",
-    "travel_decomposition",
 ]

@@ -29,7 +29,6 @@ __all__ = [
     "largest_gap_moments",
     "sshaped_moments",
     "compute_moments",
-    "travel_decomposition",
 ]
 
 log = logging.getLogger(__name__)
@@ -49,12 +48,12 @@ class WarehouseConfig:
     def __post_init__(self):
         if not (isinstance(self.k, int) and self.k >= 1):
             raise ValueError(f"aisle count must be an integer >= 1, got {self.k!r}")
-        if not self.l > 0:
-            raise ValueError(f"aisle length must be positive, got {self.l!r}")
-        if not self.wa >= 0:
-            raise ValueError(f"aisle spacing must be >= 0, got {self.wa!r}")
-        if not self.v > 0:
-            raise ValueError(f"walking speed must be positive, got {self.v!r}")
+        if not (math.isfinite(self.l) and self.l > 0):
+            raise ValueError(f"aisle length must be finite and positive, got {self.l!r}")
+        if not (math.isfinite(self.wa) and self.wa >= 0):
+            raise ValueError(f"aisle spacing must be finite and >= 0, got {self.wa!r}")
+        if not (math.isfinite(self.v) and self.v > 0):
+            raise ValueError(f"walking speed must be finite and positive, got {self.v!r}")
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,16 @@ class PickTimeModel:
     second_moment: float
 
     def __post_init__(self):
-        if self.mean < 0:
-            raise ValueError(f"pick-time mean must be >= 0, got {self.mean!r}")
-        if self.second_moment < self.mean ** 2 - 1e-12:
-            raise ValueError("pick-time second moment below squared mean (negative variance)")
+        if not (math.isfinite(self.mean) and self.mean >= 0):
+            raise ValueError(f"pick-time mean must be finite and >= 0, got {self.mean!r}")
+        if not (math.isfinite(self.second_moment) and self.second_moment >= self.mean ** 2 - 1e-12):
+            raise ValueError(f"pick-time second moment must be finite and >= mean^2, got {self.second_moment!r}")
 
     @classmethod
     def from_scv(cls, mean: float, scv: float) -> "PickTimeModel":
         """Build from mean and squared coefficient of variation."""
-        if scv < 0:
-            raise ValueError(f"squared coefficient of variation must be >= 0, got {scv!r}")
+        if not (math.isfinite(scv) and scv >= 0):
+            raise ValueError(f"squared coefficient of variation must be finite and >= 0, got {scv!r}")
         return cls(mean, mean * mean * (1.0 + scv))
 
     @property
@@ -294,13 +293,3 @@ def compute_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
         raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}") from None
     return fn(cfg, dist, pick)
 
-
-def travel_decomposition(report: MomentReport, cfg: WarehouseConfig,
-                         dist: OrderSizeDistribution, pick: PickTimeModel,
-                         heuristic: str) -> tuple[float, float]:
-    """(within-aisle travel time, total travel time) implied by a report."""
-    model = AisleModel(cfg.k, dist)
-    kp_mean, _, _ = prelim.kplus_moments(model)
-    e_ttr = report.e_t - dist.mean() * pick.mean
-    e_tw = e_ttr - (2 * cfg.wa / cfg.v) * (kp_mean - 1)
-    return e_tw, e_ttr

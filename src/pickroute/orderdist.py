@@ -121,8 +121,8 @@ class ShiftedPoisson(OrderSizeDistribution):
     lam: float
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError(f"shifted-Poisson rate must be >= 0, got {self.lam!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"shifted-Poisson rate must be finite and >= 0, got {self.lam!r}")
 
     def pgf(self, x):
         return x * _exp(-self.lam * (1 - x))

@@ -25,7 +25,7 @@ from math import comb
 import mpmath
 
 from .orderdist import OrderSizeDistribution, Deterministic, Geometric, ShiftedPoisson
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, gap_kernel, integrate_1d, integrate_2d
+from .quadrature import box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
 
 __all__ = [
     "AisleModel",
@@ -66,13 +66,8 @@ class AisleModel:
             raise ValueError(f"aisle count must be an integer >= 1, got {self.k!r}")
 
 
-def _quad(f, a=0.0, b=1.0, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    value, _ = integrate_1d(f, a, b, settings)
-    return value
-
-
-def _quad2(f, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    value, _ = integrate_2d(f, settings)
+def _quad(f, a=0.0, b=1.0) -> float:
+    value, _ = integrate_1d(f, a, b)
     return value
 
 
@@ -172,7 +167,7 @@ def far_item_moments(model: AisleModel, mode: str = "full") -> tuple[float, floa
     second = 1.0 - 2.0 * _quad(lambda x: x * P(base + x / h))
     if h >= 2:
         cross = (1.0 - 2.0 * _quad(lambda x: P(base + x / h))
-                 + _quad2(lambda x, y: P(1 - 2 / h + (x + y) / h)))
+                 + integrate_2d(lambda s: P(1 - 2 / h + s / h), box_kernel)[0])
     else:
         cross = math.nan
     return mean, second, cross
@@ -233,7 +228,7 @@ def gap_moments(model: AisleModel, conditional: int | None = None) -> tuple[floa
     second = 1.0 + 2.0 * int_log + _quad(lambda x: x * pn(x) * gap_kernel(x) if x > 0 else 0.0)
     if k >= 2:
         cross = (1.0 + 2.0 * int_log
-                 + _quad2(lambda x, y: math.log1p(-x) * math.log1p(-y) * P(1 - 2 / k + (x + y) / k)))
+                 + integrate_2d(lambda s: P(1 - 2 / k + s / k), log_kernel)[0])
     else:
         cross = math.nan
     return mean, second, cross
@@ -278,8 +273,9 @@ def gap_cond_moments(model: AisleModel, d: int) -> GapCond:
     second = prob + 2 * int_gam_log + int_gam_kernel
     n_same = dgam1 - int_gam_log - r - int_gam
     if d >= 3:
-        cross = prob + 2 * int_gam_log + _quad2(
-            lambda x, y: math.log1p(-x) * math.log1p(-y) * cond_pair_pgf(model, x, y, d, "full"))
+        # the pair PGF depends on its two arguments only through their sum
+        g = lambda s: cond_pair_pgf(model, s, 0.0, d, "full")
+        cross = prob + 2 * int_gam_log + integrate_2d(g, log_kernel)[0]
         n_other = dgam1 - r
     else:
         cross = math.nan
@@ -344,7 +340,7 @@ def far_half_cond_moments(model: AisleModel, d: int) -> FarHalfCond:
 
     mean = prob - int_phi
     second = prob - 2 * _quad(lambda z: z * phi(z))
-    cross = prob - 2 * int_phi + _quad2(lambda z, y: cond_pair_pgf(model, z, y, d, "half"))
+    cross = prob - 2 * int_phi + integrate_2d(lambda s: cond_pair_pgf(model, s, 0.0, d, "half"), box_kernel)[0]
     n_same = dphi1 - prob + int_phi
     n_other = dphi1 - prob + phi(0.0)
 

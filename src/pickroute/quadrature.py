@@ -1,38 +1,30 @@
-"""Adaptive integration helpers used by the moment formulas.
+"""Adaptive integration at fixed tolerances, plus closed-form kernels.
 
-Thin wrappers around scipy's QUADPACK routines returning ``(value, err_est)``
-pairs, plus the closed-form tail kernel of the largest-gap second moment.
-Integrands with logarithmic endpoint singularities (``log(1-x)``,
-``log^2(1-x)``) are within QUADPACK's extrapolation reach, so no special
-substitutions are required on the caller side.
+Thin wrappers around scipy's QUADPACK returning ``(value, err_est)`` pairs;
+logarithmic endpoint singularities (``log(1-x)``, ``log^2(1-x)``) are within
+its extrapolation reach.  Every double integral of the moment formulas is
+``∬ w(x) w(y) g(x+y)`` over the unit square with w = 1 or w = log(1-x), so it
+is taken as one integral in s = x + y against the kernel ``∫ w(x) w(s-x) dx``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import integrate
 from scipy.special import spence
 
-__all__ = ["QuadratureSettings", "IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel"]
+__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel", "box_kernel", "log_kernel"]
+
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+# The double integrals enter cross moments that are small differences of
+# O(event probability) terms, so their single integral is taken 100x tighter.
+CROSS_ABS_TOL = 1e-12
+CROSS_REL_TOL = 1e-11
+MAX_SUBDIVISIONS = 2000
 
 _PI2_3 = math.pi ** 2 / 3
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
+_PI2_6 = math.pi ** 2 / 6
 
 
 class IntegrationError(RuntimeError):
@@ -44,51 +36,68 @@ class IntegrationError(RuntimeError):
         self.err_est = err_est
 
 
-def integrate_1d(f, a: float, b: float, settings: QuadratureSettings = DEFAULT_SETTINGS):
-    """Adaptive integral of ``f`` over [a, b]; integrable endpoint singularities allowed."""
-    if a > b:
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0, 0.0
-    res = integrate.quad(
-        f, a, b,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
-        full_output=1,
-    )
+def _quad(f, a: float, b: float, abs_tol: float, rel_tol: float):
+    res = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=MAX_SUBDIVISIONS, full_output=1)
     value, err = res[0], res[1]
     if len(res) > 3:
         raise IntegrationError(f"integration failed: {res[3]}", value, err)
     return value, err
 
 
-def integrate_2d(f, settings: QuadratureSettings = DEFAULT_SETTINGS):
-    """Iterated adaptive integral of ``f(x, y)`` over the unit square."""
-    inner = QuadratureSettings(
-        abs_tol=settings.abs_tol * 0.1,
-        rel_tol=settings.rel_tol * 0.1,
-        max_subdivisions=settings.max_subdivisions,
-    )
-    inner_err = 0.0
-
-    def outer(x):
-        nonlocal inner_err
-        value, err = integrate_1d(lambda y: f(x, y), 0.0, 1.0, inner)
-        inner_err = max(inner_err, err)
-        return value
-
-    value, err = integrate_1d(outer, 0.0, 1.0, settings)
-    return value, err + inner_err
+def integrate_1d(f, a: float, b: float):
+    """Adaptive integral of ``f`` over [a, b]; integrable endpoint singularities allowed."""
+    if a > b:
+        raise ValueError(f"need a <= b, got [{a}, {b}]")
+    if a == b:
+        return 0.0, 0.0
+    return _quad(f, a, b, ABS_TOL, REL_TOL)
 
 
-def gap_kernel(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def integrate_2d(g, kernel):
+    """∬_{[0,1]^2} w(x) w(y) g(x+y) dx dy as ∫_0^2 kernel(s) g(s) ds, split at the
+    kink s = 1 of the kernel of w (:func:`box_kernel` or :func:`log_kernel`)."""
+    f = lambda s: kernel(s) * g(s)
+    lo, lo_err = _quad(f, 0.0, 1.0, CROSS_ABS_TOL, CROSS_REL_TOL)
+    hi, hi_err = _quad(f, 1.0, 2.0, CROSS_ABS_TOL, CROSS_REL_TOL)
+    return lo + hi, lo_err + hi_err
+
+
+def box_kernel(s: float) -> float:
+    """Length of the overlap of [0, 1] and [s-1, s]: min(s, 2-s), 0 outside [0, 2]."""
+    return max(0.0, min(s, 2.0 - s))
+
+
+def log_kernel(s: float) -> float:
+    """c(s) = ∫ log(1-x) log(1-s+x) dx over the overlap of [0, 1] and [s-1, s].
+
+    In u = 1-x the integrand is log(u) log(t-u) with t = 2-s.  For s >= 1 u runs
+    over [0, t], giving F(t) = t (log^2 t - 2 log t + 2 - pi^2/6).  For s < 1 it
+    runs over [t-1, 1], which leaves out two mirror-image end pieces of [0, t],
+    each t * ∫_0^b (L + log a)(L + log(1-a)) da with b = (t-1)/t and L = log t;
+    the bracket below is that integral in closed form, Li2(1-b) = spence(b).
+    c vanishes at s = 0 and s = 2.
+    """
+    if not 0.0 < s < 2.0:
+        return 0.0
+    t = 2.0 - s
+    lt = math.log(t)
+    c = t * (lt * lt - 2.0 * lt + 2.0 - _PI2_6)
+    if s >= 1.0:
+        return c
+    b = (1.0 - s) / t
+    blb = b * math.log(b)
+    l1b = math.log1p(-b)
+    bracket = (lt * lt * b + lt * (blb - b) - lt * ((1.0 - b) * l1b + b)
+               + (blb - b + 1.0) * l1b - blb + 2.0 * b + spence(b) - _PI2_6)
+    return c - 2.0 * t * bracket
+
+
+def gap_kernel(x: float) -> float:
     """g(x) = integral over [x, 1] of log^2(1-y) / y^2 dy, for x in (0, 1].
 
     Evaluated in closed form via the dilogarithm:
         g(x) = pi^2/3 + (1-x) * log^2(1-x) / x - 2 * Li2(x),
     with Li2(x) = spence(1-x).  g(1) = 0 and g decreases to pi^2/3 at 0+.
-    ``settings`` is accepted for interface uniformity; the closed form is exact.
     """
     if x <= 0:
         raise ValueError(f"gap kernel requires x > 0, got {x!r}")

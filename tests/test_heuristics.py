@@ -15,8 +15,8 @@ from pickroute import (
     return_moments,
     run_replications_all,
     sshaped_moments,
-    travel_decomposition,
 )
+from pickroute.prelim import AisleModel, kplus_moments
 
 from oracles import enum_moment_report
 
@@ -126,17 +126,16 @@ def test_geometric_vs_poisson_tradeoff():
 def test_travel_decomposition():
     dist = Geometric(1 / 8)
     pick = PickTimeModel.from_scv(5.0, 1.0)
+    kp_mean, _, _ = kplus_moments(AisleModel(STANDARD.k, dist))
     for h in HEURISTICS:
         rep = compute_moments(STANDARD, dist, pick, h)
-        e_tw, e_ttr = travel_decomposition(rep, STANDARD, dist, pick, h)
-        assert e_tw == pytest.approx(rep.e_tw, rel=1e-12)
-        assert e_ttr == pytest.approx(rep.e_ttr, rel=1e-12)
-        assert rep.e_t - e_ttr == pytest.approx(dist.mean() * pick.mean, rel=1e-12)
+        assert rep.e_t - rep.e_ttr == pytest.approx(dist.mean() * pick.mean, rel=1e-12)
+        cross_aisle = (2 * STANDARD.wa / STANDARD.v) * (kp_mean - 1)
+        assert rep.e_ttr - rep.e_tw == pytest.approx(cross_aisle, rel=1e-12)
     cfg = WarehouseConfig(1, 20.0, 2.5, 1.0)
     rep = return_moments(cfg, Deterministic(1), PickTimeModel(0.0, 0.0))
-    e_tw, e_ttr = travel_decomposition(rep, cfg, Deterministic(1), PickTimeModel(0.0, 0.0), "return")
-    assert e_tw == pytest.approx(20.0, abs=1e-9)
-    assert e_ttr == pytest.approx(20.0, abs=1e-9)
+    assert rep.e_tw == pytest.approx(20.0, abs=1e-9)
+    assert rep.e_ttr == pytest.approx(20.0, abs=1e-9)
 
 
 def test_moderate_monte_carlo_agreement():
@@ -177,3 +176,18 @@ def test_warehouse_config_validation():
         WarehouseConfig(5, 20.0, -2.5, 1.0)
     with pytest.raises(ValueError):
         WarehouseConfig(5, 20.0, 2.5, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PickTimeModel(math.nan, 1.0),
+    lambda: PickTimeModel(5.0, math.inf),
+    lambda: PickTimeModel.from_scv(5.0, math.nan),
+    lambda: WarehouseConfig(5, math.inf, 2.5, 1.0),
+    lambda: WarehouseConfig(5, 20.0, math.inf, 1.0),
+    lambda: WarehouseConfig(5, 20.0, 2.5, math.nan),
+    lambda: ShiftedPoisson(math.inf),
+    lambda: ShiftedPoisson(math.nan),
+], ids=["pick-mean-nan", "pick-second-inf", "scv-nan", "l-inf", "wa-inf", "v-nan", "spois-inf", "spois-nan"])
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError):
+        build()

@@ -193,6 +193,15 @@ def test_gap_count_cross_same_aisle_enumeration_value():
     assert prelim.gap_count_cross(model, 2, "endpoint-aisle") == pytest.approx(1 / 18, abs=1e-10)
 
 
+@pytest.mark.parametrize("mean, d, ref", [(32, 6, 1.2967248535819053e-06), (18, 3, 8.431073180624892e-07)])
+def test_gap_cond_cross_despite_cancellation(mean, d, ref):
+    # prob + 2 int gam log + the double integral cancel by ~500x at k = 20, so
+    # the result is only as good as the pieces; ref is the same formula in
+    # mpmath at 30 digits with the kernel integrated directly
+    model = AisleModel(20, Geometric(1 / mean))
+    assert prelim.gap_cond_moments(model, d).cross == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
 def test_conditional_depends_only_on_span():
     # identical span built from different endpoint pairs yields identical
     # inputs by construction; the API accepts only the span

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from scipy import integrate
+
 from pickroute.quadrature import (
-    DEFAULT_SETTINGS,
     IntegrationError,
-    QuadratureSettings,
+    box_kernel,
     gap_kernel,
     integrate_1d,
     integrate_2d,
+    log_kernel,
 )
 
 
@@ -45,24 +47,41 @@ def test_integrate_1d_rejects_reversed_interval():
 
 
 def test_integrate_1d_failure_carries_partial_value():
-    settings = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
+    # 1/x diverges at 0; QUADPACK never evaluates the endpoint itself
     with pytest.raises(IntegrationError) as info:
-        integrate_1d(lambda x: math.log1p(-x) ** 2, 0.0, 1.0, settings)
+        integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
     assert math.isfinite(info.value.partial_value)
 
 
 def test_integrate_2d_examples():
-    assert integrate_2d(lambda x, y: 1.0)[0] == pytest.approx(1.0, abs=1e-10)
-    assert integrate_2d(lambda x, y: x * y)[0] == pytest.approx(0.25, abs=1e-10)
-    value, _ = integrate_2d(lambda x, y: math.log1p(-x) * math.log1p(-y))
+    assert integrate_2d(lambda s: 1.0, box_kernel)[0] == pytest.approx(1.0, abs=1e-10)
+    # (x + y)^2 over the unit square: 2/3 + 2 * 1/4 = 7/6
+    assert integrate_2d(lambda s: s * s, box_kernel)[0] == pytest.approx(7 / 6, abs=1e-10)
+    value, _ = integrate_2d(lambda s: 1.0, log_kernel)
     assert value == pytest.approx(1.0, rel=1e-8)
 
 
-def test_tolerance_halving_within_error_estimate():
-    f = lambda x: math.log1p(-x) ** 2 * x
-    v1, e1 = integrate_1d(f, 0.0, 1.0, QuadratureSettings(1e-8, 1e-7, 2000))
-    v2, _ = integrate_1d(f, 0.0, 1.0, QuadratureSettings(5e-9, 5e-8, 2000))
-    assert abs(v1 - v2) <= max(e1, 1e-12)
+@pytest.mark.parametrize("kernel, w", [
+    (box_kernel, lambda x: 1.0),
+    (log_kernel, lambda x: math.log1p(-x)),
+])
+def test_kernels_against_direct_convolution(kernel, w):
+    for s in (1e-6, 0.5, 1 - 1e-9, 1.0, 1.5, 2 - 1e-6):
+        direct, _ = integrate_1d(lambda x: w(x) * w(s - x), max(0.0, s - 1.0), min(1.0, s))
+        assert kernel(s) == pytest.approx(direct, rel=1e-9, abs=1e-13)
+    assert kernel(0.0) == 0.0
+    assert kernel(2.0) == 0.0
+
+
+def test_integrate_2d_against_dblquad():
+    # the reference is the full 2-D integral of w(x) w(y) e^(x+y) by nested QUADPACK
+    for kernel, w in ((box_kernel, lambda x: 1.0), (log_kernel, lambda x: math.log1p(-x))):
+        ref, _ = integrate.dblquad(lambda y, x: w(x) * w(y) * math.exp(x + y), 0.0, 1.0, 0.0, 1.0,
+                                   epsabs=1e-13, epsrel=1e-13)
+        value, err = integrate_2d(math.exp, kernel)
+        assert value == pytest.approx(ref, rel=1e-9)
+        assert err < 1e-9
+    assert integrate_2d(math.exp, box_kernel)[0] == pytest.approx((math.e - 1) ** 2, rel=1e-12)
 
 
 def test_gap_kernel_endpoints_and_domain():
@@ -95,11 +114,3 @@ def test_gap_kernel_weighted_integral():
     # E[D^2] for a single uniform point: int_0^1 x^2 g(x) dx = 7/12
     value, _ = integrate_1d(lambda x: x * x * gap_kernel(x) if x > 0 else 0.0, 0.0, 1.0)
     assert value == pytest.approx(7 / 12, rel=1e-9)
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(max_subdivisions=0)
-    assert DEFAULT_SETTINGS.abs_tol == 1e-10
