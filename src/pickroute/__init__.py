@@ -29,7 +29,7 @@ from .orderdist import (
 from .prelim import AisleModel
 from .queueing import LeadTimeReport, QueueScenario, UnstableQueueError, erlang_c_wait_prob, lead_time_estimate
 from .quadrature import IntegrationError, box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
-from .simulate import McEstimate, SampledOrder, route_time, run_replications, run_replications_all, sample_order
+from .simulate import McEstimate, SampledOrder, route_time, run_replications_all, sample_order
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "recommend",
     "return_moments",
     "route_time",
-    "run_replications",
     "run_replications_all",
     "sample_order",
     "sshaped_moments",

@@ -45,6 +45,8 @@ def _exp(x):
     """exp() that follows the numeric type of its argument."""
     if isinstance(x, mpmath.mpf):
         return mpmath.exp(x)
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
     return math.exp(x)
 
 

@@ -11,6 +11,11 @@ Reproducibility: replications are processed in fixed-size batches, each with
 its own counter-based Philox stream keyed by (seed, batch index).  Identical
 (seed, n) always produce bit-identical estimates, and batches could be
 evaluated in parallel without changing the result.
+
+Within a batch, items are sorted by (cell, position) with one argsort of a
+packed integer key, checked afterwards and redone with ``np.lexsort`` if two
+positions tied on the key and came out swapped.  The sorted values, and so
+every estimate, are exactly those of the two-key lexsort.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig
 from .orderdist import OrderSizeDistribution
 
 __all__ = ["SampledOrder", "McEstimate", "sample_order", "route_time",
-           "run_replications", "run_replications_all", "route_times_batch"]
+           "run_replications_all", "route_times_batch"]
 
 _BATCH = 1 << 17  # fixed batch size; part of the reproducible stream layout
 
@@ -128,56 +133,66 @@ def _pick_sums(pick: PickTimeModel, m: np.ndarray, rng: np.random.Generator) -> 
     return rng.gamma(shape * m, scale)
 
 
+def _sort_cells(cell: np.ndarray, pos: np.ndarray, n_cells: int):
+    """Items sorted by (cell, position), exactly as ``np.lexsort((pos, cell))``.
+
+    The uint64 key holds the cell in its high bits and the leading ``shift``
+    bits of the integer ``pos * 2**53`` (pos in [0, 1)) in its low bits.
+    """
+    shift = min(53, 64 - (n_cells - 1).bit_length())
+    key = cell.astype(np.uint64) << np.uint64(shift)
+    key |= (pos * 2.0 ** 53).astype(np.uint64) >> np.uint64(53 - shift)
+    order = np.argsort(key)
+    del key
+    sc, sp = cell[order], pos[order]
+    # positions in one cell that tied on the key may have come out swapped
+    if np.any((sc[1:] == sc[:-1]) & (sp[1:] < sp[:-1])):
+        order = np.lexsort((pos, cell))
+        sc, sp = cell[order], pos[order]
+    return sc, sp
+
+
 def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
                        pick: PickTimeModel, b: int, rng: np.random.Generator):
     """Route times for b orders, all heuristics at once (shared samples)."""
     k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
     m = dist.sample(rng, size=b)
     total = int(m.sum())
-    oid = np.repeat(np.arange(b, dtype=np.int64), m)
-    aisle = rng.integers(0, k, size=total)
+    cell = rng.integers(0, k, size=total)  # aisle; becomes oid * k + aisle
+    cell += np.repeat(np.arange(0, b * k, k), m)
     pos = rng.random(total)
     picks = _pick_sums(pick, m, rng)
 
-    cell = oid * k + aisle
-    order = np.lexsort((pos, cell))
-    sc = cell[order]
-    sp = pos[order]
+    sc, sp = _sort_cells(cell, pos, b * k)
+    del cell, pos
 
-    first = np.empty(total, dtype=bool)
-    first[0] = True
-    np.not_equal(sc[1:], sc[:-1], out=first[1:])
-    last = np.empty(total, dtype=bool)
-    last[-1] = True
-    np.not_equal(sc[1:], sc[:-1], out=last[:-1])
+    new_cell = sc[1:] != sc[:-1]
+    first = np.concatenate(([True], new_cell))
+    last = np.concatenate((new_cell, [True]))
     starts = np.flatnonzero(first)
     occupied_cells = sc[starts]
 
-    counts = np.bincount(cell, minlength=b * k).reshape(b, k)
+    counts = np.bincount(sc, minlength=b * k).reshape(b, k)
+
+    def per_cell(values, empty):
+        """(b, k) matrix holding one value per occupied cell, ``empty`` elsewhere."""
+        mat = np.full(b * k, empty)
+        mat[occupied_cells] = values
+        return mat.reshape(b, k)
 
     # furthest item: positions are sorted within each cell
-    a_mat = np.zeros(b * k)
-    a_mat[occupied_cells] = sp[last]
-    a_mat = a_mat.reshape(b, k)
+    a_mat = per_cell(sp[last], 0.0)
 
     # largest gap: max of (first position, inner spacings, trailing space)
-    gap_before = np.empty(total)
-    gap_before[0] = sp[0]
-    np.subtract(sp[1:], sp[:-1], out=gap_before[1:])
+    gap_before = np.diff(sp, prepend=0.0)
     gap_before[first] = sp[first]
-    d_mat = np.ones(b * k)
-    d_mat[occupied_cells] = np.maximum(np.maximum.reduceat(gap_before, starts), 1.0 - sp[last])
-    d_mat = d_mat.reshape(b, k)
+    d_mat = per_cell(np.maximum(np.maximum.reduceat(gap_before, starts), 1.0 - sp[last]), 1.0)
 
     # half-aisle maxima, as fractions of the half length
     front_val = np.where(sp < 0.5, sp, 0.0)
     back_val = np.where(sp >= 0.5, 1.0 - sp, 0.0)
-    af_mat = np.zeros(b * k)
-    af_mat[occupied_cells] = np.maximum.reduceat(front_val, starts) * 2.0
-    ab_mat = np.zeros(b * k)
-    ab_mat[occupied_cells] = np.maximum.reduceat(back_val, starts) * 2.0
-    af_mat = af_mat.reshape(b, k)
-    ab_mat = ab_mat.reshape(b, k)
+    af_mat = per_cell(np.maximum.reduceat(front_val, starts) * 2.0, 0.0)
+    ab_mat = per_cell(np.maximum.reduceat(back_val, starts) * 2.0, 0.0)
 
     occ = counts > 0
     idx = np.arange(1, k + 1)
@@ -193,29 +208,27 @@ def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
     s_ret = a_mat.sum(axis=1)
 
     cross = (2.0 * wa / v) * (kplus - 1)
-    times = {
+    return {
         "return": picks + (2.0 * l / v) * s_ret + cross,
         "midpoint": picks + (l / v) * s_mid + 2.0 * l / v + cross,
         "largest-gap": picks + (2.0 * l / v) * s_gap + 2.0 * l / v + cross,
         "s-shaped": picks + (l / v) * (n_occ + iodd * (2.0 * a_last - 1.0)) + cross,
     }
-    return times
+
+
+def _batches(cfg: WarehouseConfig, dist: OrderSizeDistribution,
+             pick: PickTimeModel, n: int, seed: int):
+    """Route times of n orders, one dict per batch of the reproducible stream."""
+    for batch, done in enumerate(range(0, n, _BATCH)):
+        yield _batch_route_times(cfg, dist, pick, min(_BATCH, n - done),
+                                 _rng_for_batch(seed, batch))
 
 
 def route_times_batch(cfg: WarehouseConfig, dist: OrderSizeDistribution,
                       pick: PickTimeModel, n: int, seed: int) -> dict[str, np.ndarray]:
     """Per-order route times for all heuristics with shared samples."""
-    out = {h: [] for h in HEURISTICS}
-    done = 0
-    batch = 0
-    while done < n:
-        b = min(_BATCH, n - done)
-        times = _batch_route_times(cfg, dist, pick, b, _rng_for_batch(seed, batch))
-        for h in HEURISTICS:
-            out[h].append(times[h])
-        done += b
-        batch += 1
-    return {h: np.concatenate(v) for h, v in out.items()}
+    batches = list(_batches(cfg, dist, pick, n, seed))
+    return {h: np.concatenate([times[h] for times in batches]) for h in HEURISTICS}
 
 
 def run_replications_all(cfg: WarehouseConfig, dist: OrderSizeDistribution,
@@ -224,11 +237,7 @@ def run_replications_all(cfg: WarehouseConfig, dist: OrderSizeDistribution,
     if n < 2:
         raise ValueError(f"need at least 2 replications, got {n}")
     sums = {h: [0.0, 0.0, 0.0] for h in HEURISTICS}  # sum t, t^2, t^4
-    done = 0
-    batch = 0
-    while done < n:
-        b = min(_BATCH, n - done)
-        times = _batch_route_times(cfg, dist, pick, b, _rng_for_batch(seed, batch))
+    for times in _batches(cfg, dist, pick, n, seed):
         for h in HEURISTICS:
             t = times[h]
             t2 = t * t
@@ -236,8 +245,6 @@ def run_replications_all(cfg: WarehouseConfig, dist: OrderSizeDistribution,
             s[0] += float(np.sum(t))
             s[1] += float(np.sum(t2))
             s[2] += float(np.sum(t2 * t2))
-        done += b
-        batch += 1
 
     out = {}
     for h in HEURISTICS:
@@ -248,11 +255,3 @@ def run_replications_all(cfg: WarehouseConfig, dist: OrderSizeDistribution,
         var_t2 = max(s4 / n - mean_t2 ** 2, 0.0) * n / (n - 1)
         out[h] = McEstimate(n, mean_t, math.sqrt(var_t / n), mean_t2, math.sqrt(var_t2 / n))
     return out
-
-
-def run_replications(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                     pick: PickTimeModel, heuristic: str, n: int, seed: int) -> McEstimate:
-    """Moment estimates for one heuristic; deterministic in (seed, n)."""
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
-    return run_replications_all(cfg, dist, pick, n, seed)[heuristic]

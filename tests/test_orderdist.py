@@ -165,3 +165,14 @@ def test_mpf_arguments_supported():
             x = mpmath.mpf(1) / 3
             assert isinstance(dist.pgf(x), mpmath.mpf)
             assert float(dist.pgf(x)) == pytest.approx(dist.pgf(1 / 3), rel=1e-12)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec())
+def test_array_arguments_match_scalar(dist):
+    # numpy's exp may differ from math.exp in the last bit, hence a few ulps
+    x = np.linspace(0.0, 1.0, 9)
+    for f in (dist.pgf, dist.pgf_prime, dist.pgf_double_prime):
+        values = f(x)
+        assert isinstance(values, np.ndarray) and values.shape == x.shape
+        np.testing.assert_allclose(values, [f(float(t)) for t in x],
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)

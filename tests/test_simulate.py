@@ -10,11 +10,11 @@ from pickroute import (
     PickTimeModel,
     WarehouseConfig,
     route_time,
-    run_replications,
+    parse_dist_spec,
     run_replications_all,
     sample_order,
 )
-from pickroute.simulate import SampledOrder, route_times_batch
+from pickroute.simulate import SampledOrder, _sort_cells, route_times_batch
 
 CFG = WarehouseConfig(3, 20.0, 2.5, 1.0)
 
@@ -108,27 +108,27 @@ def test_vectorized_engine_matches_scalar_reference():
 
 
 def test_run_replications_deterministic():
-    est1 = run_replications(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0),
-                            "return", 5000, seed=42)
-    est2 = run_replications(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0),
-                            "return", 5000, seed=42)
+    est1 = run_replications_all(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0),
+                                5000, seed=42)["return"]
+    est2 = run_replications_all(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0),
+                                5000, seed=42)["return"]
     assert est1 == est2
-    est3 = run_replications(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0),
-                            "return", 5000, seed=43)
+    est3 = run_replications_all(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0),
+                                5000, seed=43)["return"]
     assert est3 != est1
 
 
 def test_run_replications_simple_target():
     cfg = WarehouseConfig(1, 20.0, 1.0, 1.0)
-    est = run_replications(cfg, Deterministic(1), PickTimeModel(0.0, 0.0),
-                           "return", 100_000, seed=1)
+    est = run_replications_all(cfg, Deterministic(1), PickTimeModel(0.0, 0.0),
+                               100_000, seed=1)["return"]
     assert abs(est.mean_t - 20.0) < 4 * est.se_mean
     assert est.n == 100_000
 
 
 def test_estimates_second_moment_consistent():
-    est = run_replications(CFG, Geometric(1 / 4), PickTimeModel.from_scv(3.0, 0.5),
-                           "s-shaped", 50_000, seed=9)
+    est = run_replications_all(CFG, Geometric(1 / 4), PickTimeModel.from_scv(3.0, 0.5),
+                               50_000, seed=9)["s-shaped"]
     # E[T^2] >= E[T]^2 up to sampling noise
     assert est.mean_t2 >= est.mean_t ** 2 - 4 * (est.se_t2 + 2 * est.mean_t * est.se_mean)
 
@@ -155,12 +155,61 @@ def test_empty_order_not_possible():
 
 def test_run_replications_needs_two():
     with pytest.raises(ValueError):
-        run_replications(CFG, Deterministic(1), PickTimeModel(0.0, 0.0), "return", 1, 0)
+        run_replications_all(CFG, Deterministic(1), PickTimeModel(0.0, 0.0), 1, 0)
 
 
 def test_all_heuristics_share_samples():
     ests = run_replications_all(CFG, Deterministic(2), PickTimeModel(0.0, 0.0), 4000, seed=2)
     assert set(ests) == set(HEURISTICS)
-    single = run_replications(CFG, Deterministic(2), PickTimeModel(0.0, 0.0),
-                              "midpoint", 4000, seed=2)
-    assert single == ests["midpoint"]
+    times = route_times_batch(CFG, Deterministic(2), PickTimeModel(0.0, 0.0), 4000, seed=2)
+    for h in HEURISTICS:
+        assert ests[h].mean_t == pytest.approx(times[h].mean(), rel=1e-14)
+
+
+def _lexsorted(cell, pos):
+    order = np.lexsort((pos, cell))
+    return cell[order], pos[order]
+
+
+@pytest.mark.parametrize("spec", ["det:3", "geom:32", "snbin:3:9"])
+@pytest.mark.parametrize("k", [1, 5, 64])
+def test_sort_cells_matches_lexsort(spec, k):
+    from pickroute.simulate import _rng_for_batch
+    rng = _rng_for_batch(3, 0)
+    b = 20_000
+    m = parse_dist_spec(spec).sample(rng, size=b)
+    cell = np.repeat(np.arange(0, b * k, k), m) + rng.integers(0, k, size=int(m.sum()))
+    pos = rng.random(cell.size)
+    sc, sp = _sort_cells(cell, pos, b * k)
+    expect_c, expect_p = _lexsorted(cell, pos)
+    assert np.array_equal(sc, expect_c) and np.array_equal(sp, expect_p)
+
+
+def test_sort_cells_tie_falls_back_to_lexsort(monkeypatch):
+    # 2**20 cells leave 44 position bits in the key, so p and its successor
+    # tie; each of 64 cells holds the pair in reverse order
+    p = 0.7
+    cell = np.repeat(np.arange(64, dtype=np.int64), 2)
+    pos = np.tile([np.nextafter(p, 1.0), p], 64)
+    expect_c, expect_p = _lexsorted(cell, pos)
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    sc, sp = _sort_cells(cell, pos, 1 << 20)
+    assert calls == [1]
+    assert np.array_equal(sc, expect_c) and np.array_equal(sp, expect_p)
+    assert np.all(sp[0::2] == p) and np.all(sp[1::2] == np.nextafter(p, 1.0))
+
+
+def test_sort_cells_small_batch_uses_full_key(monkeypatch):
+    # with 2**11 cells or fewer all 53 position bits fit (the shift is capped
+    # at 53), so even adjacent doubles never tie and no fallback is taken
+    rng = np.random.default_rng(5)
+    cell = rng.integers(0, 1 << 8, size=50_000)
+    pos = rng.random(cell.size)
+    cell[:2] = 7
+    pos[:2] = [np.nextafter(0.7, 1.0), 0.7]
+    expect_c, expect_p = _lexsorted(cell, pos)
+    monkeypatch.setattr(np, "lexsort", None)
+    sc, sp = _sort_cells(cell, pos, 1 << 8)
+    assert np.array_equal(sc, expect_c) and np.array_equal(sp, expect_p)
