@@ -25,7 +25,7 @@ for name, make in (("geometric", lambda m: Geometric(1 / m)),
     for mean in (2, 4, 8, 16, 32, 64):
         model = AisleModel(K, make(mean))
         kp, _, _ = kplus_moments(model)
-        a, _, _ = far_item_moments(model, "full")
+        a, _, _ = far_item_moments(model)
         g, _, _ = gap_moments(model)
         _, occ_mean, _, _ = occupancy_law(model)
         print(f"{mean:5d} {kp:9.3f} {a:7.3f} {g:7.3f} {occ_mean:13.3f} "

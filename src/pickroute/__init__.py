@@ -12,10 +12,6 @@ from .heuristics import (
     PickTimeModel,
     WarehouseConfig,
     compute_moments,
-    largest_gap_moments,
-    midpoint_moments,
-    return_moments,
-    sshaped_moments,
 )
 from .layout import LayoutCell, LayoutRow, NoFeasibleLayoutError, layout_sweep, recommend
 from .orderdist import (
@@ -59,16 +55,12 @@ __all__ = [
     "gap_kernel",
     "integrate_1d",
     "integrate_2d",
-    "largest_gap_moments",
     "layout_sweep",
     "lead_time_estimate",
     "log_kernel",
-    "midpoint_moments",
     "parse_dist_spec",
     "recommend",
-    "return_moments",
     "route_time",
     "run_replications_all",
     "sample_order",
-    "sshaped_moments",
 ]

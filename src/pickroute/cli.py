@@ -2,9 +2,10 @@
 
 Subcommands: ``moments``, ``simulate``, ``leadtime``, ``layout``, ``validate``.
 Configuration is a line-oriented ``key = value`` file (``#`` comments);
-command-line flags override config keys.  Exit codes: 0 success, 2 parse or
-validation error, 3 unstable queue without ``--allow-unstable``, 4 Monte
-Carlo validation failure (some |z| > 4).
+command-line flags override config keys and are parsed by the same table.
+Exit codes: 0 success, 2 parse, validation or numerical error, 3 unstable
+queue without ``--allow-unstable``, 4 Monte Carlo validation failure (some
+|z| > 4).
 """
 from __future__ import annotations
 
@@ -17,11 +18,11 @@ from dataclasses import dataclass, replace
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
 from .layout import layout_sweep
 from .orderdist import parse_dist_spec
+from .quadrature import IntegrationError
 from .queueing import QueueScenario, lead_time_estimate
 from .simulate import run_replications_all
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "render_config",
-           "run_command", "emit_csv", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "run_command", "emit_csv", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,52 +105,57 @@ def _speed(token: str, key: str) -> float:
         raise ConfigError(f"key {key!r}: invalid number {parts[0]!r}") from None
 
 
+def _length(token: str, key: str) -> float:
+    return _number(token, _LENGTH_UNITS, key, "length")
+
+
+def _dist(token: str, key: str) -> str:
+    parse_dist_spec(token)  # validate eagerly
+    return token.strip()
+
+
+def _heuristics(token: str, key: str) -> tuple:
+    names = tuple(h.strip() for h in token.split(",") if h.strip())
+    for h in names:
+        if h not in HEURISTICS:
+            raise ConfigError(f"key {key!r}: unknown heuristic {h!r}")
+    if not names:
+        raise ConfigError(f"key {key!r}: empty list")
+    return names
+
+
+# config key -> (RunConfig field, parser of the value text)
+_KEYS = {
+    "k": ("k", _integer),
+    "l": ("l", _length),
+    "wa": ("wa", _length),
+    "v": ("v", _speed),
+    "dist": ("dist", _dist),
+    "pick_mean": ("pick_mean", lambda token, key: _number(token, {"": 1.0, "s": 1.0}, key, "duration")),
+    "pick_scv": ("pick_scv", lambda token, key: _number(token, {"": 1.0}, key, "ratio")),
+    "heuristics": ("heuristics", _heuristics),
+    "pickers": ("pickers", _integer),
+    "lambda": ("lam", lambda token, key: _number(token, _RATE_UNITS, key, "rate")),
+    "samples": ("samples", _integer),
+    "seed": ("seed", _integer),
+    "out": ("out", lambda token, key: token.strip()),
+    "total_length": ("total_length", _length),
+    "k_min": ("k_min", _integer),
+    "k_max": ("k_max", _integer),
+}
+
+
 def _apply_key(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
     try:
-        if key == "k":
-            return replace(cfg, k=_integer(value, key))
-        if key == "l":
-            return replace(cfg, l=_number(value, _LENGTH_UNITS, key, "length"))
-        if key == "wa":
-            return replace(cfg, wa=_number(value, _LENGTH_UNITS, key, "length"))
-        if key == "v":
-            return replace(cfg, v=_speed(value, key))
-        if key == "dist":
-            parse_dist_spec(value)  # validate eagerly
-            return replace(cfg, dist=value.strip())
-        if key == "pick_mean":
-            return replace(cfg, pick_mean=_number(value, {"": 1.0, "s": 1.0}, key, "duration"))
-        if key == "pick_scv":
-            return replace(cfg, pick_scv=_number(value, {"": 1.0}, key, "ratio"))
-        if key == "heuristics":
-            names = tuple(h.strip() for h in value.split(",") if h.strip())
-            for h in names:
-                if h not in HEURISTICS:
-                    raise ConfigError(f"key 'heuristics': unknown heuristic {h!r}")
-            if not names:
-                raise ConfigError("key 'heuristics': empty list")
-            return replace(cfg, heuristics=names)
-        if key == "pickers":
-            return replace(cfg, pickers=_integer(value, key))
-        if key == "lambda":
-            return replace(cfg, lam=_number(value, _RATE_UNITS, key, "rate"))
-        if key == "samples":
-            return replace(cfg, samples=_integer(value, key))
-        if key == "seed":
-            return replace(cfg, seed=_integer(value, key))
-        if key == "out":
-            return replace(cfg, out=value.strip())
-        if key == "total_length":
-            return replace(cfg, total_length=_number(value, _LENGTH_UNITS, key, "length"))
-        if key == "k_min":
-            return replace(cfg, k_min=_integer(value, key))
-        if key == "k_max":
-            return replace(cfg, k_max=_integer(value, key))
+        field, parse = _KEYS[key]
+    except KeyError:
+        raise ConfigError(f"{where}: unknown key {key!r}") from None
+    try:
+        return replace(cfg, **{field: parse(value, key)})
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise ConfigError(f"{where}: {exc}") from None
         raise ConfigError(f"{where}: key {key!r}: {exc}") from None
-    raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -164,39 +170,6 @@ def parse_config(text: str) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         cfg = _apply_key(cfg, key, value, f"line {lineno}")
     return cfg
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Config text that parses back to an equal RunConfig."""
-    lines = []
-    if cfg.k is not None:
-        lines.append(f"k = {cfg.k}")
-    if cfg.l is not None:
-        lines.append(f"l = {cfg.l!r} m")
-    if cfg.wa is not None:
-        lines.append(f"wa = {cfg.wa!r} m")
-    if cfg.v is not None:
-        lines.append(f"v = {cfg.v!r} m/s")
-    if cfg.dist is not None:
-        lines.append(f"dist = {cfg.dist}")
-    lines.append(f"pick_mean = {cfg.pick_mean!r}")
-    lines.append(f"pick_scv = {cfg.pick_scv!r}")
-    lines.append("heuristics = " + ", ".join(cfg.heuristics))
-    if cfg.pickers is not None:
-        lines.append(f"pickers = {cfg.pickers}")
-    if cfg.lam is not None:
-        lines.append(f"lambda = {cfg.lam!r}")
-    lines.append(f"samples = {cfg.samples}")
-    lines.append(f"seed = {cfg.seed}")
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    if cfg.total_length is not None:
-        lines.append(f"total_length = {cfg.total_length!r} m")
-    if cfg.k_min is not None:
-        lines.append(f"k_min = {cfg.k_min}")
-    if cfg.k_max is not None:
-        lines.append(f"k_max = {cfg.k_max}")
-    return "\n".join(lines) + "\n"
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
@@ -340,6 +313,16 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+_FLAG_HELP = {
+    "l": "aisle length in meters",
+    "wa": "aisle spacing in meters",
+    "v": "walking speed, e.g. '3 km/h' or '0.8 m/s'",
+    "dist": "order-size spec, e.g. det:3, spois:4, geom:32, snbin:7:31",
+    "lambda": "orders per hour",
+    "out": "output CSV path (default: stdout)",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pickroute",
@@ -352,25 +335,15 @@ def _build_parser() -> argparse.ArgumentParser:
             ("leadtime", "moments plus M/G/c mean lead-time approximation"),
             ("layout", "sweep warehouse shapes at fixed total aisle length"),
             ("validate", "analytic vs Monte Carlo z-score harness")):
+        # every flag stores its text under its config key; _KEYS parses it
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", nargs="?", help="path to a key = value config file")
-        p.add_argument("--k", type=int)
-        p.add_argument("--l", type=float, help="aisle length in meters")
-        p.add_argument("--wa", type=float, help="aisle spacing in meters")
-        p.add_argument("--v", help="walking speed, e.g. '3 km/h' or '0.8 m/s'")
-        p.add_argument("--dist", help="order-size spec, e.g. det:3, spois:4, geom:32, snbin:7:31")
-        p.add_argument("--pick-mean", type=float, dest="pick_mean")
-        p.add_argument("--pick-scv", type=float, dest="pick_scv")
-        p.add_argument("--heuristic", action="append", dest="heuristic",
-                       help="restrict to one heuristic (repeatable)")
-        p.add_argument("--pickers", type=int)
-        p.add_argument("--lambda", type=float, dest="lam", help="orders per hour")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--total-length", type=float, dest="total_length")
-        p.add_argument("--k-min", type=int, dest="k_min")
-        p.add_argument("--k-max", type=int, dest="k_max")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
+        for key in _KEYS:
+            if key == "heuristics":
+                p.add_argument("--heuristic", action="append", dest="heuristics", metavar="HEURISTIC",
+                               help="restrict to one heuristic (repeatable)")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), help=_FLAG_HELP.get(key))
         if name == "leadtime":
             p.add_argument("--allow-unstable", action="store_true",
                            help="emit NA rows instead of failing when rho >= 1")
@@ -386,61 +359,51 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from None
     else:
         cfg = RunConfig()
-    overrides = {}
-    for key in ("k", "l", "wa", "pick_mean", "pick_scv", "pickers", "lam",
-                "samples", "seed", "total_length", "k_min", "k_max", "out", "dist"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "v", None) is not None:
-        token = args.v if " " in args.v else f"{args.v} m/s"
-        overrides["v"] = _speed(token, "v")
-    if getattr(args, "heuristic", None):
-        for h in args.heuristic:
-            if h not in HEURISTICS:
-                raise ConfigError(f"unknown heuristic {h!r}")
-        overrides["heuristics"] = tuple(args.heuristic)
-    if "dist" in overrides:
-        try:
-            parse_dist_spec(overrides["dist"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    cfg = replace(cfg, **overrides)
+    flags = dict(vars(args))
+    if flags["v"] is not None and " " not in flags["v"]:
+        flags["v"] += " m/s"   # a bare flag speed is in m/s
+    if flags["heuristics"] is not None:
+        flags["heuristics"] = ",".join(flags["heuristics"])
+    for key in _KEYS:
+        if flags[key] is not None:
+            flag = "--heuristic" if key == "heuristics" else "--" + key.replace("_", "-")
+            cfg = _apply_key(cfg, key, flags[key], flag)
     return cfg
 
 
 def run_command(command: str, cfg: RunConfig, allow_unstable: bool = False) -> int:
     """Dispatch a subcommand; returns the process exit status."""
+    commands = {
+        "moments": _cmd_moments,
+        "simulate": _cmd_simulate,
+        "leadtime": lambda c: _cmd_leadtime(c, allow_unstable),
+        "layout": _cmd_layout,
+        "validate": _cmd_validate,
+    }
+    if command not in commands:
+        raise ConfigError(f"unknown command {command!r}")
     try:
-        if command == "moments":
-            return _cmd_moments(cfg)
-        if command == "simulate":
-            return _cmd_simulate(cfg)
-        if command == "leadtime":
-            return _cmd_leadtime(cfg, allow_unstable)
-        if command == "layout":
-            return _cmd_layout(cfg)
-        if command == "validate":
-            return _cmd_validate(cfg)
+        return commands[command](cfg)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown command {command!r}")
+    except (ArithmeticError, IntegrationError) as exc:
+        raise ConfigError(f"numerical failure: {exc}") from None
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = args.out
     try:
         cfg = _config_from_args(args)
-        status = run_command(args.command, cfg,
-                             allow_unstable=getattr(args, "allow_unstable", False))
+        out = cfg.out
+        return run_command(args.command, cfg, allow_unstable=getattr(args, "allow_unstable", False))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "out", None):
-            emit_csv([[EXIT_CONFIG, str(exc)]], ["error_code", "message"], args.out)
+        if out:
+            emit_csv([[EXIT_CONFIG, str(exc)]], ["error_code", "message"], out)
         return EXIT_CONFIG
-    return status
 
 
 if __name__ == "__main__":

@@ -1,13 +1,27 @@
 """Exact first and second moments of the total picking time per routing heuristic.
 
-The total picking time decomposes into pick time, within-aisle travel and
-cross-aisle travel.  Each heuristic's second moment is assembled as an
-explicit named-term sum (logged at DEBUG level) so that any discrepancy
-against the Monte Carlo oracle is attributable to a single term.
+The total picking time is T = pick time + within-aisle travel + cross-aisle
+travel, and the heuristics differ only in the within-aisle part.  Pick time
+and cross-aisle travel, (2wa/v)(kplus - 1) out to the furthest occupied aisle
+and back, are common to all four, and so are their terms in E[T^2].
 
-Conventions: the midpoint and largest-gap routes always traverse the first
-and last occupied aisle completely (the term 2l/v), even when both coincide;
-all speeds are in meters/second and times in seconds.
+Return, midpoint and largest gap split each aisle into ``u`` units of length
+l/u, walk into each unit they serve a distance X_i (as a fraction of l/u) and
+back, and so walk (2l/u) X within aisles, X being the sum of the X_i:
+
+* return: u = 1, X_i = A_i, the furthest item of every aisle;
+* midpoint: u = 2, X_i = A^f, the furthest item of an interior half-aisle
+  from its own cross-aisle;
+* largest gap: u = 1, X_i = 1 - D_i, an interior aisle minus its largest gap.
+
+Midpoint and largest gap also traverse the first and last occupied aisles
+completely (2l, even when both coincide), and their X sums the interior units
+of each span d = kplus - kminus.  For all three, E[T] and E[T^2] follow from
+four sums, E[X], E[X^2], E[kplus X] and E[M X], through one assembler.
+S-shaped has its own occupancy terms.  Each second moment is an explicit
+named-term sum (logged at DEBUG level), so that any discrepancy against the
+Monte Carlo oracle is attributable to a single term.  Speeds are in
+meters/second and times in seconds.
 """
 from __future__ import annotations
 
@@ -24,10 +38,6 @@ __all__ = [
     "PickTimeModel",
     "MomentReport",
     "HEURISTICS",
-    "return_moments",
-    "midpoint_moments",
-    "largest_gap_moments",
-    "sshaped_moments",
     "compute_moments",
 ]
 
@@ -96,8 +106,26 @@ class MomentReport:
     terms: dict = field(default=None, repr=False, compare=False)
 
 
-def _make_report(heuristic: str, e_t: float, e_t2: float, e_tw: float, e_ttr: float,
-                 terms: dict) -> MomentReport:
+def _report(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel,
+            e_tw: float, terms: dict, traverse: bool = False) -> MomentReport:
+    """Add the pick-time and cross-aisle terms every heuristic shares (and the
+    full traversal of the first and last occupied aisles, when the route makes
+    one) to the within-aisle ``terms``; E[T^2] is their sum."""
+    dist, l, wa, v = model.dist, cfg.l, cfg.wa, cfg.v
+    em, ep = dist.mean(), pick.mean
+    kp_mean, kp_sec, m_kp = prelim.kplus_moments(model)
+    e_ttr = e_tw + (2 * wa / v) * (kp_mean - 1)
+    e_t = em * ep + e_ttr
+    terms = {
+        "pick2": dist.factorial2() * ep * ep + em * pick.second_moment,
+        **terms,
+        "cross2": (4 * wa * wa / v ** 2) * (kp_sec - 2 * kp_mean + 1),
+        "pick_cross": (4 * wa / v) * ep * (m_kp - em),
+    }
+    if traverse:
+        terms["traverse2"] = 4 * l * l / v ** 2
+        terms["traverse_rest"] = (4 * l / v) * (e_t - 2 * l / v)
+    e_t2 = math.fsum(terms.values())
     var = e_t2 - e_t * e_t
     if var < 0:
         if var < -1e-9 * max(e_t2, 1.0):
@@ -109,124 +137,53 @@ def _make_report(heuristic: str, e_t: float, e_t2: float, e_tw: float, e_ttr: fl
     return MomentReport(e_t, e_t2, var, math.sqrt(var), e_tw, e_ttr, terms)
 
 
-def _common(cfg: WarehouseConfig, dist: OrderSizeDistribution, pick: PickTimeModel):
-    model = AisleModel(cfg.k, dist)
-    em, f2 = dist.mean(), dist.factorial2()
-    kp_mean, kp_sec, m_kp = prelim.kplus_moments(model)
-    return model, em, f2, pick.mean, pick.second_moment, kp_mean, kp_sec, m_kp
+def _span_sums(model: AisleModel, u: int, block) -> tuple[float, float, float, float]:
+    """The four aisle sums of X = sum of X_i over the interior units, from the
+    span-d moments ``block(model, d)`` of one unit, with ``u`` units per aisle.
 
-
-def return_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                   pick: PickTimeModel) -> MomentReport:
-    """Walk into every occupied aisle up to its furthest item and back."""
-    model, em, f2, ep, ep2, kp_mean, kp_sec, m_kp = _common(cfg, dist, pick)
-    k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
-
-    a_mean, a_sec, a_cross = prelim.far_item_moments(model, "full")
-    ma = prelim.m_far_cross(model)
-    sum_ak = prelim.sum_far_item_kplus_cross(model)
-
-    e_tw = (2 * l * k / v) * a_mean
-    cross_aisle = (2 * wa / v) * (kp_mean - 1)
-    e_ttr = e_tw + cross_aisle
-    e_t = em * ep + e_ttr
-
-    within2 = k * a_sec + (k * (k - 1) * a_cross if k >= 2 else 0.0)
-    terms = {
-        "pick2": f2 * ep * ep + em * ep2,
-        "within2": (4 * l * l / v ** 2) * within2,
-        "cross2": (4 * wa * wa / v ** 2) * (kp_sec - 2 * kp_mean + 1),
-        "pick_within": (4 * l * k / v) * ep * ma,
-        "pick_cross": (4 * wa / v) * ep * (m_kp - em),
-        "within_cross": (8 * wa * l / v ** 2) * (sum_ak - k * a_mean),
-    }
-    e_t2 = math.fsum(terms.values())
-    return _make_report("return", e_t, e_t2, e_tw, e_ttr, terms)
-
-
-def midpoint_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                     pick: PickTimeModel) -> MomentReport:
-    """Serve interior aisles up to the midpoint from both cross-aisles."""
-    model, em, f2, ep, ep2, kp_mean, kp_sec, m_kp = _common(cfg, dist, pick)
-    k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
-
-    es = es2 = eks = ems = 0.0
+    A span-d event has k - d positions, n = u(d-1) interior units and 2u units
+    in the two endpoint aisles; kplus averages (k + d + 1) / 2 over positions.
+    """
+    k = model.k
+    ex = ex2 = ekx = emx = 0.0
     for d in range(2, k):
-        c = prelim.far_half_cond_moments(model, d)
-        pairs = k - d              # positions of a span-d aisle pair
-        interior = d - 1           # interior aisles per position
-        es += pairs * interior * c.mean
-        es2 += pairs * (2 * d - 2) * c.second + pairs * (2 * d - 2) * (2 * d - 3) * c.cross
-        eks += 0.5 * pairs * (k + d + 1) * interior * c.mean
-        # order size against the interior half-aisle maxima: one identical
-        # half, 2d-3 other interior halves, four endpoint-aisle halves
-        ems += pairs * interior * (c.n_same + (2 * d - 3) * c.n_other + 4 * c.n_endpoint)
+        c = block(model, d)
+        pairs, n = k - d, u * (d - 1)
+        x2 = c.second
+        mx = c.n_same + 2 * u * c.n_endpoint
+        if n >= 2:
+            x2 += (n - 1) * c.cross
+            mx += (n - 1) * c.n_other
+        ex += pairs * n * c.mean
+        ex2 += pairs * n * x2
+        ekx += 0.5 * pairs * (k + d + 1) * n * c.mean
+        emx += pairs * n * mx
+    return ex, ex2, ekx, emx
 
-    e_tw = (2 * l / v) * es + 2 * l / v
-    cross_aisle = (2 * wa / v) * (kp_mean - 1)
-    e_ttr = e_tw + cross_aisle
-    e_t = em * ep + e_ttr
 
+def _aisle_sum_report(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel,
+                      sums: tuple[float, float, float, float], u: int, traverse: bool) -> MomentReport:
+    """Report for a route whose within-aisle travel is (2l/u) X, plus 2l when it
+    traverses the first and last occupied aisles.  ``sums`` are E[X], E[X^2],
+    E[kplus X] and E[M X]."""
+    ex, ex2, ekx, emx = sums
+    l, wa, v = cfg.l, cfg.wa, cfg.v
+    unit = 2 * l / (u * v)   # walking time per unit of X
     terms = {
-        "pick2": f2 * ep * ep + em * ep2,
-        "within2": (l * l / v ** 2) * es2,
-        "cross2": (4 * wa * wa / v ** 2) * (kp_sec - 2 * kp_mean + 1),
-        "traverse2": 4 * l * l / v ** 2,
-        "pick_within": (4 * l / v) * ep * ems,
-        "pick_cross": (4 * wa / v) * ep * (m_kp - em),
-        "within_cross": (8 * wa * l / v ** 2) * (eks - es),
-        "traverse_rest": (4 * l / v) * (e_t - 2 * l / v),
+        "within2": unit * unit * ex2,
+        "pick_within": 2 * unit * pick.mean * emx,
+        "within_cross": 2 * unit * (2 * wa / v) * (ekx - ex),
     }
-    e_t2 = math.fsum(terms.values())
-    return _make_report("midpoint", e_t, e_t2, e_tw, e_ttr, terms)
+    e_tw = unit * ex + (2 * l / v if traverse else 0.0)
+    return _report(heuristic, cfg, model, pick, e_tw, terms, traverse)
 
 
-def largest_gap_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                        pick: PickTimeModel) -> MomentReport:
-    """Serve interior aisles from both ends, skipping each aisle's largest gap."""
-    model, em, f2, ep, ep2, kp_mean, kp_sec, m_kp = _common(cfg, dist, pick)
-    k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
-
-    eg = eg2 = ekg = emg = 0.0
-    for d in range(2, k):
-        c = prelim.gap_cond_moments(model, d)
-        pairs = k - d
-        interior = d - 1
-        eg += pairs * interior * c.mean
-        eg2 += pairs * interior * c.second
-        ekg += 0.5 * pairs * (k + d + 1) * interior * c.mean
-        ems_d = c.n_same + 2 * c.n_endpoint
-        if d >= 3:
-            eg2 += pairs * interior * (d - 2) * c.cross
-            ems_d += (d - 2) * c.n_other
-        emg += pairs * interior * ems_d
-
-    e_tw = (2 * l / v) * eg + 2 * l / v
-    cross_aisle = (2 * wa / v) * (kp_mean - 1)
-    e_ttr = e_tw + cross_aisle
-    e_t = em * ep + e_ttr
-
-    terms = {
-        "pick2": f2 * ep * ep + em * ep2,
-        "within2": (4 * l * l / v ** 2) * eg2,
-        "cross2": (4 * wa * wa / v ** 2) * (kp_sec - 2 * kp_mean + 1),
-        "traverse2": 4 * l * l / v ** 2,
-        "pick_within": (4 * l / v) * ep * emg,
-        "pick_cross": (4 * wa / v) * ep * (m_kp - em),
-        "within_cross": (8 * l * wa / v ** 2) * (ekg - eg),
-        "traverse_rest": (4 * l / v) * (e_t - 2 * l / v),
-    }
-    e_t2 = math.fsum(terms.values())
-    return _make_report("largest-gap", e_t, e_t2, e_tw, e_ttr, terms)
-
-
-def sshaped_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                    pick: PickTimeModel) -> MomentReport:
+def _sshaped(cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel) -> MomentReport:
     """Traverse every occupied aisle, entering the last one from the front
     (and walking back out) only when the occupied-aisle count is odd."""
-    model, em, f2, ep, ep2, kp_mean, kp_sec, m_kp = _common(cfg, dist, pick)
     k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
-    P, Pp = dist.pgf, dist.pgf_prime
+    P, Pp = model.dist.pgf, model.dist.pgf_prime
+    em, ep = model.dist.mean(), pick.mean
 
     pmf, ei, ei2, cp = prelim.occupancy_law(model)
     odd = range(1, k + 1, 2)
@@ -251,20 +208,13 @@ def sshaped_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
     e_m_iodd_a = math.fsum(math.comb(k, j) * mfar[j] for j in odd)
 
     e_tw = (l / v) * ei + (2 * l / v) * e_iodd_a - (l / v) * e_iodd
-    cross_aisle = (2 * wa / v) * (kp_mean - 1)
-    e_ttr = e_tw + cross_aisle
-    e_t = em * ep + e_ttr
-
     terms = {
-        "pick2": f2 * ep * ep + em * ep2,
         "occupied2": (l * l / v ** 2) * ei2,
         "last_aisle2": (4 * l * l / v ** 2) * e_iodd_a2,
         "odd2": (l * l / v ** 2) * e_iodd,
-        "cross2": (4 * wa * wa / v ** 2) * (kp_sec - 2 * kp_mean + 1),
         "pick_occupied": (2 * l / v) * ep * e_mi,
         "pick_last": (4 * l / v) * ep * e_m_iodd_a,
         "pick_odd": -(2 * l / v) * ep * e_m_iodd,
-        "pick_cross": (4 * wa / v) * ep * (m_kp - em),
         "last_occupied": (4 * l * l / v ** 2) * e_iodd_a_i,
         "odd_occupied": -(2 * l * l / v ** 2) * e_iodd_i,
         "occupied_cross": (4 * l * wa / v ** 2) * (e_ki - ei),
@@ -272,24 +222,25 @@ def sshaped_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
         "last_cross": (8 * l * wa / v ** 2) * (e_iodd_a_k - e_iodd_a),
         "odd_cross": -(4 * l * wa / v ** 2) * (e_iodd_k - e_iodd),
     }
-    e_t2 = math.fsum(terms.values())
-    return _make_report("s-shaped", e_t, e_t2, e_tw, e_ttr, terms)
-
-
-_DISPATCH = {
-    "return": return_moments,
-    "midpoint": midpoint_moments,
-    "largest-gap": largest_gap_moments,
-    "s-shaped": sshaped_moments,
-}
+    return _report("s-shaped", cfg, model, pick, e_tw, terms)
 
 
 def compute_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
                     pick: PickTimeModel, heuristic: str) -> MomentReport:
     """Moment report for the named heuristic."""
-    try:
-        fn = _DISPATCH[heuristic]
-    except KeyError:
-        raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}") from None
-    return fn(cfg, dist, pick)
-
+    if heuristic not in HEURISTICS:
+        raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
+    k, model = cfg.k, AisleModel(cfg.k, dist)
+    if heuristic == "s-shaped":
+        return _sshaped(cfg, model, pick)
+    if heuristic == "return":
+        # every aisle is one unit, X_i = A_i its furthest item
+        a_mean, a_sec, a_cross = prelim.far_item_moments(model)
+        sums = (k * a_mean, k * a_sec + (k * (k - 1) * a_cross if k >= 2 else 0.0),
+                prelim.sum_far_item_kplus_cross(model), k * prelim.m_far_cross(model))
+        return _aisle_sum_report(heuristic, cfg, model, pick, sums, 1, traverse=False)
+    if heuristic == "midpoint":
+        u, block = 2, prelim.far_half_cond_moments
+    else:
+        u, block = 1, prelim.gap_cond_moments
+    return _aisle_sum_report(heuristic, cfg, model, pick, _span_sums(model, u, block), u, traverse=True)

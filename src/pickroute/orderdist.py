@@ -1,9 +1,9 @@
 """Order-size distributions described through their probability generating functions.
 
 Every analytic quantity in this package consumes an order-size distribution
-only through its PGF ``E[x^M]``, the PGF's first two derivatives and a
-matching sampler.  Order sizes are strictly positive, so ``pgf(0) == 0`` for
-every supported distribution.
+only through its PGF ``E[x^M]``, the PGF's first derivative, its first two
+factorial moments and a matching sampler.  Order sizes are strictly positive,
+so ``pgf(0) == 0`` for every supported distribution.
 
 Supported kinds and their CLI/config spec strings:
 
@@ -34,10 +34,6 @@ __all__ = [
     "Geometric",
     "ShiftedNegBinomial",
     "parse_dist_spec",
-    "pgf_eval",
-    "pgf_prime",
-    "moments",
-    "sample",
 ]
 
 
@@ -50,22 +46,15 @@ def _exp(x):
     return math.exp(x)
 
 
-def _check_unit_interval(x) -> None:
-    if not 0 <= x <= 1:
-        raise ValueError(f"PGF argument must lie in [0, 1], got {x!r}")
-
-
 @dataclass(frozen=True)
 class OrderSizeDistribution:
-    """Base class; concrete subclasses implement the PGF triple and sampler."""
+    """Base class; concrete subclasses implement the PGF, its derivative, the
+    moments and the sampler."""
 
     def pgf(self, x):
         raise NotImplementedError
 
     def pgf_prime(self, x):
-        raise NotImplementedError
-
-    def pgf_double_prime(self, x):
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -95,11 +84,6 @@ class Deterministic(OrderSizeDistribution):
 
     def pgf_prime(self, x):
         return self.m * x ** (self.m - 1)
-
-    def pgf_double_prime(self, x):
-        if self.m == 1:
-            return 0.0 * x
-        return self.m * (self.m - 1) * x ** (self.m - 2)
 
     def mean(self):
         return float(self.m)
@@ -132,9 +116,6 @@ class ShiftedPoisson(OrderSizeDistribution):
     def pgf_prime(self, x):
         return _exp(-self.lam * (1 - x)) * (1 + self.lam * x)
 
-    def pgf_double_prime(self, x):
-        return _exp(-self.lam * (1 - x)) * self.lam * (2 + self.lam * x)
-
     def mean(self):
         return 1.0 + self.lam
 
@@ -165,10 +146,6 @@ class Geometric(OrderSizeDistribution):
 
     def pgf_prime(self, x):
         return self.p / (1 - (1 - self.p) * x) ** 2
-
-    def pgf_double_prime(self, x):
-        q = 1 - self.p
-        return 2 * self.p * q / (1 - q * x) ** 3
 
     def mean(self):
         return 1.0 / self.p
@@ -205,13 +182,6 @@ class ShiftedNegBinomial(OrderSizeDistribution):
     def pgf_prime(self, x):
         q = 1 - self.p
         return self.r * self.p ** self.r * x ** (self.r - 1) / (1 - q * x) ** (self.r + 1)
-
-    def pgf_double_prime(self, x):
-        # differentiate pgf_prime: d/dx [r p^r x^(r-1) (1-qx)^-(r+1)]
-        q = 1 - self.p
-        a = (self.r - 1) * x ** (self.r - 2) if self.r >= 2 else 0.0 * x
-        b = x ** (self.r - 1) * (self.r + 1) * q / (1 - q * x)
-        return self.r * self.p ** self.r / (1 - q * x) ** (self.r + 1) * (a + b)
 
     def mean(self):
         return self.r / self.p
@@ -262,27 +232,3 @@ def parse_dist_spec(text: str) -> OrderSizeDistribution:
     except ValueError as exc:
         raise ValueError(f"invalid distribution spec {text!r}: {exc}") from None
     raise ValueError(f"invalid distribution spec {text!r}")
-
-
-# Module-level operation wrappers with domain validation.
-
-def pgf_eval(dist: OrderSizeDistribution, x: float) -> float:
-    """E[x^M] for x in [0, 1]."""
-    _check_unit_interval(x)
-    return dist.pgf(x)
-
-
-def pgf_prime(dist: OrderSizeDistribution, x: float) -> float:
-    """d/dx E[x^M] for x in [0, 1]."""
-    _check_unit_interval(x)
-    return dist.pgf_prime(x)
-
-
-def moments(dist: OrderSizeDistribution) -> tuple[float, float]:
-    """(E[M], E[M(M-1)])."""
-    return dist.mean(), dist.factorial2()
-
-
-def sample(dist: OrderSizeDistribution, rng: np.random.Generator, size=None):
-    """Draw order sizes (scalar int, or int64 array when ``size`` is given)."""
-    return dist.sample(rng, size=size)

@@ -5,8 +5,10 @@ an order-size distribution) and is expressed through the order-size PGF:
 
 * discrete order statistics of the occupied aisles: moments of the furthest
   occupied aisle ``kplus`` and joint event probabilities with the closest one,
-* furthest-item location moments per (half-)aisle and their interactions,
+* furthest-item location moments per aisle and their interactions,
 * largest-gap moments per aisle (the part of an aisle a picker can skip),
+* the same two quantities for one interior unit (half-aisle or aisle), joint
+  with the event that the occupied aisles span a fixed distance d,
 * classical occupancy quantities: law of the number of occupied aisles,
   probability the occupied set is a fixed contiguous set, odd-count indicator.
 
@@ -30,23 +32,20 @@ from .quadrature import box_kernel, gap_kernel, integrate_1d, integrate_2d, log_
 __all__ = [
     "AisleModel",
     "kplus_moments",
-    "cond_aisle_pgf",
     "cond_pair_pgf",
     "cond_pair_pgf_prime1",
     "pair_event_prob",
     "far_item_moments",
-    "far_item_kplus_cross",
+    "sum_far_item_kplus_cross",
     "m_far_cross",
     "gap_moments",
-    "gap_count_cross",
-    "FarHalfCond",
+    "SpanCond",
     "far_half_cond_moments",
-    "GapCond",
     "gap_cond_moments",
     "occupancy_law",
     "iodd_mean",
-    "contiguous_pgf",
     "contiguous_far_moments",
+    "contiguous_count_prime",
 ]
 
 # Spacing of the boundary layer inside which removable singularities at x = 1
@@ -85,52 +84,30 @@ def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     return mean, second, cross_m
 
 
-def cond_aisle_pgf(model: AisleModel, z: float, i: int, j: int) -> float:
-    """E[z^{N_i} 1{kplus = j}] by the position of aisle i relative to j."""
-    k, P = model.k, model.dist.pgf
-    if not (1 <= i <= k and 1 <= j <= k):
-        raise ValueError(f"aisle indices must lie in 1..{k}, got i={i}, j={j}")
-    if not 0 <= z <= 1:
-        raise ValueError(f"PGF argument must lie in [0, 1], got {z!r}")
-    if j < i:
-        return P(j / k) - P((j - 1) / k)
-    if j == i:
-        return P((j - 1 + z) / k) - P((j - 1) / k)
-    return P((j - 1 + z) / k) - P((j - 2 + z) / k)
-
-
-def cond_pair_pgf(model: AisleModel, z: float, y: float, d: int, mode: str) -> float:
+def cond_pair_pgf(model: AisleModel, z: float, y: float, d: int, u: int) -> float:
     """Joint conditional PGF E[z^X y^Y 1{kplus - kminus = d at fixed aisles}].
 
-    ``mode='half'``: X, Y are item counts in two distinct interior half-aisles
-    (same or different interior aisle).  ``mode='full'``: X, Y are counts of
-    two distinct interior aisles; the single-aisle version is ``y = 1``.
-    Requires d >= 2 so that an interior aisle exists.
+    X, Y are the item counts of two distinct interior units, where an aisle is
+    split into ``u`` units (u = 1: whole aisles, u = 2: half-aisles, possibly
+    the two halves of one aisle); the single-unit version is ``y = 1``.  With
+    o = u(d+1) - 2 the PGF is P((o+z+y)/(uk)) - 2P((o-u+z+y)/(uk)) +
+    P((o-2u+z+y)/(uk)).  Requires d >= 2 so that an interior aisle exists;
+    the span-d blocks below rely on this check.
     """
     k, P = model.k, model.dist.pgf
-    if d < 2:
-        raise ValueError(f"interior aisles require a span d >= 2, got {d}")
-    if d > k - 1:
-        raise ValueError(f"span d must be <= k - 1 = {k - 1}, got {d}")
-    if mode == "half":
-        h = 2 * k
-        return P((2 * d + y + z) / h) - 2 * P((2 * d - 2 + y + z) / h) + P((2 * d - 4 + y + z) / h)
-    if mode == "full":
-        return P((d - 1 + z + y) / k) - 2 * P((d - 2 + z + y) / k) + P((d - 3 + z + y) / k)
-    raise ValueError(f"mode must be 'half' or 'full', got {mode!r}")
+    if not 2 <= d <= k - 1:
+        raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
+    o, h = u * (d + 1) - 2, u * k
+    return P((o + z + y) / h) - 2 * P((o - u + z + y) / h) + P((o - 2 * u + z + y) / h)
 
 
-def cond_pair_pgf_prime1(model: AisleModel, d: int, mode: str) -> float:
+def cond_pair_pgf_prime1(model: AisleModel, d: int, u: int) -> float:
     """d/dz of ``cond_pair_pgf`` at z = 1, y = 1 (= E[X 1{event}] for interior X)."""
     k, Pp = model.k, model.dist.pgf_prime
-    if d < 2 or d > k - 1:
+    if not 2 <= d <= k - 1:
         raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
-    if mode == "half":
-        h = 2 * k
-        return (Pp((2 * d + 2) / h) - 2 * Pp(2 * d / h) + Pp((2 * d - 2) / h)) / h
-    if mode == "full":
-        return (Pp((d + 1) / k) - 2 * Pp(d / k) + Pp((d - 1) / k)) / k
-    raise ValueError(f"mode must be 'half' or 'full', got {mode!r}")
+    o, h = u * (d + 1) - 2, u * k
+    return (Pp((o + 2) / h) - 2 * Pp((o + 2 - u) / h) + Pp((o + 2 - 2 * u) / h)) / h
 
 
 def pair_event_prob(model: AisleModel, d: int) -> float:
@@ -145,56 +122,34 @@ def pair_event_prob(model: AisleModel, d: int) -> float:
 # furthest-item location moments
 # ---------------------------------------------------------------------------
 
-def _bins(model: AisleModel, mode: str) -> int:
-    if mode == "full":
-        return model.k
-    if mode == "half":
-        return 2 * model.k
-    raise ValueError(f"mode must be 'half' or 'full', got {mode!r}")
+def far_item_moments(model: AisleModel) -> tuple[float, float, float]:
+    """(E[A], E[A^2], E[A_i A_j]) for the furthest item in an aisle.
 
-
-def far_item_moments(model: AisleModel, mode: str = "full") -> tuple[float, float, float]:
-    """(E[A], E[A^2], E[A_i A_j]) for the furthest item in a (half-)aisle.
-
-    ``A`` is the furthest item location as a fraction of the (half-)aisle
-    length; the cross moment pairs two distinct (half-)aisles and is NaN when
-    no such pair exists (full mode with k = 1).
+    ``A`` is the furthest item location as a fraction of the aisle length; the
+    cross moment pairs two distinct aisles and is NaN when k = 1.
     """
-    P = model.dist.pgf
-    h = _bins(model, mode)
-    base = 1 - 1 / h
-    mean = 1.0 - _quad(lambda x: P(base + x / h))
-    second = 1.0 - 2.0 * _quad(lambda x: x * P(base + x / h))
-    if h >= 2:
-        cross = (1.0 - 2.0 * _quad(lambda x: P(base + x / h))
-                 + integrate_2d(lambda s: P(1 - 2 / h + s / h), box_kernel)[0])
+    k, P = model.k, model.dist.pgf
+    base = 1 - 1 / k
+    int_p = _quad(lambda x: P(base + x / k))
+    mean = 1.0 - int_p
+    second = 1.0 - 2.0 * _quad(lambda x: x * P(base + x / k))
+    if k >= 2:
+        cross = 1.0 - 2.0 * int_p + integrate_2d(lambda s: P(1 - 2 / k + s / k), box_kernel)[0]
     else:
         cross = math.nan
     return mean, second, cross
 
 
-def _far_kplus_tails(model: AisleModel) -> list[float]:
-    """tail_j = P(j/k) - int_0^1 P((j-1+x)/k) dx for j = 1..k-1."""
-    k, P = model.k, model.dist.pgf
-    return [P(j / k) - _quad(lambda x, j=j: P((j - 1 + x) / k)) for j in range(1, k)]
-
-
-def far_item_kplus_cross(model: AisleModel, i: int) -> float:
-    """E[A_i * kplus] for aisle i (the tail sum genuinely depends on i)."""
-    k = model.k
-    if not 1 <= i <= k:
-        raise ValueError(f"aisle index must lie in 1..{k}, got {i}")
-    mean, _, _ = far_item_moments(model, "full")
-    tails = _far_kplus_tails(model)
-    return k * mean - math.fsum(tails[j - 1] for j in range(i, k))
-
-
 def sum_far_item_kplus_cross(model: AisleModel) -> float:
-    """Sum over aisles of E[A_i * kplus], sharing the tail integrals."""
-    k = model.k
-    mean, _, _ = far_item_moments(model, "full")
-    tails = _far_kplus_tails(model)
-    return k * k * mean - math.fsum(j * tails[j - 1] for j in range(1, k))
+    """Sum over aisles of E[A_i * kplus].
+
+    With tail_j = P(j/k) - int_0^1 P((j-1+x)/k) dx, E[A_i kplus] is
+    k E[A] - sum_{j=i}^{k-1} tail_j, and the sum over i weighs tail_j by j.
+    """
+    k, P = model.k, model.dist.pgf
+    mean = 1.0 - _quad(lambda x: P(1 - 1 / k + x / k))
+    tails = math.fsum(j * (P(j / k) - _quad(lambda x, j=j: P((j - 1 + x) / k))) for j in range(1, k))
+    return k * k * mean - tails
 
 
 def m_far_cross(model: AisleModel) -> float:
@@ -208,19 +163,13 @@ def m_far_cross(model: AisleModel) -> float:
 # largest-gap moments
 # ---------------------------------------------------------------------------
 
-def gap_moments(model: AisleModel, conditional: int | None = None) -> tuple[float, float, float]:
+def gap_moments(model: AisleModel) -> tuple[float, float, float]:
     """Moments of (1 - D): mean, second moment and two-aisle cross moment.
 
     ``D`` is the largest of the N+1 spacings of an aisle (both ends included;
-    an empty aisle has D = 1 so 1 - D contributes nothing).  Unconditional by
-    default; with ``conditional=d`` the moments are joint with the event that
-    the occupied span is d (closest/furthest aisles fixed), per aisle choices
-    that only enter through d.  Cross moments need two distinct aisles: NaN
-    for k = 1 (unconditional) or d = 2 (conditional).
+    an empty aisle has D = 1 so 1 - D contributes nothing).  The cross moment
+    needs two distinct aisles and is NaN for k = 1.
     """
-    if conditional is not None:
-        c = gap_cond_moments(model, conditional)
-        return c.mean, c.second, c.cross
     k, P = model.k, model.dist.pgf
     pn = lambda x: P(1 - 1 / k + x / k)
     int_log = _quad(lambda x: pn(x) * math.log1p(-x))
@@ -234,29 +183,35 @@ def gap_moments(model: AisleModel, conditional: int | None = None) -> tuple[floa
     return mean, second, cross
 
 
+# ---------------------------------------------------------------------------
+# span-conditional moments of one interior unit (midpoint and largest gap)
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
-class GapCond:
-    """Largest-gap conditional moments, all joint with the span-d event."""
+class SpanCond:
+    """Moments of the within-aisle distance X_i of one interior unit, all joint
+    with the event that the closest and furthest occupied aisles are two fixed
+    aisles d apart.  A unit is a half-aisle for midpoint (X_i = A^f, the
+    furthest item from its cross-aisle) and a whole aisle for largest gap
+    (X_i = 1 - D_i); N_m is the item count of unit m."""
 
     prob: float        # P(kplus = j, kminus = l), j - l = d
-    mean: float        # E[(1-D_i) 1{event}], interior aisle i
-    second: float      # E[(1-D_i)^2 1{event}]
-    cross: float       # E[(1-D_i)(1-D_m) 1{event}], distinct interior aisles (d >= 3)
-    n_same: float      # E[N_i (1-D_i) 1{event}]
-    n_other: float     # E[N_m (1-D_i) 1{event}], other interior aisle (d >= 3)
-    n_endpoint: float  # E[N_m (1-D_i) 1{event}], m the closest or furthest aisle
+    mean: float        # E[X_i 1{event}]
+    second: float      # E[X_i^2 1{event}]
+    cross: float       # E[X_i X_m 1{event}], distinct interior units (NaN if none)
+    n_same: float      # E[N_i X_i 1{event}]
+    n_other: float     # E[N_m X_i 1{event}], another interior unit (NaN if none)
+    n_endpoint: float  # E[N_m X_i 1{event}], m a unit of the closest or furthest aisle
 
 
-def gap_cond_moments(model: AisleModel, d: int) -> GapCond:
-    """All largest-gap conditional quantities for occupied span d (>= 2)."""
+def gap_cond_moments(model: AisleModel, d: int) -> SpanCond:
+    """Largest-gap span-d moments of X_i = 1 - D_i for an interior aisle."""
     k, P = model.k, model.dist.pgf
     Pp = model.dist.pgf_prime
-    if not 2 <= d <= k - 1:
-        raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
 
-    gam = lambda x: cond_pair_pgf(model, x, 1.0, d, "full")
+    gam = lambda x: cond_pair_pgf(model, x, 1.0, d, 1)
     prob = gam(1.0)
-    dgam1 = cond_pair_pgf_prime1(model, d, "full")
+    dgam1 = cond_pair_pgf_prime1(model, d, 1)
 
     int_gam = _quad(gam)
     int_gam_log = _quad(lambda x: gam(x) * math.log1p(-x))
@@ -274,12 +229,11 @@ def gap_cond_moments(model: AisleModel, d: int) -> GapCond:
     n_same = dgam1 - int_gam_log - r - int_gam
     if d >= 3:
         # the pair PGF depends on its two arguments only through their sum
-        g = lambda s: cond_pair_pgf(model, s, 0.0, d, "full")
+        g = lambda s: cond_pair_pgf(model, s, 0.0, d, 1)
         cross = prob + 2 * int_gam_log + integrate_2d(g, log_kernel)[0]
         n_other = dgam1 - r
     else:
-        cross = math.nan
-        n_other = math.nan
+        cross = n_other = math.nan
 
     # endpoint aisle: the joint PGF with the closest (or furthest) aisle has a
     # different inclusion-exclusion structure than the interior pair
@@ -293,54 +247,23 @@ def gap_cond_moments(model: AisleModel, d: int) -> GapCond:
         return (f_end1 - f_end(x)) / (1 - x)
 
     n_endpoint = dlam1 - _quad(ratio_end)
-    return GapCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
+    return SpanCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
 
 
-def gap_count_cross(model: AisleModel, d: int, which: str) -> float:
-    """E[N_m (1-D_i) 1{span-d event}] for the selected aisle role of m."""
-    c = gap_cond_moments(model, d)
-    if which == "same-aisle":
-        return c.n_same
-    if which == "other-aisle":
-        return c.n_other
-    if which == "endpoint-aisle":
-        return c.n_endpoint
-    raise ValueError(f"which must be 'same-aisle', 'other-aisle' or 'endpoint-aisle', got {which!r}")
-
-
-# ---------------------------------------------------------------------------
-# half-aisle furthest-item conditional moments (midpoint machinery)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FarHalfCond:
-    """Half-aisle furthest-item conditional moments, joint with the span-d event."""
-
-    prob: float     # P(kplus = j, kminus = l), j - l = d
-    mean: float     # E[A^f 1{event}], interior half-aisle
-    second: float   # E[(A^f)^2 1{event}]
-    cross: float    # E[A^f A^b 1{event}], two distinct interior half-aisles
-    n_same: float   # E[N^f A^f 1{event}], count of the same half-aisle
-    n_other: float  # E[N^b A^f 1{event}], any other interior half-aisle
-    n_endpoint: float  # E[N_m^f A^f 1{event}], m the closest or furthest aisle
-
-
-def far_half_cond_moments(model: AisleModel, d: int) -> FarHalfCond:
-    """All half-aisle furthest-item conditional quantities for span d (>= 2)."""
+def far_half_cond_moments(model: AisleModel, d: int) -> SpanCond:
+    """Midpoint span-d moments of X_i = A^f for an interior half-aisle."""
     k, P = model.k, model.dist.pgf
     Pp = model.dist.pgf_prime
-    if not 2 <= d <= k - 1:
-        raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
     h = 2 * k
 
-    phi = lambda z: cond_pair_pgf(model, z, 1.0, d, "half")
+    phi = lambda z: cond_pair_pgf(model, z, 1.0, d, 2)
     prob = phi(1.0)
-    dphi1 = cond_pair_pgf_prime1(model, d, "half")
+    dphi1 = cond_pair_pgf_prime1(model, d, 2)
     int_phi = _quad(phi)
 
     mean = prob - int_phi
     second = prob - 2 * _quad(lambda z: z * phi(z))
-    cross = prob - 2 * int_phi + integrate_2d(lambda s: cond_pair_pgf(model, s, 0.0, d, "half"), box_kernel)[0]
+    cross = prob - 2 * int_phi + integrate_2d(lambda s: cond_pair_pgf(model, s, 0.0, d, 2), box_kernel)[0]
     n_same = dphi1 - prob + int_phi
     n_other = dphi1 - prob + phi(0.0)
 
@@ -349,7 +272,7 @@ def far_half_cond_moments(model: AisleModel, d: int) -> FarHalfCond:
     dpsi1 = (Pp((d + 1) / k) - Pp(d / k)) / h
     bracket = P((d + 1) / k) - P(d / k) - P((2 * d + 1) / h) + P((2 * d - 1) / h)
     n_endpoint = dpsi1 - bracket
-    return FarHalfCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
+    return SpanCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +317,6 @@ def iodd_mean(model: AisleModel) -> float:
     """E[1{number of occupied aisles is odd}] (equals its own second moment)."""
     pmf, _, _, _ = occupancy_law(model)
     return math.fsum(pmf[j - 1] for j in range(1, model.k + 1, 2))
-
-
-def contiguous_pgf(model: AisleModel, z: float, j: int) -> float:
-    """E[z^{N_j} 1{occupied set = {1..j}}] via the alternating-sum identity."""
-    k, dist = model.k, model.dist
-    if not 1 <= j <= k:
-        raise ValueError(f"set size must lie in 1..{k}, got {j}")
-    if not 0 <= z <= 1:
-        raise ValueError(f"PGF argument must lie in [0, 1], got {z!r}")
-    with mpmath.workdps(_mp_dps(k)):
-        zm = mpmath.mpf(z)
-        s = mpmath.mpf(0)
-        for l in range(j):
-            term = comb(j - 1, l) * (dist.pgf((zm + l) / k) - dist.pgf(mpmath.mpf(l) / k))
-            s = s + term if (j - 1 - l) % 2 == 0 else s - term
-        return float(s)
 
 
 # --- primitives for the furthest-item interactions of the contiguous set ----

@@ -8,13 +8,18 @@ sizes, with exact rational conditional factors for the continuous parts:
   of n uniforms:              E[D^2 | n] = (H(n+1)^2 + H2(n+1)) / ((n+1)(n+2))
 
 These share no code with the package: every expectation is a direct sum over
-k^m (or (2k)^m) equally likely assignments.
+k^m (or (2k)^m) equally likely assignments.  The one exception,
+``far_item_kplus_cross``, is the per-aisle PGF formula that the package only
+uses summed over aisles.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
+
+from scipy import integrate
 
 from pickroute.heuristics import HEURISTICS
 
@@ -194,3 +199,16 @@ def enum_conditional(k: int, m: int, d: int) -> dict:
             acc["gap_cross"] += p * g1 * (1 - e_gap(counts[2]))
             acc["gap_n_other"] += p * counts[2] * g1
     return acc
+
+
+def _integral01(f) -> float:
+    return integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)[0]
+
+
+def far_item_kplus_cross(model, i: int) -> float:
+    """E[A_i * kplus] for aisle i: k E[A] - sum_{j=i}^{k-1} tail_j with
+    tail_j = P(j/k) - int_0^1 P((j-1+x)/k) dx (the tail sum depends on i)."""
+    k, P = model.k, model.dist.pgf
+    mean = 1.0 - _integral01(lambda x: P(1 - 1 / k + x / k))
+    tails = [P(j / k) - _integral01(lambda x, j=j: P((j - 1 + x) / k)) for j in range(i, k)]
+    return k * mean - math.fsum(tails)

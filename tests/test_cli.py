@@ -17,8 +17,8 @@ from pickroute.cli import (
     emit_csv,
     main,
     parse_config,
-    render_config,
 )
+from pickroute.quadrature import IntegrationError
 
 BASELINE = """
 # section 6 style baseline
@@ -33,6 +33,39 @@ dist = geom:32
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def render_config(cfg: RunConfig) -> str:
+    """Config text that parses back to an equal RunConfig."""
+    lines = []
+    if cfg.k is not None:
+        lines.append(f"k = {cfg.k}")
+    if cfg.l is not None:
+        lines.append(f"l = {cfg.l!r} m")
+    if cfg.wa is not None:
+        lines.append(f"wa = {cfg.wa!r} m")
+    if cfg.v is not None:
+        lines.append(f"v = {cfg.v!r} m/s")
+    if cfg.dist is not None:
+        lines.append(f"dist = {cfg.dist}")
+    lines.append(f"pick_mean = {cfg.pick_mean!r}")
+    lines.append(f"pick_scv = {cfg.pick_scv!r}")
+    lines.append("heuristics = " + ", ".join(cfg.heuristics))
+    if cfg.pickers is not None:
+        lines.append(f"pickers = {cfg.pickers}")
+    if cfg.lam is not None:
+        lines.append(f"lambda = {cfg.lam!r}")
+    lines.append(f"samples = {cfg.samples}")
+    lines.append(f"seed = {cfg.seed}")
+    if cfg.out is not None:
+        lines.append(f"out = {cfg.out}")
+    if cfg.total_length is not None:
+        lines.append(f"total_length = {cfg.total_length!r} m")
+    if cfg.k_min is not None:
+        lines.append(f"k_min = {cfg.k_min}")
+    if cfg.k_max is not None:
+        lines.append(f"k_max = {cfg.k_max}")
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_config_baseline():
@@ -201,3 +234,44 @@ def test_unknown_dist_flag_exits_2(capsys):
                    "--dist", "weird:2"])
     assert status == EXIT_CONFIG
     assert "weird" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ArithmeticError("s-shaped: negative variance -3.2 beyond tolerance"),
+                                   IntegrationError("integration failed: roundoff", 1.0, 0.5)],
+                         ids=["arithmetic", "integration"])
+def test_numerical_failure_exits_2_with_error_csv(tmp_path, monkeypatch, capsys, error):
+    # stands in for a real failure (s-shaped at k = 256, geom:40), which takes seconds
+    import pickroute.cli as cli_mod
+
+    def failing(cfg, dist, pick, heuristic):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "compute_moments", failing)
+    out = tmp_path / "m.csv"
+    status = main(["moments", "--k", "5", "--l", "20", "--wa", "2.5", "--v", "3 km/h",
+                   "--dist", "geom:40", "--heuristic", "s-shaped", "--out", str(out)])
+    assert status == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure:") and str(error) in err
+    rows = read_csv(out)
+    assert rows[0] == ["error_code", "message"]
+    assert rows[1][0] == str(EXIT_CONFIG) and str(error) in rows[1][1]
+
+
+def test_error_csv_goes_to_config_out(tmp_path, capsys):
+    # the CSV path comes from the config file, not a flag; 'v' is missing
+    out = tmp_path / "err.csv"
+    path = tmp_path / "c.cfg"
+    path.write_text(f"k = 5\nl = 20 m\nwa = 2.5 m\ndist = geom:32\nout = {out}\n")
+    assert main(["moments", str(path)]) == EXIT_CONFIG
+    assert "v" in capsys.readouterr().err
+    rows = read_csv(out)
+    assert rows[0] == ["error_code", "message"]
+    assert rows[1][0] == str(EXIT_CONFIG) and "missing required key(s): v" in rows[1][1]
+
+
+def test_bad_flag_value_named(capsys):
+    status = main(["moments", "--k", "2.5", "--l", "20", "--wa", "1", "--v", "1 m/s",
+                   "--dist", "det:2"])
+    assert status == EXIT_CONFIG
+    assert "--k" in capsys.readouterr().err

@@ -10,11 +10,7 @@ from pickroute import (
     ShiftedPoisson,
     WarehouseConfig,
     compute_moments,
-    largest_gap_moments,
-    midpoint_moments,
-    return_moments,
     run_replications_all,
-    sshaped_moments,
 )
 from pickroute.prelim import AisleModel, kplus_moments
 
@@ -25,7 +21,7 @@ STANDARD = WarehouseConfig(5, 20.0, 2.5, 3000.0 / 3600.0)
 
 def test_return_trivial_examples():
     cfg = WarehouseConfig(1, 20.0, 0.0, 1.0)
-    rep = return_moments(cfg, Deterministic(1), PickTimeModel(10.0, 100.0))
+    rep = compute_moments(cfg, Deterministic(1), PickTimeModel(10.0, 100.0), "return")
     assert rep.e_t == pytest.approx(30.0, abs=1e-9)
     assert rep.e_t2 == pytest.approx(100 + 400 + 1600 / 3, abs=1e-6)
 
@@ -33,13 +29,13 @@ def test_return_trivial_examples():
 def test_midpoint_single_aisle_convention():
     cfg = WarehouseConfig(1, 20.0, 1.0, 1.0)
     for dist in (Deterministic(3), Geometric(1 / 4)):
-        rep = midpoint_moments(cfg, dist, PickTimeModel(2.0, 6.0))
+        rep = compute_moments(cfg, dist, PickTimeModel(2.0, 6.0), "midpoint")
         assert rep.e_t == pytest.approx(dist.mean() * 2.0 + 40.0, abs=1e-9)
 
 
 def test_midpoint_empty_interior_example():
     cfg = WarehouseConfig(3, 20.0, 0.0, 1.0)
-    rep = midpoint_moments(cfg, Deterministic(2), PickTimeModel(0.0, 0.0))
+    rep = compute_moments(cfg, Deterministic(2), PickTimeModel(0.0, 0.0), "midpoint")
     assert rep.e_t == pytest.approx(40.0, abs=1e-9)
 
 
@@ -48,18 +44,18 @@ def test_largest_gap_small_k_matches_midpoint():
         cfg = WarehouseConfig(k, 15.0, 2.0, 1.2)
         for dist in (Deterministic(3), Geometric(1 / 6), ShiftedPoisson(2.5)):
             pick = PickTimeModel.from_scv(4.0, 0.8)
-            mid = midpoint_moments(cfg, dist, pick)
-            gap = largest_gap_moments(cfg, dist, pick)
+            mid = compute_moments(cfg, dist, pick, "midpoint")
+            gap = compute_moments(cfg, dist, pick, "largest-gap")
             assert gap.e_t == pytest.approx(mid.e_t, rel=1e-12)
             assert gap.e_t2 == pytest.approx(mid.e_t2, rel=1e-12)
 
 
 def test_sshaped_trivial_examples():
     cfg = WarehouseConfig(1, 20.0, 0.0, 1.0)
-    rep = sshaped_moments(cfg, Deterministic(1), PickTimeModel(0.0, 0.0))
+    rep = compute_moments(cfg, Deterministic(1), PickTimeModel(0.0, 0.0), "s-shaped")
     assert rep.e_t == pytest.approx(20.0, abs=1e-9)
     cfg = WarehouseConfig(2, 20.0, 0.0, 1.0)
-    rep = sshaped_moments(cfg, Deterministic(2), PickTimeModel(0.0, 0.0))
+    rep = compute_moments(cfg, Deterministic(2), PickTimeModel(0.0, 0.0), "s-shaped")
     assert rep.e_t == pytest.approx(0.5 * 40 * 2 / 3 + 0.5 * 40, abs=1e-9)
 
 
@@ -100,8 +96,8 @@ def test_largest_gap_beats_midpoint_mean():
         for k in (3, 5, 8):
             cfg = WarehouseConfig(k, 20.0, 2.5, 5 / 6)
             pick = PickTimeModel(0.0, 0.0)
-            mid = midpoint_moments(cfg, dist, pick)
-            gap = largest_gap_moments(cfg, dist, pick)
+            mid = compute_moments(cfg, dist, pick, "midpoint")
+            gap = compute_moments(cfg, dist, pick, "largest-gap")
             assert gap.e_t <= mid.e_t + 1e-12
 
 
@@ -133,7 +129,7 @@ def test_travel_decomposition():
         cross_aisle = (2 * STANDARD.wa / STANDARD.v) * (kp_mean - 1)
         assert rep.e_ttr - rep.e_tw == pytest.approx(cross_aisle, rel=1e-12)
     cfg = WarehouseConfig(1, 20.0, 2.5, 1.0)
-    rep = return_moments(cfg, Deterministic(1), PickTimeModel(0.0, 0.0))
+    rep = compute_moments(cfg, Deterministic(1), PickTimeModel(0.0, 0.0), "return")
     assert rep.e_tw == pytest.approx(20.0, abs=1e-9)
     assert rep.e_ttr == pytest.approx(20.0, abs=1e-9)
 

@@ -2,17 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pickroute.orderdist import (
     Deterministic,
     Geometric,
     ShiftedNegBinomial,
     ShiftedPoisson,
-    moments,
     parse_dist_spec,
-    pgf_eval,
-    pgf_prime,
-    sample,
 )
 
 ALL_DISTS = [
@@ -24,23 +21,24 @@ ALL_DISTS = [
 
 
 def test_pgf_examples():
-    assert pgf_eval(Geometric(1 / 32), 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert pgf_eval(ShiftedPoisson(2.0), 0.5) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
-    assert pgf_eval(Deterministic(3), 0.5) == pytest.approx(0.125, rel=1e-12)
+    assert Geometric(1 / 32).pgf(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert ShiftedPoisson(2.0).pgf(0.5) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+    assert Deterministic(3).pgf(0.5) == pytest.approx(0.125, rel=1e-12)
 
 
 def test_pgf_prime_examples():
-    assert pgf_prime(Deterministic(3), 1.0) == pytest.approx(3.0)
-    assert pgf_prime(ShiftedPoisson(2.0), 1.0) == pytest.approx(3.0)
+    assert Deterministic(3).pgf_prime(1.0) == pytest.approx(3.0)
+    assert ShiftedPoisson(2.0).pgf_prime(1.0) == pytest.approx(3.0)
     # d/dx [0.5x / (1 - 0.5x)] at x = 0.5, checked by central difference
-    assert pgf_prime(Geometric(0.5), 0.5) == pytest.approx(8 / 9, rel=1e-12)
+    assert Geometric(0.5).pgf_prime(0.5) == pytest.approx(8 / 9, rel=1e-12)
     h = 1e-6
-    fd = (pgf_eval(Geometric(0.5), 0.5 + h) - pgf_eval(Geometric(0.5), 0.5 - h)) / (2 * h)
-    assert pgf_prime(Geometric(0.5), 0.5) == pytest.approx(fd, rel=1e-8)
+    fd = (Geometric(0.5).pgf(0.5 + h) - Geometric(0.5).pgf(0.5 - h)) / (2 * h)
+    assert Geometric(0.5).pgf_prime(0.5) == pytest.approx(fd, rel=1e-8)
 
 
 def test_moments_deterministic():
-    assert moments(Deterministic(4)) == (4.0, 12.0)
+    dist = Deterministic(4)
+    assert (dist.mean(), dist.factorial2()) == (4.0, 12.0)
 
 
 def test_moments_geometric_brute_force():
@@ -48,14 +46,14 @@ def test_moments_geometric_brute_force():
     q = 1 - p
     mean = sum(m * p * q ** (m - 1) for m in range(1, 10**6))
     fact2 = sum(m * (m - 1) * p * q ** (m - 1) for m in range(1, 10**6))
-    got_mean, got_fact2 = moments(Geometric(p))
+    got_mean, got_fact2 = Geometric(p).mean(), Geometric(p).factorial2()
     assert got_mean == pytest.approx(mean, rel=1e-9)
     assert got_fact2 == pytest.approx(fact2, rel=1e-9)
 
 
 def test_moments_shifted_poisson_finite_difference():
     dist = ShiftedPoisson(2.0)
-    mean, fact2 = moments(dist)
+    mean, fact2 = dist.mean(), dist.factorial2()
     assert mean == pytest.approx(3.0)
     h = 1e-6
     fd = (dist.pgf_prime(1.0) - dist.pgf_prime(1.0 - h)) / h
@@ -64,54 +62,62 @@ def test_moments_shifted_poisson_finite_difference():
 
 def test_moments_snbin_matches_sampler():
     dist = ShiftedNegBinomial(7, 7 / 31)
-    mean, fact2 = moments(dist)
+    mean, fact2 = dist.mean(), dist.factorial2()
     assert mean == pytest.approx(31.0, rel=1e-12)
     rng = np.random.default_rng(5)
-    draws = sample(dist, rng, size=400_000).astype(float)
+    draws = dist.sample(rng, size=400_000).astype(float)
     assert draws.min() >= 7
     assert mean == pytest.approx(draws.mean(), abs=4 * draws.std() / math.sqrt(len(draws)))
     f2 = draws * (draws - 1)
     assert fact2 == pytest.approx(f2.mean(), abs=4 * f2.std() / math.sqrt(len(draws)))
 
 
-def test_pgf_domain_error():
-    for x in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            pgf_eval(Deterministic(2), x)
-        with pytest.raises(ValueError):
-            pgf_prime(Deterministic(2), x)
-
-
 def test_no_mass_at_zero():
     for dist in ALL_DISTS:
-        assert pgf_eval(dist, 0.0) == 0.0
+        assert dist.pgf(0.0) == 0.0
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec())
 def test_pgf_shape_invariants(dist):
     xs = np.linspace(0.0, 1.0, 101)
-    vals = np.array([pgf_eval(dist, x) for x in xs])
+    vals = np.array([dist.pgf(x) for x in xs])
     assert np.all(vals >= -1e-12) and np.all(vals <= 1 + 1e-12)
     assert np.all(np.diff(vals) >= -1e-9)
     assert np.all(np.diff(vals, 2) >= -1e-9)  # convexity
-    assert pgf_eval(dist, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert pgf_prime(dist, 1.0) == pytest.approx(dist.mean(), rel=1e-12)
+    assert dist.pgf(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert dist.pgf_prime(1.0) == pytest.approx(dist.mean(), rel=1e-12)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec())
 def test_pgf_prime_matches_finite_difference(dist):
     h = 1e-7
     for x in np.linspace(0.01, 0.99, 23):
-        fd = (pgf_eval(dist, x + h) - pgf_eval(dist, x - h)) / (2 * h)
-        assert pgf_prime(dist, x) == pytest.approx(fd, rel=1e-6, abs=1e-10)
+        fd = (dist.pgf(x + h) - dist.pgf(x - h)) / (2 * h)
+        assert dist.pgf_prime(x) == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+def _scipy_law(dist):
+    """The same law as a frozen scipy.stats distribution."""
+    if isinstance(dist, Deterministic):
+        return stats.randint(dist.m, dist.m + 1)
+    if isinstance(dist, ShiftedPoisson):
+        return stats.poisson(dist.lam, loc=1)
+    if isinstance(dist, Geometric):
+        return stats.geom(dist.p)
+    return stats.nbinom(dist.r, dist.p, loc=dist.r)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec())
-def test_pgf_double_prime_matches_finite_difference(dist):
-    h = 1e-6
-    for x in (0.2, 0.5, 0.8):
-        fd = (dist.pgf_prime(x + h) - dist.pgf_prime(x - h)) / (2 * h)
-        assert dist.pgf_double_prime(x) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+def test_factorial2_matches_pmf_sum(dist):
+    # E[M(M-1)] = sum m(m-1) pmf(m), summed until the tail mass is below 1e-15
+    law = _scipy_law(dist)
+    top = int(law.support()[0])
+    while law.sf(top) >= 1e-15:
+        top += 1
+    m = np.arange(law.support()[0], top + 1, dtype=float)
+    pmf = law.pmf(m)
+    assert math.fsum(m * pmf) == pytest.approx(dist.mean(), rel=1e-12)
+    assert math.fsum(m * (m - 1) * pmf) == pytest.approx(dist.factorial2(), rel=1e-10)
 
 
 def test_geometric_pgf_dominates_poisson_at_equal_mean():
@@ -121,14 +127,14 @@ def test_geometric_pgf_dominates_poisson_at_equal_mean():
         pois = ShiftedPoisson(mean - 1)
         geom = Geometric(1 / mean)
         for x in np.linspace(0, 1, 101):
-            assert pgf_eval(geom, x) >= pgf_eval(pois, x) - 1e-12
+            assert geom.pgf(x) >= pois.pgf(x) - 1e-12
 
 
 def test_sampler_examples():
     rng = np.random.default_rng(0)
-    assert sample(Deterministic(5), rng) == 5
-    assert sample(ShiftedPoisson(0.0), rng) == 1
-    draws = sample(Geometric(0.5), np.random.default_rng(1), size=10**6).astype(float)
+    assert Deterministic(5).sample(rng) == 5
+    assert ShiftedPoisson(0.0).sample(rng) == 1
+    draws = Geometric(0.5).sample(np.random.default_rng(1), size=10**6).astype(float)
     se = draws.std() / math.sqrt(len(draws))
     assert draws.mean() == pytest.approx(2.0, abs=4 * se)
 
@@ -136,11 +142,11 @@ def test_sampler_examples():
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec())
 def test_empirical_pgf_matches_analytic(dist):
     n = 10**6
-    draws = sample(dist, np.random.default_rng(42), size=n).astype(float)
+    draws = dist.sample(np.random.default_rng(42), size=n).astype(float)
     for x in (0.3, 0.6, 0.9):
         vals = x ** draws
         se = vals.std() / math.sqrt(n)
-        assert pgf_eval(dist, x) == pytest.approx(vals.mean(), abs=4 * se + 1e-12)
+        assert dist.pgf(x) == pytest.approx(vals.mean(), abs=4 * se + 1e-12)
 
 
 def test_parse_dist_spec_round_trips():
@@ -171,7 +177,7 @@ def test_mpf_arguments_supported():
 def test_array_arguments_match_scalar(dist):
     # numpy's exp may differ from math.exp in the last bit, hence a few ulps
     x = np.linspace(0.0, 1.0, 9)
-    for f in (dist.pgf, dist.pgf_prime, dist.pgf_double_prime):
+    for f in (dist.pgf, dist.pgf_prime):
         values = f(x)
         assert isinstance(values, np.ndarray) and values.shape == x.shape
         np.testing.assert_allclose(values, [f(float(t)) for t in x],

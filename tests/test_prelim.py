@@ -6,7 +6,7 @@ from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson
 from pickroute import prelim
 from pickroute.prelim import AisleModel
 
-from oracles import enum_conditional, enum_discrete
+from oracles import enum_conditional, enum_discrete, far_item_kplus_cross
 
 SMALL_CASES = [(k, m) for k in (1, 2, 3) for m in (1, 2, 3, 4)]
 
@@ -42,38 +42,26 @@ def test_kplus_matches_enumeration(k, m):
     assert cross == pytest.approx(float(oracle["m_kp"]), abs=1e-12)
 
 
-def test_cond_aisle_pgf_marginalization():
-    model = AisleModel(4, Geometric(1 / 3))
-    P = model.dist.pgf
-    for j in (1, 2, 3):
-        expect = P(j / 4) - P((j - 1) / 4)
-        assert prelim.cond_aisle_pgf(model, 1.0, 4, j) == pytest.approx(expect, abs=1e-12)
-    assert prelim.cond_aisle_pgf(model, 0.0, 2, 2) == 0.0
-    for i in (1, 2, 3, 4):
-        total = sum(prelim.cond_aisle_pgf(model, 0.7, i, j) for j in range(1, 5))
-        assert total == pytest.approx(P(1 - 1 / 4 + 0.7 / 4), abs=1e-12)
-
-
 def test_cond_pair_pgf_event_probability():
     model = AisleModel(3, Deterministic(2))
     # exactly one item in aisle 1 and one in aisle 3, in either order
-    assert prelim.cond_pair_pgf(model, 1.0, 1.0, 2, "full") == pytest.approx(2 / 9, abs=1e-14)
-    assert prelim.cond_pair_pgf(model, 1.0, 1.0, 2, "half") == pytest.approx(2 / 9, abs=1e-14)
+    assert prelim.cond_pair_pgf(model, 1.0, 1.0, 2, 1) == pytest.approx(2 / 9, abs=1e-14)
+    assert prelim.cond_pair_pgf(model, 1.0, 1.0, 2, 2) == pytest.approx(2 / 9, abs=1e-14)
     assert prelim.pair_event_prob(model, 2) == pytest.approx(2 / 9, abs=1e-14)
 
 
 def test_cond_pair_pgf_half_full_agree_at_one():
     model = AisleModel(6, Geometric(1 / 5))
     for d in (2, 3, 4, 5):
-        half = prelim.cond_pair_pgf(model, 1.0, 1.0, d, "half")
-        full = prelim.cond_pair_pgf(model, 1.0, 1.0, d, "full")
+        half = prelim.cond_pair_pgf(model, 1.0, 1.0, d, 2)
+        full = prelim.cond_pair_pgf(model, 1.0, 1.0, d, 1)
         assert half == pytest.approx(full, abs=1e-14)
 
 
 def test_cond_pair_pgf_rejects_small_span():
     model = AisleModel(4, Deterministic(2))
     with pytest.raises(ValueError):
-        prelim.cond_pair_pgf(model, 0.5, 0.5, 1, "full")
+        prelim.cond_pair_pgf(model, 0.5, 0.5, 1, 1)
 
 
 def test_pair_probabilities_partition():
@@ -98,37 +86,34 @@ def test_pair_event_prob_matches_enumeration(k, m):
 # ---------------------------------------------------------------------------
 
 def test_far_item_single_aisle():
-    mean, second, _ = prelim.far_item_moments(AisleModel(1, Deterministic(1)), "full")
+    mean, second, _ = prelim.far_item_moments(AisleModel(1, Deterministic(1)))
     assert mean == pytest.approx(0.5, abs=1e-10)
     assert second == pytest.approx(1 / 3, abs=1e-10)
     for n, expect in ((1, 0.5), (5, 5 / 6), (9, 0.9)):
-        mean, _, _ = prelim.far_item_moments(AisleModel(1, Deterministic(n)), "full")
+        mean, _, _ = prelim.far_item_moments(AisleModel(1, Deterministic(n)))
         assert mean == pytest.approx(expect, abs=1e-10)
 
 
 def test_far_item_cross_two_aisles():
-    _, _, cross = prelim.far_item_moments(AisleModel(2, Deterministic(2)), "full")
+    _, _, cross = prelim.far_item_moments(AisleModel(2, Deterministic(2)))
     assert cross == pytest.approx(1 / 8, abs=1e-10)
 
 
 def test_far_item_cross_nan_for_single_full_aisle():
-    _, _, cross = prelim.far_item_moments(AisleModel(1, Deterministic(2)), "full")
+    _, _, cross = prelim.far_item_moments(AisleModel(1, Deterministic(2)))
     assert math.isnan(cross)
-    # half mode has two half-aisles even at k = 1
-    _, _, cross = prelim.far_item_moments(AisleModel(1, Deterministic(2)), "half")
-    assert not math.isnan(cross)
 
 
 def test_far_item_kplus_cross_examples():
     model = AisleModel(1, Deterministic(3))
-    mean, _, _ = prelim.far_item_moments(model, "full")
-    assert prelim.far_item_kplus_cross(model, 1) == pytest.approx(mean, abs=1e-10)
-    assert prelim.far_item_kplus_cross(AisleModel(2, Deterministic(1)), 1) == pytest.approx(0.25, abs=1e-10)
+    mean, _, _ = prelim.far_item_moments(model)
+    assert far_item_kplus_cross(model, 1) == pytest.approx(mean, abs=1e-10)
+    assert far_item_kplus_cross(AisleModel(2, Deterministic(1)), 1) == pytest.approx(0.25, abs=1e-10)
 
 
 def test_sum_far_item_kplus_cross_matches_per_aisle_sum():
     model = AisleModel(4, Geometric(1 / 6))
-    total = sum(prelim.far_item_kplus_cross(model, i) for i in range(1, 5))
+    total = sum(far_item_kplus_cross(model, i) for i in range(1, 5))
     assert prelim.sum_far_item_kplus_cross(model) == pytest.approx(total, rel=1e-12)
 
 
@@ -182,15 +167,15 @@ def test_gap_count_cross_empty_interior_case():
     # two items forced to the endpoint aisles: interior aisle is empty and
     # contributes nothing
     model = AisleModel(3, Deterministic(2))
-    assert prelim.gap_count_cross(model, 2, "same-aisle") == pytest.approx(0.0, abs=1e-10)
+    assert prelim.gap_cond_moments(model, 2).n_same == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gap_count_cross_same_aisle_enumeration_value():
     # det(3), k=3: on the event only count layout (1,1,1) has an occupied
     # interior aisle; E[N2 (1-D2) 1{event}] = (6/27) * (1/4)
     model = AisleModel(3, Deterministic(3))
-    assert prelim.gap_count_cross(model, 2, "same-aisle") == pytest.approx(1 / 18, abs=1e-10)
-    assert prelim.gap_count_cross(model, 2, "endpoint-aisle") == pytest.approx(1 / 18, abs=1e-10)
+    assert prelim.gap_cond_moments(model, 2).n_same == pytest.approx(1 / 18, abs=1e-10)
+    assert prelim.gap_cond_moments(model, 2).n_endpoint == pytest.approx(1 / 18, abs=1e-10)
 
 
 @pytest.mark.parametrize("mean, d, ref", [(32, 6, 1.2967248535819053e-06), (18, 3, 8.431073180624892e-07)])
@@ -206,8 +191,8 @@ def test_conditional_depends_only_on_span():
     # identical span built from different endpoint pairs yields identical
     # inputs by construction; the API accepts only the span
     model = AisleModel(6, Geometric(1 / 4))
-    a = prelim.cond_pair_pgf(model, 0.3, 0.9, 3, "full")
-    b = prelim.cond_pair_pgf(model, 0.3, 0.9, 3, "full")
+    a = prelim.cond_pair_pgf(model, 0.3, 0.9, 3, 1)
+    b = prelim.cond_pair_pgf(model, 0.3, 0.9, 3, 1)
     assert a == b
 
 
@@ -269,20 +254,6 @@ def test_iodd_matches_printed_alternating_sum_small_k():
             assert prelim.iodd_mean(model) == pytest.approx(printed, abs=1e-9)
 
 
-def test_contiguous_pgf_identities():
-    model = AisleModel(3, Geometric(1 / 2))
-    # j = 1: everything in aisle 1
-    for z in (0.0, 0.4, 1.0):
-        assert prelim.contiguous_pgf(model, z, 1) == pytest.approx(
-            model.dist.pgf(z / 3), abs=1e-12)
-    _, _, _, contiguous = prelim.occupancy_law(model)
-    for j in (1, 2, 3):
-        assert prelim.contiguous_pgf(model, 1.0, j) == pytest.approx(
-            contiguous[j - 1], abs=1e-12)
-    assert prelim.contiguous_pgf(AisleModel(2, Deterministic(2)), 0.0, 2) == pytest.approx(
-        0.0, abs=1e-14)
-
-
 def test_occupancy_stable_at_large_k():
     # k = 64 with a heavy alternating structure: pmf stays a probability vector
     pmf, mean, second, contiguous = prelim.occupancy_law(AisleModel(64, Geometric(1 / 40)))
@@ -300,7 +271,7 @@ def test_variance_nonnegativity_across_models():
             model = AisleModel(k, dist)
             kp_mean, kp_sec, _ = prelim.kplus_moments(model)
             assert kp_sec - kp_mean ** 2 >= -1e-9
-            a_mean, a_sec, _ = prelim.far_item_moments(model, "full")
+            a_mean, a_sec, _ = prelim.far_item_moments(model)
             assert a_sec - a_mean ** 2 >= -1e-9
             g_mean, g_sec, _ = prelim.gap_moments(model)
             assert g_sec - g_mean ** 2 >= -1e-9
