@@ -24,7 +24,7 @@ from .orderdist import (
 )
 from .prelim import AisleModel
 from .queueing import LeadTimeReport, QueueScenario, UnstableQueueError, erlang_c_wait_prob, lead_time_estimate
-from .quadrature import IntegrationError, box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
+from .quadrature import IntegrationError
 from .simulate import McEstimate, SampledOrder, route_time, run_replications_all, sample_order
 
 __version__ = "0.1.0"
@@ -49,15 +49,10 @@ __all__ = [
     "ShiftedPoisson",
     "UnstableQueueError",
     "WarehouseConfig",
-    "box_kernel",
     "compute_moments",
     "erlang_c_wait_prob",
-    "gap_kernel",
-    "integrate_1d",
-    "integrate_2d",
     "layout_sweep",
     "lead_time_estimate",
-    "log_kernel",
     "parse_dist_spec",
     "recommend",
     "route_time",

@@ -191,10 +191,9 @@ def _sshaped(cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel) -> Mo
     e_iodd_i = math.fsum(j * pmf[j - 1] for j in odd)
     e_mi = k * em - (k - 1) * Pp((k - 1) / k)
     e_ki = k * k - k * (k + 1) * P((k - 1) / k) + math.fsum(P((j - 1) / k) for j in range(1, k + 1))
-    # kplus = m and an odd occupied count: sets of odd size j with maximum m
-    e_iodd_k = math.fsum(
-        m_ * math.fsum(math.comb(m_ - 1, j - 1) * cp[j - 1] for j in range(1, m_ + 1, 2))
-        for m_ in range(1, k + 1))
+    # kplus and an odd occupied count: a set of odd size j has maximum m in
+    # C(m-1, j-1) ways, and sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1)
+    e_iodd_k = math.fsum(j * math.comb(k + 1, j + 1) * cp[j - 1] for j in odd)
     w = prelim.contiguous_count_prime(model)
     e_m_iodd = math.fsum(math.comb(k - 1, j - 1) * w[j] for j in odd)
 
@@ -202,9 +201,7 @@ def _sshaped(cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel) -> Mo
     e_iodd_a = math.fsum(math.comb(k, j) * far[j] for j in odd)
     e_iodd_a2 = math.fsum(math.comb(k, j) * far2[j] for j in odd)
     e_iodd_a_i = math.fsum(j * math.comb(k, j) * far[j] for j in odd)
-    e_iodd_a_k = math.fsum(
-        m_ * math.fsum(math.comb(m_ - 1, j - 1) * far[j] for j in range(1, m_ + 1, 2))
-        for m_ in range(1, k + 1))
+    e_iodd_a_k = math.fsum(j * math.comb(k + 1, j + 1) * far[j] for j in odd)
     e_m_iodd_a = math.fsum(math.comb(k, j) * mfar[j] for j in odd)
 
     e_tw = (l / v) * ei + (2 * l / v) * e_iodd_a - (l / v) * e_iodd

@@ -1,9 +1,10 @@
 """Order-size distributions described through their probability generating functions.
 
 Every analytic quantity in this package consumes an order-size distribution
-only through its PGF ``E[x^M]``, the PGF's first derivative, its first two
-factorial moments and a matching sampler.  Order sizes are strictly positive,
-so ``pgf(0) == 0`` for every supported distribution.
+through its PGF ``E[x^M]``, the PGF's first derivative, its first two
+factorial moments, its truncated probability mass function and a matching
+sampler.  Order sizes are strictly positive, so ``pgf(0) == 0`` for every
+supported distribution.
 
 Supported kinds and their CLI/config spec strings:
 
@@ -16,16 +17,15 @@ geometric              ``geom:mean``            on {1,2,...}, p = 1/mean
 shifted neg. binomial  ``snbin:r:mean``         M = NegBin(r, p) + r
 =====================  =======================  ==========================
 
-PGF evaluations accept either ``float`` or ``mpmath.mpf`` arguments; the
-latter is used by the numerically delicate alternating sums elsewhere.
+PGF evaluations accept a ``float`` or a numpy array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
     "OrderSizeDistribution",
@@ -34,13 +34,15 @@ __all__ = [
     "Geometric",
     "ShiftedNegBinomial",
     "parse_dist_spec",
+    "PMF_TAIL",
 ]
+
+# ``pmf`` stops at the first m past which sum_{i>m} i^2 P(M = i) <= PMF_TAIL.
+PMF_TAIL = 1e-18
 
 
 def _exp(x):
     """exp() that follows the numeric type of its argument."""
-    if isinstance(x, mpmath.mpf):
-        return mpmath.exp(x)
     if isinstance(x, np.ndarray):
         return np.exp(x)
     return math.exp(x)
@@ -70,6 +72,35 @@ class OrderSizeDistribution:
     def spec(self) -> str:
         raise NotImplementedError
 
+    def _support_start(self) -> int:
+        """The smallest order size with positive probability."""
+        raise NotImplementedError
+
+    def _logpmf(self, m: np.ndarray) -> np.ndarray:
+        """log P(M = m) for integer m >= ``_support_start()``."""
+        raise NotImplementedError
+
+    def pmf(self, n: int) -> np.ndarray:
+        """P(M = m) for m = 0..n, cut after the first m whose weighted tail
+        sum_{i>m} i^2 P(M = i) is at most ``PMF_TAIL``.
+
+        The tail is bounded without summing it: every supported law has a
+        log-concave pmf, hence so has t_i = i^2 P(M = i), and past any m with
+        r = t_{m+1} / t_m < 1 the tail is at most t_{m+1} / (1 - r).  A result
+        of length n + 1 therefore means the law may have mass beyond n.
+        """
+        lo = self._support_start()
+        m = np.arange(lo, n + 2)
+        p = np.exp(self._logpmf(m))
+        t = m * m * p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = t[1:] / t[:-1]
+            cut = np.flatnonzero((r < 1) & (t[1:] / (1 - r) <= PMF_TAIL))
+        end = min(n, lo + int(cut[0])) if cut.size else n
+        out = np.zeros(end + 1)
+        out[lo:] = p[:end + 1 - lo]
+        return out
+
 
 @dataclass(frozen=True)
 class Deterministic(OrderSizeDistribution):
@@ -98,6 +129,12 @@ class Deterministic(OrderSizeDistribution):
 
     def spec(self):
         return f"det:{self.m}"
+
+    def _support_start(self):
+        return int(self.m)
+
+    def _logpmf(self, m):
+        return np.where(m == self.m, 0.0, -np.inf)
 
 
 @dataclass(frozen=True)
@@ -130,6 +167,12 @@ class ShiftedPoisson(OrderSizeDistribution):
     def spec(self):
         return f"spois:{1.0 + self.lam:g}"
 
+    def _support_start(self):
+        return 1
+
+    def _logpmf(self, m):
+        return xlogy(m - 1, self.lam) - self.lam - gammaln(m)
+
 
 @dataclass(frozen=True)
 class Geometric(OrderSizeDistribution):
@@ -161,6 +204,12 @@ class Geometric(OrderSizeDistribution):
 
     def spec(self):
         return f"geom:{1.0 / self.p:g}"
+
+    def _support_start(self):
+        return 1
+
+    def _logpmf(self, m):
+        return math.log(self.p) + xlog1py(m - 1, -self.p)
 
 
 @dataclass(frozen=True)
@@ -199,6 +248,16 @@ class ShiftedNegBinomial(OrderSizeDistribution):
 
     def spec(self):
         return f"snbin:{self.r}:{self.r / self.p:g}"
+
+    def _support_start(self):
+        return int(self.r)
+
+    def _logpmf(self, m):
+        # log C(n+r-1, r-1) as a sum of r-1 logs: the gammaln difference
+        # would cancel to ~1e-12 in the tail
+        n = m - self.r
+        log_binom = sum(np.log1p(n / i) for i in range(1, self.r))
+        return log_binom + self.r * math.log(self.p) + xlog1py(n, -self.p)
 
 
 def parse_dist_spec(text: str) -> OrderSizeDistribution:

@@ -12,22 +12,47 @@ an order-size distribution) and is expressed through the order-size PGF:
 * classical occupancy quantities: law of the number of occupied aisles,
   probability the occupied set is a fixed contiguous set, odd-count indicator.
 
-Alternating binomial sums suffer catastrophic cancellation as ``k`` grows, so
-they are evaluated with exact integer binomials and mpmath arithmetic at a
-precision scaled to ``k`` (supported regime: k <= 64).  Conditional-event
-formulas depend on the aisle span ``d = kplus - kminus`` only, never on the
-individual aisle indices, and are computed once per ``d``.
+Conditional-event formulas depend on the aisle span ``d = kplus - kminus``
+only, never on the individual aisle indices, and are computed once per ``d``.
+
+The occupancy quantities are PGF sums with alternating signs, which cancel
+like 3^k.  They are instead taken from one table of positive numbers,
+
+    a_m(j) = j! S(m, j) / k^m = P(m items occupy exactly aisles {1..j}),
+
+S the Stirling numbers of the second kind, built by the classical occupancy
+chain (Feller, vol. 1, ch. II): a_0 = [j = 0] and
+a_{m+1}(j) = (j/k) (a_m(j) + a_m(j-1)), item m+1 landing in one of the j
+aisles.  With p_m = P(M = m), the identities
+sum_l (-1)^(j-l) C(j, l) l^m = j! S(m, j) and its shifted form
+sum_l (-1)^(j-1-l) C(j-1, l) (l+1)^(m-1) = (j-1)! S(m, j) turn each sum into
+a sum of non-negative terms (A_j is the furthest item of aisle j, N_1 the item
+count of aisle 1, "set" the event that the occupied set is {1..j}):
+
+    cp[j]   = P(set)             = sum_m p_m a_m(j)
+    w[j]    = k E[N_1 1{set}]    = (k/j) sum_m m p_m a_m(j)
+    far[j]  = E[A_j 1{set}]      = (k/j) sum_m p_m (1 - j/(m+1)) a_{m+1}(j)
+    mfar[j] = E[M A_j 1{set}]    = (k/j) sum_m m p_m (1 - j/(m+1)) a_{m+1}(j)
+    far2[j] = E[A_j^2 1{set}]    = (k/j) sum_m p_m [a_{m+1}(j)
+                                   - 2k (m+2-j) / ((m+1)(m+2)) a_{m+2}(j)]
+
+The rows run over the order sizes of the truncated pmf, and stop at the
+latest at the n past which all k aisles are occupied but for probability
+1e-18.  Beyond n only column k gains mass, through the tail sums
+sum_{m>n} p_m {1, m, 1/(m+1), 1/((m+1)(m+2))}; they are totals minus head
+sums, the totals being 1, E[M], int_0^1 P and int_0^1 (1-x) P.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
-import mpmath
+import numpy as np
 
-from .orderdist import OrderSizeDistribution, Deterministic, Geometric, ShiftedPoisson
-from .quadrature import box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
+from .orderdist import PMF_TAIL, OrderSizeDistribution
+from .quadrature import box_kernel, gap_kernel, integrate_1d, integrate_2d, integrate_pgf, log_kernel
 
 __all__ = [
     "AisleModel",
@@ -279,33 +304,69 @@ def far_half_cond_moments(model: AisleModel, d: int) -> SpanCond:
 # occupancy problem: number of occupied aisles, contiguous sets, odd indicator
 # ---------------------------------------------------------------------------
 
-def _mp_dps(k: int) -> int:
-    # binomial cancellation grows like log10 C(k, k/2) ~ 0.3 k
-    return 25 + int(0.32 * k)
+# Rows of the occupancy table held at a time; bounds its memory at large k.
+_BLOCK = 512
 
 
-def _contiguous_probs_mp(model: AisleModel):
-    """cp[j] = P(occupied set = {1..j}) for j = 1..k, as mpf (computed stably)."""
+def _saturation_rows(k: int) -> int:
+    """Order size n past which all k aisles are occupied but for probability
+    PMF_TAIL, by the union bound k (1 - 1/k)^n <= PMF_TAIL."""
+    if k == 1:
+        return 1
+    return math.ceil(math.log(k / PMF_TAIL) / -math.log1p(-1 / k))
+
+
+@lru_cache(maxsize=1)
+def _occupancy(model: AisleModel):
+    """(cp, w, far, mfar, far2) as arrays over j = 0..k (j = 0 unused), from the
+    table a_m(j) of the module docstring; cached because the three public
+    blocks below share it."""
     k, dist = model.k, model.dist
-    with mpmath.workdps(_mp_dps(k)):
-        pvals = [dist.pgf(mpmath.mpf(l) / k) for l in range(k + 1)]
-        cp = [None] * (k + 1)
-        for j in range(1, k + 1):
-            s = mpmath.mpf(0)
-            for l in range(j + 1):
-                term = comb(j, l) * pvals[l]
-                s = s + term if (j - l) % 2 == 0 else s - term
-            cp[j] = s
-    return cp
+    n = _saturation_rows(k)
+    p = dist.pmf(n)
+    j = np.arange(k + 1)
+    step = j / k
+    cp, mw, far, mfar, far2 = np.zeros((5, k + 1))
+    a = np.zeros((_BLOCK + 2, k + 1))   # a[i] = a_{start+i}
+    a[0, 0] = 1.0
+    for start in range(0, len(p), _BLOCK):
+        pm = p[start:start + _BLOCK]
+        b = len(pm)
+        for i in range(b + 1):
+            np.add(a[i, 1:], a[i, :-1], out=a[i + 1, 1:])
+            a[i + 1] *= step
+        m = np.arange(start, start + b)[:, None]
+        a0, a1, a2 = a[:b], a[1:b + 1], a[2:b + 2]
+        cp += pm @ a0
+        mw += (m[:, 0] * pm) @ a0
+        fw = (pm[:, None] * (1 - j / (m + 1))) * a1
+        far += fw.sum(axis=0)
+        mfar += (m * fw).sum(axis=0)
+        far2 += (pm[:, None] * (a1 - 2 * k * (m + 2 - j) / ((m + 1) * (m + 2)) * a2)).sum(axis=0)
+        a[0] = a[b]
+    if len(p) == n + 1:
+        # order sizes beyond n occupy every aisle: only column k gains
+        m = np.arange(n + 1)
+        P, em = dist.pgf, dist.mean()
+        t0 = 1.0 - math.fsum(p)
+        t1 = em - math.fsum(m * p)
+        th = integrate_pgf(P, em) - math.fsum(p / (m + 1))
+        tq = integrate_pgf(lambda x: (1 - x) * P(x), em) - math.fsum(p / ((m + 1) * (m + 2)))
+        cp[k] += t0
+        mw[k] += t1
+        far[k] += t0 - k * th
+        mfar[k] += t1 - k * (t0 - th)
+        far2[k] += t0 - 2 * k * th + 2 * k * k * tq
+    scale = np.divide(k, j, out=np.zeros(k + 1), where=j > 0)
+    return cp, scale * mw, scale * far, scale * mfar, scale * far2
 
 
 def occupancy_law(model: AisleModel):
     """(pmf over j=1..k of the occupied-aisle count, its mean and second moment,
     and the contiguous-set probabilities P(occupied set = {1..j}))."""
     k, P = model.k, model.dist.pgf
-    cp = _contiguous_probs_mp(model)
-    pmf = [float(comb(k, j) * cp[j]) for j in range(1, k + 1)]
-    contiguous = [float(cp[j]) for j in range(1, k + 1)]
+    contiguous = _occupancy(model)[0][1:].tolist()
+    pmf = [comb(k, j) * c for j, c in enumerate(contiguous, start=1)]
     mean = k - k * P(1 - 1 / k)
     second = k * k + k * (1 - 2 * k) * P(1 - 1 / k)
     if k >= 2:
@@ -319,71 +380,6 @@ def iodd_mean(model: AisleModel) -> float:
     return math.fsum(pmf[j - 1] for j in range(1, model.k + 1, 2))
 
 
-# --- primitives for the furthest-item interactions of the contiguous set ----
-
-def _pgf_antiderivatives(dist: OrderSizeDistribution):
-    """(Phi, Psi) with Phi' = pgf and Psi' = x * pgf, or None if not elementary."""
-    if isinstance(dist, Deterministic):
-        m = dist.m
-        return (lambda x: x ** (m + 1) / (m + 1), lambda x: x ** (m + 2) / (m + 2))
-    if isinstance(dist, ShiftedPoisson):
-        lam = dist.lam
-        if lam == 0:
-            return (lambda x: x * x / 2, lambda x: x ** 3 / 3)
-
-        def phi(x):
-            return mpmath.exp(-lam * (1 - x)) * (x / lam - 1 / mpmath.mpf(lam) ** 2)
-
-        def psi(x):
-            lam2 = mpmath.mpf(lam) ** 2
-            return mpmath.exp(-lam * (1 - x)) * (x * x / lam - 2 * x / lam2 + 2 / (lam2 * lam))
-
-        return phi, psi
-    if isinstance(dist, Geometric):
-        p = dist.p
-        q = 1 - p
-        if q == 0:
-            return (lambda x: x * x / 2, lambda x: x ** 3 / 3)
-
-        def phi(x):
-            return -p * mpmath.log(1 - q * x) / q ** 2 - p * x / q
-
-        def psi(x):
-            return p * (-x * x / (2 * q) - x / q ** 2 - mpmath.log(1 - q * x) / q ** 3)
-
-        return phi, psi
-    return None
-
-
-def _unit_integrals_mp(model: AisleModel):
-    """I[l], J[l], K[l] for l = 0..k-1 at mp precision, where
-
-    I[l] = int_0^1 pgf((z+l)/k) dz,
-    J[l] = int_0^1 z * pgf((z+l)/k) dz,
-    K[l] = int_0^1 ((z+l)/k) * pgf'((z+l)/k) dz.
-    """
-    k, dist = model.k, model.dist
-    anti = _pgf_antiderivatives(dist)
-    I, J, K = [], [], []
-    if anti is not None:
-        phi, psi = anti
-        for l in range(k):
-            a = mpmath.mpf(l) / k
-            b = mpmath.mpf(l + 1) / k
-            dphi = phi(b) - phi(a)
-            I.append(k * dphi)
-            J.append(k * k * (psi(b) - psi(a)) - l * k * dphi)
-            K.append(k * (b * dist.pgf(b) - a * dist.pgf(a) - dphi))
-    else:
-        for l in range(k):
-            a = mpmath.mpf(l) / k
-            b = mpmath.mpf(l + 1) / k
-            I.append(k * mpmath.quad(dist.pgf, [a, b]))
-            J.append(k * k * mpmath.quad(lambda x: x * dist.pgf(x), [a, b]) - l * k * mpmath.quad(dist.pgf, [a, b]))
-            K.append(k * mpmath.quad(lambda x: x * dist.pgf_prime(x), [a, b]))
-    return I, J, K
-
-
 def contiguous_far_moments(model: AisleModel):
     """Furthest-item interactions with the contiguous occupied set {1..j}.
 
@@ -393,38 +389,10 @@ def contiguous_far_moments(model: AisleModel):
       mfar[j]  = E[M A_j 1{occupied set = {1..j}}]
     where A_j is the furthest item location in the last occupied aisle.
     """
-    k, dist = model.k, model.dist
-    with mpmath.workdps(_mp_dps(k)):
-        I, J, K = _unit_integrals_mp(model)
-        pv = [dist.pgf(mpmath.mpf(l + 1) / k) for l in range(k)]
-        pd = [dist.pgf_prime(mpmath.mpf(l + 1) / k) for l in range(k)]
-        far = [None] * (k + 1)
-        far2 = [None] * (k + 1)
-        mfar = [None] * (k + 1)
-        for j in range(1, k + 1):
-            s = s2 = sm = mpmath.mpf(0)
-            for l in range(j):
-                c = comb(j - 1, l)
-                sign = 1 if (j - l) % 2 == 0 else -1
-                s += sign * c * (I[l] - pv[l])
-                s2 += sign * c * (2 * J[l] - pv[l])
-                sm += sign * c * (K[l] - mpmath.mpf(l + 1) / k * pd[l])
-            far[j] = float(s)
-            far2[j] = float(s2)
-            mfar[j] = float(sm)
-    return far, far2, mfar
+    _, _, far, mfar, far2 = _occupancy(model)
+    return far.tolist(), far2.tolist(), mfar.tolist()
 
 
 def contiguous_count_prime(model: AisleModel):
     """w[j] = E[N_1 1{occupied set = {1..j}}] * k for j = 1..k (index 0 unused)."""
-    k, dist = model.k, model.dist
-    with mpmath.workdps(_mp_dps(k)):
-        pd = [dist.pgf_prime(mpmath.mpf(1 + l) / k) for l in range(k)]
-        w = [None] * (k + 1)
-        for j in range(1, k + 1):
-            s = mpmath.mpf(0)
-            for l in range(j):
-                term = comb(j - 1, l) * pd[l]
-                s = s + term if (j - 1 - l) % 2 == 0 else s - term
-            w[j] = float(s)
-    return w
+    return _occupancy(model)[1].tolist()

@@ -13,7 +13,8 @@ import math
 from scipy import integrate
 from scipy.special import spence
 
-__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel", "box_kernel", "log_kernel"]
+__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "integrate_pgf", "gap_kernel", "box_kernel",
+           "log_kernel"]
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-9
@@ -21,6 +22,10 @@ REL_TOL = 1e-9
 # O(event probability) terms, so their single integral is taken 100x tighter.
 CROSS_ABS_TOL = 1e-12
 CROSS_REL_TOL = 1e-11
+# PGF integrals that stand in for order-size tail sums are multiplied by up to
+# 2k^2 in the occupancy sums, so they are taken near machine precision.
+PGF_ABS_TOL = 1e-17
+PGF_REL_TOL = 1e-13
 MAX_SUBDIVISIONS = 2000
 
 _PI2_3 = math.pi ** 2 / 3
@@ -36,8 +41,9 @@ class IntegrationError(RuntimeError):
         self.err_est = err_est
 
 
-def _quad(f, a: float, b: float, abs_tol: float, rel_tol: float):
-    res = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=MAX_SUBDIVISIONS, full_output=1)
+def _quad(f, a: float, b: float, abs_tol: float, rel_tol: float, points=None):
+    res = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=MAX_SUBDIVISIONS,
+                         points=points, full_output=1)
     value, err = res[0], res[1]
     if len(res) > 3:
         raise IntegrationError(f"integration failed: {res[3]}", value, err)
@@ -60,6 +66,15 @@ def integrate_2d(g, kernel):
     lo, lo_err = _quad(f, 0.0, 1.0, CROSS_ABS_TOL, CROSS_REL_TOL)
     hi, hi_err = _quad(f, 1.0, 2.0, CROSS_ABS_TOL, CROSS_REL_TOL)
     return lo + hi, lo_err + hi_err
+
+
+def integrate_pgf(f, mean: float) -> float:
+    """∫_0^1 f, where f is an order-size PGF of the given mean times a bounded
+    factor.  Such a PGF climbs to 1 within about 1/mean of x = 1, a peak that
+    the adaptive rule's first sweep misses when the mean is large, so [0, 1]
+    is split at 1 - 10^i / mean for every 10^i < mean."""
+    points = [1.0 - 10.0 ** i / mean for i in range(math.ceil(math.log10(mean)))] if mean > 1 else None
+    return _quad(f, 0.0, 1.0, PGF_ABS_TOL, PGF_REL_TOL, points)[0]
 
 
 def box_kernel(s: float) -> float:

@@ -8,9 +8,12 @@ sizes, with exact rational conditional factors for the continuous parts:
   of n uniforms:              E[D^2 | n] = (H(n+1)^2 + H2(n+1)) / ((n+1)(n+2))
 
 These share no code with the package: every expectation is a direct sum over
-k^m (or (2k)^m) equally likely assignments.  The one exception,
-``far_item_kplus_cross``, is the per-aisle PGF formula that the package only
-uses summed over aisles.
+k^m (or (2k)^m) equally likely assignments.  ``sshaped_det_moments`` sums
+over (occupied count, furthest aisle, items in it) instead, which reaches
+k = 512.  Two exceptions use the PGF: ``far_item_kplus_cross`` is the
+per-aisle formula that the package only uses summed over aisles, and
+``occupancy_blocks_mp`` is the alternating-sum form of the package's
+occupancy blocks, evaluated in mpmath at 40 + 0.6k digits.
 """
 from __future__ import annotations
 
@@ -19,9 +22,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 from scipy import integrate
 
 from pickroute.heuristics import HEURISTICS
+from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson
 
 
 def harmonic(n: int) -> Fraction:
@@ -212,3 +217,116 @@ def far_item_kplus_cross(model, i: int) -> float:
     mean = 1.0 - _integral01(lambda x: P(1 - 1 / k + x / k))
     tails = [P(j / k) - _integral01(lambda x, j=j: P((j - 1 + x) / k)) for j in range(i, k)]
     return k * mean - math.fsum(tails)
+
+
+def surjections(n: int, b: int) -> int:
+    """Maps of n labelled items onto b labelled aisles that leave none empty."""
+    return sum((-1) ** i * math.comb(b, i) * (b - i) ** n for i in range(b + 1))
+
+
+def sshaped_det_moments(k: int, m: int, l, wa, v, ep, ep2) -> tuple[float, float]:
+    """Exact S-shaped (E[T], E[T^2]) for det(m) orders in k aisles.
+
+    The route depends on the occupied set only through its size I, its
+    maximum K and the count n of items in aisle K: I aisles with maximum K in
+    C(K-1, I-1) ways, the n items of aisle K in C(m, n) ways, the rest onto the
+    other I - 1 aisles.  T is then the pick time plus
+    (l/v)(I + [I odd](2A - 1)) + (2wa/v)(K - 1), A the largest of n uniforms.
+    """
+    tl, twa = Fraction(l) / Fraction(v), Fraction(wa) / Fraction(v)
+    g1 = g2 = Fraction(0)
+    for i in range(1, min(k, m) + 1):
+        odd = i % 2
+        for n in range(1, m - i + 2):
+            ways = math.comb(m, n) * surjections(m - n, i - 1)
+            for kk in range(i, k + 1):
+                p = Fraction(math.comb(kk - 1, i - 1) * ways, k ** m)
+                c1 = tl * (i - odd) + 2 * twa * (kk - 1)
+                c2 = 2 * tl * odd
+                g1 += p * (c1 + c2 * e_max(n))
+                g2 += p * (c1 * c1 + 2 * c1 * c2 * e_max(n) + c2 * c2 * e_max2(n))
+    ep, ep2 = Fraction(ep), Fraction(ep2)
+    e_t = m * ep + g1
+    e_t2 = m * ep2 + m * (m - 1) * ep * ep + 2 * m * ep * g1 + g2
+    return float(e_t), float(e_t2)
+
+
+def _mp_law(dist):
+    """(pgf, pgf', Phi, Psi) in mpmath with the law's parameters taken as exact;
+    Phi' = pgf and Psi' = x pgf, or None where they are not elementary."""
+    if isinstance(dist, Deterministic):
+        m = dist.m
+        return (lambda x: x ** m, lambda x: m * x ** (m - 1),
+                lambda x: x ** (m + 1) / (m + 1), lambda x: x ** (m + 2) / (m + 2))
+    if isinstance(dist, ShiftedPoisson):
+        lam = mpmath.mpf(dist.lam)
+        e = lambda x: mpmath.exp(-lam * (1 - x))  # noqa: E731
+        if lam == 0:
+            return (lambda x: x, lambda x: mpmath.mpf(1), lambda x: x * x / 2, lambda x: x ** 3 / 3)
+        return (lambda x: x * e(x), lambda x: e(x) * (1 + lam * x),
+                lambda x: e(x) * (x / lam - 1 / lam ** 2),
+                lambda x: e(x) * (x * x / lam - 2 * x / lam ** 2 + 2 / lam ** 3))
+    if isinstance(dist, Geometric):
+        p = mpmath.mpf(dist.p)
+        q = 1 - p
+        pgf, pgf1 = (lambda x: p * x / (1 - q * x)), (lambda x: p / (1 - q * x) ** 2)
+        if q == 0:
+            return pgf, pgf1, lambda x: x * x / 2, lambda x: x ** 3 / 3
+        return (pgf, pgf1, lambda x: -p * mpmath.log(1 - q * x) / q ** 2 - p * x / q,
+                lambda x: p * (-x * x / (2 * q) - x / q ** 2 - mpmath.log(1 - q * x) / q ** 3))
+    r, p = dist.r, mpmath.mpf(dist.p)
+    q = 1 - p
+    return (lambda x: (p * x / (1 - q * x)) ** r,
+            lambda x: r * p ** r * x ** (r - 1) / (1 - q * x) ** (r + 1), None, None)
+
+
+def occupancy_blocks_mp(model) -> dict:
+    """The three occupancy blocks of ``pickroute.prelim`` (same names, same
+    return shapes) from the alternating PGF sums
+
+      cp[j]   = sum_l (-1)^(j-l) C(j, l) P(l/k)
+      w[j]    = sum_l (-1)^(j-1-l) C(j-1, l) P'((l+1)/k)
+      far[j]  = -sum_l (-1)^(j-1-l) C(j-1, l) (I_l - P((l+1)/k))
+      far2[j] = -sum_l (-1)^(j-1-l) C(j-1, l) (2 J_l - P((l+1)/k))
+      mfar[j] = -sum_l (-1)^(j-1-l) C(j-1, l) (K_l - (l+1)/k P'((l+1)/k))
+
+    with I_l, J_l, K_l the integrals of P((z+l)/k), z P((z+l)/k) and
+    x P'(x) at x = (z+l)/k over z in [0, 1].  The sums cancel like 3^k, so
+    they run at 40 + 0.6k digits.
+    """
+    k = model.k
+    with mpmath.workdps(40 + int(0.6 * k)):
+        P, Pp, phi, psi = _mp_law(model.dist)
+        pv = [P(mpmath.mpf(l) / k) for l in range(k + 1)]
+        pd = [Pp(mpmath.mpf(l) / k) for l in range(k + 1)]
+        I, J, K = [], [], []
+        for l in range(k):
+            a, b = mpmath.mpf(l) / k, mpmath.mpf(l + 1) / k
+            if phi is None:
+                dphi, dpsi = mpmath.quad(P, [a, b]), mpmath.quad(lambda x: x * P(x), [a, b])
+            else:
+                dphi, dpsi = phi(b) - phi(a), psi(b) - psi(a)
+            I.append(k * dphi)
+            J.append(k * k * dpsi - l * k * dphi)
+            K.append(k * (b * pv[l + 1] - a * pv[l] - dphi))
+        cp, w, far, far2, mfar = ([0.0] * (k + 1) for _ in range(5))
+        for j in range(1, k + 1):
+            cp[j] = float(mpmath.fsum((-1) ** (j - l) * math.comb(j, l) * pv[l] for l in range(j + 1)))
+            sw = s = s2 = sm = mpmath.mpf(0)
+            for l in range(j):
+                c = math.comb(j - 1, l) * (-1) ** (j - 1 - l)
+                sw += c * pd[l + 1]
+                s -= c * (I[l] - pv[l + 1])
+                s2 -= c * (2 * J[l] - pv[l + 1])
+                sm -= c * (K[l] - mpmath.mpf(l + 1) / k * pd[l + 1])
+            w[j], far[j], far2[j], mfar[j] = float(sw), float(s), float(s2), float(sm)
+        p1, p2 = pv[k - 1], (pv[k - 2] if k >= 2 else 0)
+        mean = float(k - k * p1)
+        second = float(k * k + k * (1 - 2 * k) * p1 + k * (k - 1) * p2)
+    contiguous = cp[1:]
+    return {
+        "occupancy_law": ([math.comb(k, j) * c for j, c in enumerate(contiguous, start=1)],
+                          mean, second, contiguous),
+        "contiguous_far_moments": (far, far2, mfar),
+        "contiguous_count_prime": w,
+    }

@@ -229,6 +229,16 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert float(rows[1][6]) == pytest.approx(20.0)
 
 
+def test_import_leaves_heavy_modules_unloaded():
+    # mpmath left the package; scipy.stats and scipy.signal each take longer to
+    # import than all of pickroute
+    code = ("import sys, pickroute; "
+            "print([m for m in ('mpmath', 'scipy.stats', 'scipy.signal') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unknown_dist_flag_exits_2(capsys):
     status = main(["moments", "--k", "1", "--l", "20", "--wa", "1", "--v", "1 m/s",
                    "--dist", "weird:2"])

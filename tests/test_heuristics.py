@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pickroute import (
     Deterministic,
@@ -10,11 +13,13 @@ from pickroute import (
     ShiftedPoisson,
     WarehouseConfig,
     compute_moments,
+    parse_dist_spec,
+    prelim,
     run_replications_all,
 )
 from pickroute.prelim import AisleModel, kplus_moments
 
-from oracles import enum_moment_report
+from oracles import enum_moment_report, occupancy_blocks_mp, sshaped_det_moments
 
 STANDARD = WarehouseConfig(5, 20.0, 2.5, 3000.0 / 3600.0)
 
@@ -69,6 +74,59 @@ def test_reports_match_exhaustive_enumeration(k, m):
         e_t, e_t2 = oracle[h]
         assert rep.e_t == pytest.approx(e_t, rel=1e-11), h
         assert rep.e_t2 == pytest.approx(e_t2, rel=1e-10), h
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 5), m=st.integers(1, 4),
+       l=st.floats(1.0, 50.0), wa=st.floats(0.0, 5.0), v=st.floats(0.5, 2.0),
+       ep=st.floats(0.0, 10.0), scv=st.floats(0.0, 2.0))
+def test_sshaped_matches_enumeration_property(k, m, l, wa, v, ep, scv):
+    pick = PickTimeModel.from_scv(ep, scv)
+    rep = compute_moments(WarehouseConfig(k, l, wa, v), Deterministic(m), pick, "s-shaped")
+    e_t, e_t2 = enum_moment_report(k, m, l, wa, v, pick.mean, pick.second_moment)["s-shaped"]
+    assert rep.e_t == pytest.approx(e_t, rel=1e-12)
+    assert rep.e_t2 == pytest.approx(e_t2, rel=1e-12)
+
+
+LARGE_K_CFG = dict(l=20.0, wa=2.5, v=3000.0 / 3600.0)
+LARGE_K_PICK = PickTimeModel.from_scv(5.0, 1.0)
+
+
+def _fields(rep):
+    return (rep.e_t, rep.e_t2, rep.var_t, rep.sd_t, rep.e_tw, rep.e_ttr)
+
+
+@pytest.mark.parametrize("k", [96, 128, 256, 512])
+def test_sshaped_finite_at_large_k(k):
+    cfg = WarehouseConfig(k, **LARGE_K_CFG)
+    for spec in ("det:3", "spois:4", "geom:8", "geom:40", "snbin:3:9", "snbin:3:40"):
+        rep = compute_moments(cfg, parse_dist_spec(spec), LARGE_K_PICK, "s-shaped")
+        assert all(math.isfinite(x) for x in _fields(rep)), spec
+        assert 0.0 < rep.sd_t < rep.e_t, spec
+
+
+@pytest.mark.parametrize("spec", ["geom:40", "spois:4", "det:3"])
+def test_sshaped_matches_high_precision_oracle_at_k256(spec, monkeypatch):
+    cfg, dist = WarehouseConfig(256, **LARGE_K_CFG), parse_dist_spec(spec)
+    got = compute_moments(cfg, dist, LARGE_K_PICK, "s-shaped")
+    for name, value in occupancy_blocks_mp(AisleModel(256, dist)).items():
+        monkeypatch.setattr(prelim, name, lambda model, value=value: value)
+    want = compute_moments(cfg, dist, LARGE_K_PICK, "s-shaped")
+    assert _fields(got) == pytest.approx(_fields(want), rel=1e-10)
+
+
+def test_sshaped_det3_at_k512_regression():
+    # the alternating sums returned SD_T = 5.9e29 here, with no error
+    l, wa, v = (Fraction(x) for x in LARGE_K_CFG.values())
+    ep, ep2 = Fraction(LARGE_K_PICK.mean), Fraction(LARGE_K_PICK.second_moment)
+    for k in (1, 2, 3, 5):   # the oracle itself against full enumeration
+        assert sshaped_det_moments(k, 3, l, wa, v, ep, ep2) == pytest.approx(
+            enum_moment_report(k, 3, l, wa, v, ep, ep2)["s-shaped"], rel=1e-14)
+    rep = compute_moments(WarehouseConfig(512, **LARGE_K_CFG), Deterministic(3), LARGE_K_PICK, "s-shaped")
+    e_t, e_t2 = sshaped_det_moments(512, 3, l, wa, v, ep, ep2)
+    assert rep.e_t == pytest.approx(e_t, rel=1e-12)
+    assert rep.e_t2 == pytest.approx(e_t2, rel=1e-12)
+    assert rep.sd_t == pytest.approx(math.sqrt(e_t2 - e_t * e_t), rel=1e-8)
 
 
 def test_report_invariants():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson
+from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson, parse_dist_spec
 from pickroute import prelim
 from pickroute.prelim import AisleModel
 
@@ -255,14 +255,19 @@ def test_iodd_matches_printed_alternating_sum_small_k():
 
 
 def test_occupancy_stable_at_large_k():
-    # k = 64 with a heavy alternating structure: pmf stays a probability vector
-    pmf, mean, second, contiguous = prelim.occupancy_law(AisleModel(64, Geometric(1 / 40)))
-    assert all(-1e-15 <= p <= 1 + 1e-12 for p in pmf)
-    assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
-    assert second - mean ** 2 >= -1e-9
-    assert all(c >= -1e-15 for c in contiguous)
-    iodd = prelim.iodd_mean(AisleModel(64, Geometric(1 / 40)))
-    assert 0.0 <= iodd <= 1.0
+    # the pmf stays a probability vector with the PGF's moments up to k = 512;
+    # the alternating sums lost this past k ~ 96 (entries of -1.4e-8 at k = 128)
+    for spec in ("det:1", "det:3", "spois:4", "geom:8", "geom:32", "snbin:3:9", "geom:40", "snbin:3:40"):
+        dist = parse_dist_spec(spec)
+        for k in (1, 2, 5, 64, 96, 128, 256, 512):
+            pmf, mean, second, contiguous = prelim.occupancy_law(AisleModel(k, dist))
+            assert all(0.0 <= p <= 1 + 1e-12 for p in pmf), (spec, k)
+            assert all(c >= 0.0 for c in contiguous), (spec, k)
+            assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12), (spec, k)
+            assert math.fsum(j * p for j, p in enumerate(pmf, start=1)) == pytest.approx(mean, rel=1e-10)
+            assert math.fsum(j * j * p for j, p in enumerate(pmf, start=1)) == pytest.approx(second, rel=1e-10)
+            assert second - mean ** 2 >= -1e-9
+            assert 0.0 <= prelim.iodd_mean(AisleModel(k, dist)) <= 1.0
 
 
 def test_variance_nonnegativity_across_models():
