@@ -184,11 +184,12 @@ class Geometric(OrderSizeDistribution):
         if not 0 < self.p <= 1:
             raise ValueError(f"geometric success probability must be in (0, 1], got {self.p!r}")
 
+    # 1 - (1-p) x is evaluated as p + (1-x)(1-p), exactly p at x = 1: P(1) = 1
     def pgf(self, x):
-        return self.p * x / (1 - (1 - self.p) * x)
+        return self.p * x / (self.p + (1 - x) * (1 - self.p))
 
     def pgf_prime(self, x):
-        return self.p / (1 - (1 - self.p) * x) ** 2
+        return self.p / (self.p + (1 - x) * (1 - self.p)) ** 2
 
     def mean(self):
         return 1.0 / self.p
@@ -226,11 +227,11 @@ class ShiftedNegBinomial(OrderSizeDistribution):
             raise ValueError(f"success probability must be in (0, 1], got {self.p!r}")
 
     def pgf(self, x):
-        return (self.p * x / (1 - (1 - self.p) * x)) ** self.r
+        return (self.p * x / (self.p + (1 - x) * (1 - self.p))) ** self.r
 
     def pgf_prime(self, x):
-        q = 1 - self.p
-        return self.r * self.p ** self.r * x ** (self.r - 1) / (1 - q * x) ** (self.r + 1)
+        d = self.p + (1 - x) * (1 - self.p)  # as in Geometric
+        return self.r * (self.p / d) ** self.r * x ** (self.r - 1) / d
 
     def mean(self):
         return self.r / self.p

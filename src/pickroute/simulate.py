@@ -12,10 +12,12 @@ its own counter-based Philox stream keyed by (seed, batch index).  Identical
 (seed, n) always produce bit-identical estimates, and batches could be
 evaluated in parallel without changing the result.
 
-Within a batch, items are sorted by (cell, position) with one argsort of a
-packed integer key, checked afterwards and redone with ``np.lexsort`` if two
-positions tied on the key and came out swapped.  The sorted values, and so
-every estimate, are exactly those of the two-key lexsort.
+A batch draws its sizes, aisles, positions and pick times, then sorts and
+reduces them in chunks of about ``_CHUNK`` items of whole orders: one argsort
+of a packed (cell, position) key, redone with ``np.lexsort`` if two positions
+tied on it, then per-order ``np.bincount`` sums over occupied cells only, so
+memory is O(items) whatever k.  They equal a row sum over all k aisles to the
+bit for k < 8; from k = 8 numpy's pairwise row sum differs by < 1e-15 relative.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ __all__ = ["SampledOrder", "McEstimate", "sample_order", "route_time",
            "run_replications_all", "route_times_batch"]
 
 _BATCH = 1 << 17  # fixed batch size; part of the reproducible stream layout
+_CHUNK = 1 << 16  # items sorted and reduced at once; chunks hold whole orders
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,6 @@ def _sort_cells(cell: np.ndarray, pos: np.ndarray, n_cells: int):
     key = cell.astype(np.uint64) << np.uint64(shift)
     key |= (pos * 2.0 ** 53).astype(np.uint64) >> np.uint64(53 - shift)
     order = np.argsort(key)
-    del key
     sc, sp = cell[order], pos[order]
     # positions in one cell that tied on the key may have come out swapped
     if np.any((sc[1:] == sc[:-1]) & (sp[1:] < sp[:-1])):
@@ -152,68 +154,65 @@ def _sort_cells(cell: np.ndarray, pos: np.ndarray, n_cells: int):
     return sc, sp
 
 
-def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                       pick: PickTimeModel, b: int, rng: np.random.Generator):
-    """Route times for b orders, all heuristics at once (shared samples)."""
+def _chunk_route_times(cfg: WarehouseConfig, aisle: np.ndarray, pos: np.ndarray,
+                       m: np.ndarray, picks: np.ndarray):
+    """Route times of consecutive orders (sizes m, items in order), over occupied cells only."""
     k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
-    m = dist.sample(rng, size=b)
-    total = int(m.sum())
-    cell = rng.integers(0, k, size=total)  # aisle; becomes oid * k + aisle
-    cell += np.repeat(np.arange(0, b * k, k), m)
-    pos = rng.random(total)
-    picks = _pick_sums(pick, m, rng)
-
-    sc, sp = _sort_cells(cell, pos, b * k)
-    del cell, pos
-
-    new_cell = sc[1:] != sc[:-1]
-    first = np.concatenate(([True], new_cell))
-    last = np.concatenate((new_cell, [True]))
-    starts = np.flatnonzero(first)
-    occupied_cells = sc[starts]
-
-    counts = np.bincount(sc, minlength=b * k).reshape(b, k)
-
-    def per_cell(values, empty):
-        """(b, k) matrix holding one value per occupied cell, ``empty`` elsewhere."""
-        mat = np.full(b * k, empty)
-        mat[occupied_cells] = values
-        return mat.reshape(b, k)
+    n = m.size
+    sc, sp = _sort_cells(aisle + np.repeat(np.arange(0, n * k, k), m), pos, n * k)
+    starts = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))
+    ends = np.append(starts[1:], sc.size)
+    oid, cell_aisle = np.divmod(sc[starts], k)
 
     # furthest item: positions are sorted within each cell
-    a_mat = per_cell(sp[last], 0.0)
-
+    a = sp[ends - 1]
     # largest gap: max of (first position, inner spacings, trailing space)
     gap_before = np.diff(sp, prepend=0.0)
-    gap_before[first] = sp[first]
-    d_mat = per_cell(np.maximum(np.maximum.reduceat(gap_before, starts), 1.0 - sp[last]), 1.0)
+    gap_before[starts] = sp[starts]
+    d = np.maximum(np.maximum.reduceat(gap_before, starts), 1.0 - a)
+    # half-aisle maxima, as fractions of the half length: front-half items
+    # come first in a cell, so its back half starts at index `split`
+    n_front = np.concatenate(([0], np.cumsum(sp < 0.5)))
+    split = starts + (n_front[ends] - n_front[starts])
+    af = np.where(split > starts, sp[split - 1], 0.0) * 2.0
+    ab = np.where(split < ends, 1.0 - sp[np.minimum(split, sc.size - 1)], 0.0) * 2.0
 
-    # half-aisle maxima, as fractions of the half length
-    front_val = np.where(sp < 0.5, sp, 0.0)
-    back_val = np.where(sp >= 0.5, 1.0 - sp, 0.0)
-    af_mat = per_cell(np.maximum.reduceat(front_val, starts) * 2.0, 0.0)
-    ab_mat = per_cell(np.maximum.reduceat(back_val, starts) * 2.0, 0.0)
-
-    occ = counts > 0
-    idx = np.arange(1, k + 1)
-    kplus = np.max(np.where(occ, idx, 0), axis=1)
-    kminus = np.min(np.where(occ, idx, k + 1), axis=1)
-    n_occ = occ.sum(axis=1)
-    iodd = (n_occ % 2).astype(np.float64)
-    a_last = a_mat[np.arange(b), kplus - 1]
-
-    interior = (idx > kminus[:, None]) & (idx < kplus[:, None])
-    s_mid = np.sum((af_mat + ab_mat) * interior, axis=1)
-    s_gap = np.sum((1.0 - d_mat) * interior, axis=1)
-    s_ret = a_mat.sum(axis=1)
+    # every order has an item, so it owns a run of occupied cells: the first
+    # and last are aisles kminus and kplus, the others are interior
+    new_order = oid[1:] != oid[:-1]
+    o_last = np.concatenate((new_order, [True]))
+    interior = ~(np.concatenate(([True], new_order)) | o_last)
+    kplus = cell_aisle[o_last] + 1
+    n_occ = np.bincount(oid, minlength=n)
+    s_ret = np.bincount(oid, weights=a, minlength=n)
+    s_mid = np.bincount(oid, weights=(af + ab) * interior, minlength=n)
+    s_gap = np.bincount(oid, weights=(1.0 - d) * interior, minlength=n)
 
     cross = (2.0 * wa / v) * (kplus - 1)
     return {
         "return": picks + (2.0 * l / v) * s_ret + cross,
         "midpoint": picks + (l / v) * s_mid + 2.0 * l / v + cross,
         "largest-gap": picks + (2.0 * l / v) * s_gap + 2.0 * l / v + cross,
-        "s-shaped": picks + (l / v) * (n_occ + iodd * (2.0 * a_last - 1.0)) + cross,
+        "s-shaped": picks + (l / v) * (n_occ + n_occ % 2 * (2.0 * a[o_last] - 1.0)) + cross,
     }
+
+
+def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
+                       pick: PickTimeModel, b: int, rng: np.random.Generator):
+    """Route times for b orders, all heuristics at once (shared samples)."""
+    m = dist.sample(rng, size=b)
+    total = int(m.sum())
+    aisle = rng.integers(0, cfg.k, size=total)
+    pos = rng.random(total)
+    picks = _pick_sums(pick, m, rng)
+
+    # cut before the first order that starts at or after each multiple of _CHUNK
+    first = np.cumsum(m) - m  # index of each order's first item
+    cuts = np.unique(np.searchsorted(first, np.arange(_CHUNK, first[-1] + 1, _CHUNK)))
+    at = first[cuts]
+    chunks = [_chunk_route_times(cfg, *parts) for parts in zip(
+        np.split(aisle, at), np.split(pos, at), np.split(m, cuts), np.split(picks, cuts))]
+    return {h: np.concatenate([times[h] for times in chunks]) for h in HEURISTICS}
 
 
 def _batches(cfg: WarehouseConfig, dist: OrderSizeDistribution,

@@ -192,6 +192,18 @@ def test_validate_command_passes_and_is_deterministic(tmp_path):
     assert all(abs(float(row[-1])) <= 4.0 for row in rows[1:])
 
 
+def test_validate_sshaped_at_k256(tmp_path):
+    # wide warehouse: the occupancy recursion against the chunked MC engine
+    out = tmp_path / "v.csv"
+    status = main(["validate", "--k", "256", "--l", "20", "--wa", "2.5", "--v", "3 km/h",
+                   "--dist", "geom:40", "--pick-mean", "5", "--pick-scv", "1",
+                   "--heuristic", "s-shaped", "--samples", "200000", "--out", str(out)])
+    assert status == EXIT_OK
+    rows = read_csv(out)
+    assert [row[5] for row in rows[1:]] == ["E_T", "E_T2"]
+    assert all(abs(float(row[-1])) <= 4.0 for row in rows[1:])
+
+
 def test_validate_detects_wrong_analytics(tmp_path, monkeypatch):
     # corrupt the analytic path: validation must exit nonzero
     import pickroute.cli as cli_mod

@@ -89,6 +89,14 @@ def test_pgf_shape_invariants(dist):
     assert dist.pgf_prime(1.0) == pytest.approx(dist.mean(), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1e-6, 1e-9])
+def test_pgf_exact_at_one_for_small_p(p):
+    # a rounded q = 1 - p in the denominator put P(1) off 1 by 2.8e-8 at p = 1e-9
+    for dist, r in ((Geometric(p), 1), (ShiftedNegBinomial(3, p), 3)):
+        assert dist.pgf(1.0) == 1.0
+        assert abs(p * dist.pgf_prime(1.0) / r - 1.0) <= math.ulp(1.0)
+
+
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec())
 def test_pgf_prime_matches_finite_difference(dist):
     h = 1e-7

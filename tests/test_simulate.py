@@ -84,27 +84,62 @@ def test_route_time_validation():
         route_time(CFG, "return", SampledOrder(0, ()), [])
 
 
-def test_vectorized_engine_matches_scalar_reference():
-    cfg = WarehouseConfig(4, 17.0, 2.0, 1.3)
-    dist = Geometric(1 / 5)
-    pick = PickTimeModel(0.0, 0.0)  # no pick time so draws align exactly
-    n = 300
-    times = route_times_batch(cfg, dist, pick, n, seed=123)
-    # replay the same stream scalar-wise
-    from pickroute.simulate import _rng_for_batch
-    rng = _rng_for_batch(123, 0)
-    m = dist.sample(rng, size=n)
-    total = int(m.sum())
-    oid = np.repeat(np.arange(n), m)
-    aisle = rng.integers(0, cfg.k, size=total)
-    pos = rng.random(total)
-    for i in range(n):
-        sel = oid == i
-        order = SampledOrder(int(m[i]), tuple(
-            (int(a) + 1, float(p)) for a, p in zip(aisle[sel], pos[sel])))
-        for h in HEURISTICS:
-            expect = route_time(cfg, h, order, [0.0] * order.m)
-            assert times[h][i] == pytest.approx(expect, rel=1e-12), (h, i)
+def test_vectorized_engine_matches_scalar_reference(monkeypatch):
+    import pickroute.simulate as sim
+    # k = 9 with 300-item chunks: the batch spans at least three chunks
+    for k, chunk in ((4, sim._CHUNK), (9, 300)):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        cfg = WarehouseConfig(k, 17.0, 2.0, 1.3)
+        dist = Geometric(1 / 5)
+        pick = PickTimeModel(0.0, 0.0)  # no pick time so draws align exactly
+        n = 300
+        times = route_times_batch(cfg, dist, pick, n, seed=123)
+        # replay the same stream scalar-wise
+        rng = sim._rng_for_batch(123, 0)
+        m = dist.sample(rng, size=n)
+        total = int(m.sum())
+        if k == 9:
+            assert total >= 3 * chunk
+        oid = np.repeat(np.arange(n), m)
+        aisle = rng.integers(0, cfg.k, size=total)
+        pos = rng.random(total)
+        for i in range(n):
+            sel = oid == i
+            order = SampledOrder(int(m[i]), tuple(
+                (int(a) + 1, float(p)) for a, p in zip(aisle[sel], pos[sel])))
+            for h in HEURISTICS:
+                expect = route_time(cfg, h, order, [0.0] * order.m)
+                assert times[h][i] == pytest.approx(expect, rel=1e-12), (k, h, i)
+
+
+@pytest.mark.parametrize("spec", ["det:3", "geom:32", "snbin:3:9"])
+@pytest.mark.parametrize("k", [1, 5, 9, 64])
+def test_chunks_match_one_chunk(spec, k, monkeypatch):
+    # every order lies in one chunk, so the cut points change no bit
+    import pickroute.simulate as sim
+    args = (WarehouseConfig(k, 20.0, 2.5, 5 / 6), parse_dist_spec(spec),
+            PickTimeModel.from_scv(5.0, 1.0), 1_001, 8)
+    monkeypatch.setattr(sim, "_CHUNK", 1 << 40)
+    whole = route_times_batch(*args)
+    monkeypatch.setattr(sim, "_CHUNK", 300)
+    chunked = route_times_batch(*args)
+    for h in HEURISTICS:
+        assert np.array_equal(chunked[h], whole[h]), h
+
+
+def test_batch_memory_is_linear_in_items():
+    # a dense (orders x aisles) layout would peak at about 1.8 GiB here
+    import tracemalloc
+    from pickroute.simulate import _batch_route_times, _rng_for_batch
+    args = (WarehouseConfig(256, 20.0, 2.5, 5 / 6), parse_dist_spec("geom:32"),
+            PickTimeModel.from_scv(5.0, 1.0), 1 << 17, _rng_for_batch(1, 0))
+    tracemalloc.start()
+    try:
+        _batch_route_times(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * 2 ** 20
 
 
 def test_run_replications_deterministic():
@@ -134,9 +169,10 @@ def test_estimates_second_moment_consistent():
 
 
 def test_pathwise_dominance_largest_gap_vs_midpoint():
-    times = route_times_batch(WarehouseConfig(5, 20.0, 2.5, 5 / 6), Geometric(1 / 16),
-                              PickTimeModel(0.0, 0.0), 20_000, seed=77)
-    assert np.all(times["largest-gap"] <= times["midpoint"] + 1e-9)
+    for k in (5, 64):
+        times = route_times_batch(WarehouseConfig(k, 20.0, 2.5, 5 / 6), Geometric(1 / 16),
+                                  PickTimeModel(0.0, 0.0), 20_000, seed=77)
+        assert np.all(times["largest-gap"] <= times["midpoint"] + 1e-9), k
 
 
 def test_cross_aisle_term_identical_given_kplus():
