@@ -217,23 +217,27 @@ def _scenario(cfg: RunConfig) -> QueueScenario:
     return QueueScenario(c=cfg.pickers, lam=cfg.lam / 3600.0)
 
 
-def _cmd_moments(cfg: RunConfig) -> int:
-    wh = _warehouse(cfg)
-    dist = parse_dist_spec(cfg.dist)
-    pick = _pick(cfg)
-    rows = []
+def _model(cfg: RunConfig):
+    """Warehouse, order-size law and pick-time model of a run."""
+    return _warehouse(cfg), parse_dist_spec(cfg.dist), _pick(cfg)
+
+
+def _moment_rows(cfg: RunConfig, model):
+    """(moments report, MOMENTS_SCHEMA row) for each requested heuristic."""
+    wh, dist, pick = model
     for h in cfg.heuristics:
         rep = compute_moments(wh, dist, pick, h)
-        rows.append([h, wh.k, wh.l, wh.wa, wh.v, cfg.dist,
-                     rep.e_t, rep.e_t2, rep.var_t, rep.sd_t, rep.e_tw, rep.e_ttr])
-    emit_csv(rows, MOMENTS_SCHEMA, cfg.out)
+        yield rep, [h, wh.k, wh.l, wh.wa, wh.v, cfg.dist,
+                    rep.e_t, rep.e_t2, rep.var_t, rep.sd_t, rep.e_tw, rep.e_ttr]
+
+
+def _cmd_moments(cfg: RunConfig) -> int:
+    emit_csv([row for _, row in _moment_rows(cfg, _model(cfg))], MOMENTS_SCHEMA, cfg.out)
     return EXIT_OK
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    wh = _warehouse(cfg)
-    dist = parse_dist_spec(cfg.dist)
-    pick = _pick(cfg)
+    wh, dist, pick = _model(cfg)
     estimates = run_replications_all(wh, dist, pick, cfg.samples, cfg.seed)
     rows = []
     for h in cfg.heuristics:
@@ -245,19 +249,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_leadtime(cfg: RunConfig, allow_unstable: bool) -> int:
-    wh = _warehouse(cfg)
-    dist = parse_dist_spec(cfg.dist)
-    pick = _pick(cfg)
+    model = _model(cfg)
     scenario = _scenario(cfg)
     rows = []
     unstable = False
-    for h in cfg.heuristics:
-        rep = compute_moments(wh, dist, pick, h)
+    for rep, row in _moment_rows(cfg, model):
         lead = lead_time_estimate(rep, scenario)
         unstable |= not lead.stable
-        rows.append([h, wh.k, wh.l, wh.wa, wh.v, cfg.dist,
-                     rep.e_t, rep.e_t2, rep.var_t, rep.sd_t, rep.e_tw, rep.e_ttr,
-                     scenario.c, cfg.lam, lead.rho, lead.q_wait, lead.e_r])
+        rows.append(row + [scenario.c, cfg.lam, lead.rho, lead.q_wait, lead.e_r])
     emit_csv(rows, LEADTIME_SCHEMA, cfg.out)
     if unstable and not allow_unstable:
         print("unstable queue (rho >= 1); pass --allow-unstable to emit NA rows",
@@ -291,9 +290,7 @@ def _cmd_layout(cfg: RunConfig) -> int:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    wh = _warehouse(cfg)
-    dist = parse_dist_spec(cfg.dist)
-    pick = _pick(cfg)
+    wh, dist, pick = _model(cfg)
     estimates = run_replications_all(wh, dist, pick, cfg.samples, cfg.seed)
     rows = []
     worst = 0.0

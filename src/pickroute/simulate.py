@@ -8,20 +8,30 @@ replication driver uses an equivalent vectorized engine (consistency between
 the two is pinned by tests).
 
 Reproducibility: replications are processed in fixed-size batches, each with
-its own counter-based Philox stream keyed by (seed, batch index).  Identical
-(seed, n) always produce bit-identical estimates, and batches could be
-evaluated in parallel without changing the result.
+its own counter-based Philox stream keyed by (seed, batch index), so identical
+(seed, n) always produce bit-identical estimates.
 
-A batch draws its sizes, aisles, positions and pick times, then sorts and
-reduces them in chunks of about ``_CHUNK`` items of whole orders: one argsort
-of a packed (cell, position) key, redone with ``np.lexsort`` if two positions
-tied on it, then per-order ``np.bincount`` sums over occupied cells only, so
-memory is O(items) whatever k.  They equal a row sum over all k aisles to the
-bit for k < 8; from k = 8 numpy's pairwise row sum differs by < 1e-15 relative.
+A batch draws its sizes and aisles and is cut at order boundaries into chunks
+of about ``_CHUNK`` items of whole orders.  The chunks run in parallel on a
+thread pool with one worker per usable CPU.  Each chunk's positions are drawn
+as it is submitted, and the pick sums after the last chunk's positions; only
+the calling thread draws, so the stream is read in one fixed order.  The
+per-order sums come back in submission order and the route times are formed
+from them once per batch, so neither the worker count nor the order in which
+chunks finish can change a bit.
+
+A chunk is sorted with one argsort of a packed (cell, position) key, redone
+with ``np.lexsort`` if two positions tied on it, and reduced by per-order
+``np.bincount`` sums over occupied cells only, so memory is O(items) whatever
+k.  They equal a row sum over all k aisles to the bit for k < 8; from k = 8
+numpy's pairwise row sum differs by < 1e-15 relative.
 """
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,10 +164,20 @@ def _sort_cells(cell: np.ndarray, pos: np.ndarray, n_cells: int):
     return sc, sp
 
 
-def _chunk_route_times(cfg: WarehouseConfig, aisle: np.ndarray, pos: np.ndarray,
-                       m: np.ndarray, picks: np.ndarray):
-    """Route times of consecutive orders (sizes m, items in order), over occupied cells only."""
-    k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
+def _workers() -> int:
+    """CPUs this process may run on: one pool thread each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray):
+    """Per-order sums of consecutive orders (sizes m, items in order), over occupied cells only.
+
+    Returns kplus, the occupied-aisle count, the furthest item in aisle kplus
+    and the return, midpoint and largest-gap within-aisle sums.
+    """
     n = m.size
     sc, sp = _sort_cells(aisle + np.repeat(np.arange(0, n * k, k), m), pos, n * k)
     starts = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))
@@ -182,37 +202,47 @@ def _chunk_route_times(cfg: WarehouseConfig, aisle: np.ndarray, pos: np.ndarray,
     new_order = oid[1:] != oid[:-1]
     o_last = np.concatenate((new_order, [True]))
     interior = ~(np.concatenate(([True], new_order)) | o_last)
-    kplus = cell_aisle[o_last] + 1
-    n_occ = np.bincount(oid, minlength=n)
-    s_ret = np.bincount(oid, weights=a, minlength=n)
-    s_mid = np.bincount(oid, weights=(af + ab) * interior, minlength=n)
-    s_gap = np.bincount(oid, weights=(1.0 - d) * interior, minlength=n)
+    return (cell_aisle[o_last] + 1,
+            np.bincount(oid, minlength=n),
+            a[o_last],
+            np.bincount(oid, weights=a, minlength=n),
+            np.bincount(oid, weights=(af + ab) * interior, minlength=n),
+            np.bincount(oid, weights=(1.0 - d) * interior, minlength=n))
+
+
+def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
+                       pick: PickTimeModel, b: int, rng: np.random.Generator):
+    """Route times for b orders, all heuristics at once (shared samples).
+
+    At most two chunks per worker are in flight, so the positions drawn ahead
+    of the workers stay a few chunks long.
+    """
+    l, wa, v = cfg.l, cfg.wa, cfg.v
+    m = dist.sample(rng, size=b)
+    aisle = rng.integers(0, cfg.k, size=int(m.sum()))
+
+    # cut before the first order that starts at or after each multiple of _CHUNK
+    first = np.cumsum(m) - m  # index of each order's first item
+    cuts = np.unique(np.searchsorted(first, np.arange(_CHUNK, first[-1] + 1, _CHUNK)))
+    workers = _workers()
+    sums, running = [], deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for chunk_aisle, chunk_m in zip(np.split(aisle, first[cuts]), np.split(m, cuts)):
+            if len(running) == 2 * workers:
+                sums.append(running.popleft().result())
+            running.append(pool.submit(_chunk_sums, cfg.k, chunk_aisle,
+                                       rng.random(chunk_aisle.size), chunk_m))
+        picks = _pick_sums(pick, m, rng)
+        sums += [future.result() for future in running]
+    kplus, n_occ, a_last, s_ret, s_mid, s_gap = map(np.concatenate, zip(*sums))
 
     cross = (2.0 * wa / v) * (kplus - 1)
     return {
         "return": picks + (2.0 * l / v) * s_ret + cross,
         "midpoint": picks + (l / v) * s_mid + 2.0 * l / v + cross,
         "largest-gap": picks + (2.0 * l / v) * s_gap + 2.0 * l / v + cross,
-        "s-shaped": picks + (l / v) * (n_occ + n_occ % 2 * (2.0 * a[o_last] - 1.0)) + cross,
+        "s-shaped": picks + (l / v) * (n_occ + n_occ % 2 * (2.0 * a_last - 1.0)) + cross,
     }
-
-
-def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                       pick: PickTimeModel, b: int, rng: np.random.Generator):
-    """Route times for b orders, all heuristics at once (shared samples)."""
-    m = dist.sample(rng, size=b)
-    total = int(m.sum())
-    aisle = rng.integers(0, cfg.k, size=total)
-    pos = rng.random(total)
-    picks = _pick_sums(pick, m, rng)
-
-    # cut before the first order that starts at or after each multiple of _CHUNK
-    first = np.cumsum(m) - m  # index of each order's first item
-    cuts = np.unique(np.searchsorted(first, np.arange(_CHUNK, first[-1] + 1, _CHUNK)))
-    at = first[cuts]
-    chunks = [_chunk_route_times(cfg, *parts) for parts in zip(
-        np.split(aisle, at), np.split(pos, at), np.split(m, cuts), np.split(picks, cuts))]
-    return {h: np.concatenate([times[h] for times in chunks]) for h in HEURISTICS}
 
 
 def _batches(cfg: WarehouseConfig, dist: OrderSizeDistribution,

@@ -86,15 +86,18 @@ def test_route_time_validation():
 
 def test_vectorized_engine_matches_scalar_reference(monkeypatch):
     import pickroute.simulate as sim
-    # k = 9 with 300-item chunks: the batch spans at least three chunks
-    for k, chunk in ((4, sim._CHUNK), (9, 300)):
+    # k = 9 with 300-item chunks: the batch spans at least three chunks; a
+    # non-zero pick time pins the gamma draw after every chunk's positions
+    for k, chunk, pick in ((4, sim._CHUNK, PickTimeModel(0.0, 0.0)),
+                           (9, 300, PickTimeModel(0.0, 0.0)),
+                           (9, 300, PickTimeModel.from_scv(4.0, 0.7))):
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         cfg = WarehouseConfig(k, 17.0, 2.0, 1.3)
         dist = Geometric(1 / 5)
-        pick = PickTimeModel(0.0, 0.0)  # no pick time so draws align exactly
         n = 300
         times = route_times_batch(cfg, dist, pick, n, seed=123)
-        # replay the same stream scalar-wise
+        # replay the same stream scalar-wise: sizes, every aisle, positions,
+        # then the pick sums
         rng = sim._rng_for_batch(123, 0)
         m = dist.sample(rng, size=n)
         total = int(m.sum())
@@ -103,28 +106,65 @@ def test_vectorized_engine_matches_scalar_reference(monkeypatch):
         oid = np.repeat(np.arange(n), m)
         aisle = rng.integers(0, cfg.k, size=total)
         pos = rng.random(total)
+        picks = (rng.gamma((1.0 / pick.scv) * m, pick.mean * pick.scv)
+                 if pick.mean else np.zeros(n))
         for i in range(n):
             sel = oid == i
             order = SampledOrder(int(m[i]), tuple(
                 (int(a) + 1, float(p)) for a, p in zip(aisle[sel], pos[sel])))
+            # the order's whole pick time on its first item
+            pick_samples = [float(picks[i])] + [0.0] * (order.m - 1)
             for h in HEURISTICS:
-                expect = route_time(cfg, h, order, [0.0] * order.m)
+                expect = route_time(cfg, h, order, pick_samples)
                 assert times[h][i] == pytest.approx(expect, rel=1e-12), (k, h, i)
 
 
 @pytest.mark.parametrize("spec", ["det:3", "geom:32", "snbin:3:9"])
 @pytest.mark.parametrize("k", [1, 5, 9, 64])
 def test_chunks_match_one_chunk(spec, k, monkeypatch):
-    # every order lies in one chunk, so the cut points change no bit
+    # every order lies in one chunk, so neither the cut points nor the number
+    # of pool workers changes a bit
     import pickroute.simulate as sim
     args = (WarehouseConfig(k, 20.0, 2.5, 5 / 6), parse_dist_spec(spec),
             PickTimeModel.from_scv(5.0, 1.0), 1_001, 8)
     monkeypatch.setattr(sim, "_CHUNK", 1 << 40)
     whole = route_times_batch(*args)
     monkeypatch.setattr(sim, "_CHUNK", 300)
-    chunked = route_times_batch(*args)
-    for h in HEURISTICS:
-        assert np.array_equal(chunked[h], whole[h]), h
+    for workers in (sim._workers(), 1, 3):
+        monkeypatch.setattr(sim, "_workers", lambda: workers)
+        chunked = route_times_batch(*args)
+        for h in HEURISTICS:
+            assert np.array_equal(chunked[h], whole[h]), (workers, h)
+
+
+def test_chunk_error_reaches_caller(monkeypatch):
+    import itertools
+    import threading
+    import pickroute.simulate as sim
+    calls = itertools.count()
+    chunk_sums = sim._chunk_sums
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise RuntimeError("chunk failed")
+        return chunk_sums(*args)
+
+    monkeypatch.setattr(sim, "_CHUNK", 300)
+    monkeypatch.setattr(sim, "_chunk_sums", failing)
+    raised = []
+
+    def run():
+        try:
+            run_replications_all(CFG, parse_dist_spec("geom:8"), PickTimeModel(0.0, 0.0),
+                                 1_001, 4)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "run_replications_all hung after a chunk error"
+    assert [str(exc) for exc in raised] == ["chunk failed"]
 
 
 def test_batch_memory_is_linear_in_items():
