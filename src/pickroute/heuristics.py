@@ -29,6 +29,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import prelim
 from .orderdist import OrderSizeDistribution
 from .prelim import AisleModel
@@ -139,26 +141,22 @@ def _report(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickT
 
 def _span_sums(model: AisleModel, u: int, block) -> tuple[float, float, float, float]:
     """The four aisle sums of X = sum of X_i over the interior units, from the
-    span-d moments ``block(model, d)`` of one unit, with ``u`` units per aisle.
+    span-d moments ``block(model, d)`` of one unit for all spans d = 2..k-1 at
+    once, with ``u`` units per aisle.
 
     A span-d event has k - d positions, n = u(d-1) interior units and 2u units
     in the two endpoint aisles; kplus averages (k + d + 1) / 2 over positions.
     """
     k = model.k
-    ex = ex2 = ekx = emx = 0.0
-    for d in range(2, k):
-        c = block(model, d)
-        pairs, n = k - d, u * (d - 1)
-        x2 = c.second
-        mx = c.n_same + 2 * u * c.n_endpoint
-        if n >= 2:
-            x2 += (n - 1) * c.cross
-            mx += (n - 1) * c.n_other
-        ex += pairs * n * c.mean
-        ex2 += pairs * n * x2
-        ekx += 0.5 * pairs * (k + d + 1) * n * c.mean
-        emx += pairs * n * mx
-    return ex, ex2, ekx, emx
+    d = np.arange(2, k)
+    c = block(model, d)
+    n = u * (d - 1)
+    weight = (k - d) * n
+    many = n >= 2
+    x2 = c.second + np.where(many, (n - 1) * c.cross, 0.0)
+    mx = c.n_same + 2 * u * c.n_endpoint + np.where(many, (n - 1) * c.n_other, 0.0)
+    return (math.fsum(weight * c.mean), math.fsum(weight * x2),
+            math.fsum(0.5 * (k + d + 1) * weight * c.mean), math.fsum(weight * mx))
 
 
 def _aisle_sum_report(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel,

@@ -13,7 +13,10 @@ an order-size distribution) and is expressed through the order-size PGF:
   probability the occupied set is a fixed contiguous set, odd-count indicator.
 
 Conditional-event formulas depend on the aisle span ``d = kplus - kminus``
-only, never on the individual aisle indices, and are computed once per ``d``.
+only, never on the individual aisle indices.  The span-d blocks take an array
+of spans and evaluate each integrand once on a (spans x nodes) array of the
+rule in :mod:`pickroute.quadrature`; their PGF terms are differences of
+P((j + x)/h) over neighbouring offsets j, which all spans share.
 
 The occupancy quantities are PGF sums with alternating signs, which cancel
 like 3^k.  They are instead taken from one table of positive numbers,
@@ -52,7 +55,7 @@ from math import comb
 import numpy as np
 
 from .orderdist import PMF_TAIL, OrderSizeDistribution
-from .quadrature import box_kernel, gap_kernel, integrate_1d, integrate_2d, integrate_pgf, log_kernel
+from .quadrature import box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
 
 __all__ = [
     "AisleModel",
@@ -73,10 +76,6 @@ __all__ = [
     "contiguous_count_prime",
 ]
 
-# Spacing of the boundary layer inside which removable singularities at x = 1
-# are replaced by their analytic limit.
-_SING_LAYER = 1e-6
-
 
 @dataclass(frozen=True)
 class AisleModel:
@@ -88,11 +87,6 @@ class AisleModel:
     def __post_init__(self):
         if not (isinstance(self.k, int) and self.k >= 1):
             raise ValueError(f"aisle count must be an integer >= 1, got {self.k!r}")
-
-
-def _quad(f, a=0.0, b=1.0) -> float:
-    value, _ = integrate_1d(f, a, b)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -109,28 +103,47 @@ def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     return mean, second, cross_m
 
 
-def cond_pair_pgf(model: AisleModel, z: float, y: float, d: int, u: int) -> float:
+def _check_span(k: int, d, lo: int) -> None:
+    if np.any((d < lo) | (d > k - 1)):
+        raise ValueError(f"span d must lie in {lo}..{k - 1}, got {d}")
+
+
+def _pgf_differences(P, top, step: int, x, h: int, order: int):
+    """The order-th difference, in steps of ``step``, of j -> P((j + x) / h) at
+    each integer j of ``top``, shaped top.shape + x.shape.  P is evaluated once
+    per row of the grid min(top) - order step, ..., max(top), which the terms
+    of neighbouring spans share."""
+    top = np.asarray(top)
+    if top.size == 0:
+        return np.zeros(top.shape + np.shape(x))
+    lo = top.min() - order * step
+    grid = np.arange(lo, top.max() + 1, step)
+    diff = np.diff(P((grid.reshape((-1,) + (1,) * np.ndim(x)) + x) / h), n=order, axis=0)
+    rows = (top - lo) // step - order
+    return diff if np.array_equal(rows, np.arange(len(diff))) else diff[rows]
+
+
+def cond_pair_pgf(model: AisleModel, z, y, d, u: int):
     """Joint conditional PGF E[z^X y^Y 1{kplus - kminus = d at fixed aisles}].
 
     X, Y are the item counts of two distinct interior units, where an aisle is
     split into ``u`` units (u = 1: whole aisles, u = 2: half-aisles, possibly
     the two halves of one aisle); the single-unit version is ``y = 1``.  With
     o = u(d+1) - 2 the PGF is P((o+z+y)/(uk)) - 2P((o-u+z+y)/(uk)) +
-    P((o-2u+z+y)/(uk)).  Requires d >= 2 so that an interior aisle exists;
-    the span-d blocks below rely on this check.
+    P((o-2u+z+y)/(uk)), a second difference in steps of u.  Requires d >= 2
+    so that an interior aisle exists; the span-d blocks below rely on this
+    check.  ``d`` may be an integer array and ``z + y`` an array of nodes;
+    the result is shaped d.shape + (z + y).shape.
     """
     k, P = model.k, model.dist.pgf
-    if not 2 <= d <= k - 1:
-        raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
-    o, h = u * (d + 1) - 2, u * k
-    return P((o + z + y) / h) - 2 * P((o - u + z + y) / h) + P((o - 2 * u + z + y) / h)
+    _check_span(k, d, 2)
+    return _pgf_differences(P, u * (np.asarray(d) + 1) - 2, u, z + y, u * k, 2)
 
 
-def cond_pair_pgf_prime1(model: AisleModel, d: int, u: int) -> float:
+def cond_pair_pgf_prime1(model: AisleModel, d, u: int):
     """d/dz of ``cond_pair_pgf`` at z = 1, y = 1 (= E[X 1{event}] for interior X)."""
     k, Pp = model.k, model.dist.pgf_prime
-    if not 2 <= d <= k - 1:
-        raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
+    _check_span(k, d, 2)
     o, h = u * (d + 1) - 2, u * k
     return (Pp((o + 2) / h) - 2 * Pp((o + 2 - u) / h) + Pp((o + 2 - 2 * u) / h)) / h
 
@@ -138,8 +151,7 @@ def cond_pair_pgf_prime1(model: AisleModel, d: int, u: int) -> float:
 def pair_event_prob(model: AisleModel, d: int) -> float:
     """P(kplus = j, kminus = l) for any fixed pair with j - l = d >= 1."""
     k, P = model.k, model.dist.pgf
-    if not 1 <= d <= k - 1:
-        raise ValueError(f"span d must lie in 1..{k - 1}, got {d}")
+    _check_span(k, d, 1)
     return P((d + 1) / k) - 2 * P(d / k) + P((d - 1) / k)
 
 
@@ -154,10 +166,10 @@ def far_item_moments(model: AisleModel) -> tuple[float, float, float]:
     cross moment pairs two distinct aisles and is NaN when k = 1.
     """
     k, P = model.k, model.dist.pgf
-    base = 1 - 1 / k
-    int_p = _quad(lambda x: P(base + x / k))
+    pn = lambda x: P(1 - 1 / k + x / k)
+    int_p = integrate_1d(pn)[0]
     mean = 1.0 - int_p
-    second = 1.0 - 2.0 * _quad(lambda x: x * P(base + x / k))
+    second = 1.0 - 2.0 * integrate_1d(lambda x: x * pn(x))[0]
     if k >= 2:
         cross = 1.0 - 2.0 * int_p + integrate_2d(lambda s: P(1 - 2 / k + s / k), box_kernel)[0]
     else:
@@ -169,19 +181,21 @@ def sum_far_item_kplus_cross(model: AisleModel) -> float:
     """Sum over aisles of E[A_i * kplus].
 
     With tail_j = P(j/k) - int_0^1 P((j-1+x)/k) dx, E[A_i kplus] is
-    k E[A] - sum_{j=i}^{k-1} tail_j, and the sum over i weighs tail_j by j.
+    k E[A] - sum_{j=i}^{k-1} tail_j, and the sum over i weighs tail_j by j;
+    E[A] = 1 - int_0^1 P((k-1+x)/k) dx is the row j = k of the same integral.
     """
     k, P = model.k, model.dist.pgf
-    mean = 1.0 - _quad(lambda x: P(1 - 1 / k + x / k))
-    tails = math.fsum(j * (P(j / k) - _quad(lambda x, j=j: P((j - 1 + x) / k))) for j in range(1, k))
-    return k * k * mean - tails
+    j = np.arange(1, k + 1)
+    ints = integrate_1d(lambda x: P((j[:, None] - 1 + x) / k))[0]
+    j = j[:-1]
+    return k * k * (1.0 - float(ints[-1])) - math.fsum(j * (P(j / k) - ints[:-1]))
 
 
 def m_far_cross(model: AisleModel) -> float:
     """E[M * A_i], the order size against the furthest item in one aisle."""
     k, P = model.k, model.dist.pgf
     em = model.dist.mean()
-    return em - k + (k - 1) * P(1 - 1 / k) + _quad(lambda x: P(1 - 1 / k + x / k))
+    return em - k + (k - 1) * P(1 - 1 / k) + integrate_1d(lambda x: P(1 - 1 / k + x / k))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +211,9 @@ def gap_moments(model: AisleModel) -> tuple[float, float, float]:
     """
     k, P = model.k, model.dist.pgf
     pn = lambda x: P(1 - 1 / k + x / k)
-    int_log = _quad(lambda x: pn(x) * math.log1p(-x))
+    int_log = integrate_1d(lambda x: pn(x) * np.log1p(-x))[0]
     mean = 1.0 + int_log
-    second = 1.0 + 2.0 * int_log + _quad(lambda x: x * pn(x) * gap_kernel(x) if x > 0 else 0.0)
+    second = 1.0 + 2.0 * int_log + integrate_1d(lambda x: x * pn(x) * gap_kernel(x))[0]
     if k >= 2:
         cross = (1.0 + 2.0 * int_log
                  + integrate_2d(lambda s: P(1 - 2 / k + s / k), log_kernel)[0])
@@ -218,86 +232,96 @@ class SpanCond:
     with the event that the closest and furthest occupied aisles are two fixed
     aisles d apart.  A unit is a half-aisle for midpoint (X_i = A^f, the
     furthest item from its cross-aisle) and a whole aisle for largest gap
-    (X_i = 1 - D_i); N_m is the item count of unit m."""
+    (X_i = 1 - D_i); N_m is the item count of unit m.  Each field has the
+    shape of the span argument d: a float for one span, an array for many."""
 
-    prob: float        # P(kplus = j, kminus = l), j - l = d
-    mean: float        # E[X_i 1{event}]
-    second: float      # E[X_i^2 1{event}]
-    cross: float       # E[X_i X_m 1{event}], distinct interior units (NaN if none)
-    n_same: float      # E[N_i X_i 1{event}]
-    n_other: float     # E[N_m X_i 1{event}], another interior unit (NaN if none)
-    n_endpoint: float  # E[N_m X_i 1{event}], m a unit of the closest or furthest aisle
+    prob: np.ndarray        # P(kplus = j, kminus = l), j - l = d
+    mean: np.ndarray        # E[X_i 1{event}]
+    second: np.ndarray      # E[X_i^2 1{event}]
+    cross: np.ndarray       # E[X_i X_m 1{event}], distinct interior units (NaN if none)
+    n_same: np.ndarray      # E[N_i X_i 1{event}]
+    n_other: np.ndarray     # E[N_m X_i 1{event}], another interior unit (NaN if none)
+    n_endpoint: np.ndarray  # E[N_m X_i 1{event}], m a unit of the closest or furthest aisle
 
 
-def gap_cond_moments(model: AisleModel, d: int) -> SpanCond:
-    """Largest-gap span-d moments of X_i = 1 - D_i for an interior aisle."""
+def _span_cond(d, *fields) -> SpanCond:
+    """The fields, computed for the spans np.atleast_1d(d), as a SpanCond of
+    arrays, or of floats when ``d`` is one span."""
+    return SpanCond(*(f if np.ndim(d) else f[0] for f in fields))
+
+
+def gap_cond_moments(model: AisleModel, d) -> SpanCond:
+    """Largest-gap span-d moments of X_i = 1 - D_i for an interior aisle, for
+    one span d or an integer array of them."""
     k, P = model.k, model.dist.pgf
     Pp = model.dist.pgf_prime
+    spans = np.atleast_1d(d)
 
-    gam = lambda x: cond_pair_pgf(model, x, 1.0, d, 1)
-    prob = gam(1.0)
-    dgam1 = cond_pair_pgf_prime1(model, d, 1)
+    prob = cond_pair_pgf(model, 1.0, 1.0, spans, 1)
+    dgam1 = cond_pair_pgf_prime1(model, spans, 1)
+    # endpoint aisle: the joint PGF with the closest (or furthest) aisle has a
+    # different inclusion-exclusion structure than the interior pair
+    end1 = P((spans + 1) / k) - P(spans / k)
+    dlam1 = (Pp((spans + 1) / k) - Pp(spans / k)) / k
 
-    int_gam = _quad(gam)
-    int_gam_log = _quad(lambda x: gam(x) * math.log1p(-x))
-    int_gam_kernel = _quad(lambda x: x * gam(x) * gap_kernel(x) if x > 0 else 0.0)
+    def integrands(x):
+        gam = cond_pair_pgf(model, x, 1.0, spans, 1)      # spans down, nodes across
+        # filled row by row: np.stack of five live temporaries doubles the peak
+        # memory, and at k = 512 the allocator then hands pages back and
+        # faults them in again on every call (3,200 faults, 47 ms; now 120, 30 ms)
+        out = np.empty((5,) + gam.shape)
+        out[0] = gam
+        out[1] = gam * np.log1p(-x)
+        out[2] = gam * (x * gap_kernel(x))
+        out[3] = (prob[:, None] - gam) / (1 - x)
+        out[4] = (end1[:, None] - _pgf_differences(P, spans, 1, x, k, 1)) / (1 - x)
+        return out
 
-    def ratio(x):
-        if 1 - x < _SING_LAYER:
-            return dgam1
-        return (prob - gam(x)) / (1 - x)
-
-    r = _quad(ratio)
+    (int_gam, int_gam_log, int_gam_kernel, r, r_end), _ = integrate_1d(integrands)
 
     mean = prob + int_gam_log
     second = prob + 2 * int_gam_log + int_gam_kernel
     n_same = dgam1 - int_gam_log - r - int_gam
-    if d >= 3:
-        # the pair PGF depends on its two arguments only through their sum
-        g = lambda s: cond_pair_pgf(model, s, 0.0, d, 1)
-        cross = prob + 2 * int_gam_log + integrate_2d(g, log_kernel)[0]
-        n_other = dgam1 - r
-    else:
-        cross = n_other = math.nan
-
-    # endpoint aisle: the joint PGF with the closest (or furthest) aisle has a
-    # different inclusion-exclusion structure than the interior pair
-    f_end = lambda x: P((d + x) / k) - P((d - 1 + x) / k)
-    f_end1 = f_end(1.0)
-    dlam1 = (Pp((d + 1) / k) - Pp(d / k)) / k
-
-    def ratio_end(x):
-        if 1 - x < _SING_LAYER:
-            return dlam1
-        return (f_end1 - f_end(x)) / (1 - x)
-
-    n_endpoint = dlam1 - _quad(ratio_end)
-    return SpanCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
+    # two interior aisles need d >= 3; the pair PGF depends on its two
+    # arguments only through their sum
+    two = spans >= 3
+    cross = np.full(spans.shape, math.nan)
+    cross[two] = (prob + 2 * int_gam_log)[two] + integrate_2d(
+        lambda s: cond_pair_pgf(model, s, 0.0, spans[two], 1), log_kernel)[0]
+    n_other = np.where(two, dgam1 - r, math.nan)
+    n_endpoint = dlam1 - r_end
+    return _span_cond(d, prob, mean, second, cross, n_same, n_other, n_endpoint)
 
 
-def far_half_cond_moments(model: AisleModel, d: int) -> SpanCond:
-    """Midpoint span-d moments of X_i = A^f for an interior half-aisle."""
+def far_half_cond_moments(model: AisleModel, d) -> SpanCond:
+    """Midpoint span-d moments of X_i = A^f for an interior half-aisle, for one
+    span d or an integer array of them."""
     k, P = model.k, model.dist.pgf
     Pp = model.dist.pgf_prime
     h = 2 * k
+    spans = np.atleast_1d(d)
 
-    phi = lambda z: cond_pair_pgf(model, z, 1.0, d, 2)
-    prob = phi(1.0)
-    dphi1 = cond_pair_pgf_prime1(model, d, 2)
-    int_phi = _quad(phi)
+    prob = cond_pair_pgf(model, 1.0, 1.0, spans, 2)
+    dphi1 = cond_pair_pgf_prime1(model, spans, 2)
+
+    def integrands(z):
+        phi = cond_pair_pgf(model, z, 1.0, spans, 2)
+        return np.stack([phi, phi * z])
+
+    (int_phi, int_zphi), _ = integrate_1d(integrands)
 
     mean = prob - int_phi
-    second = prob - 2 * _quad(lambda z: z * phi(z))
-    cross = prob - 2 * int_phi + integrate_2d(lambda s: cond_pair_pgf(model, s, 0.0, d, 2), box_kernel)[0]
+    second = prob - 2 * int_zphi
+    cross = prob - 2 * int_phi + integrate_2d(lambda s: cond_pair_pgf(model, s, 0.0, spans, 2), box_kernel)[0]
     n_same = dphi1 - prob + int_phi
-    n_other = dphi1 - prob + phi(0.0)
+    n_other = dphi1 - prob + cond_pair_pgf(model, 0.0, 1.0, spans, 2)
 
     # endpoint aisle halves: distinct joint PGF (the tagged endpoint half may
     # be empty while the endpoint aisle is still occupied through its twin)
-    dpsi1 = (Pp((d + 1) / k) - Pp(d / k)) / h
-    bracket = P((d + 1) / k) - P(d / k) - P((2 * d + 1) / h) + P((2 * d - 1) / h)
+    dpsi1 = (Pp((spans + 1) / k) - Pp(spans / k)) / h
+    bracket = P((spans + 1) / k) - P(spans / k) - P((2 * spans + 1) / h) + P((2 * spans - 1) / h)
     n_endpoint = dpsi1 - bracket
-    return SpanCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
+    return _span_cond(d, prob, mean, second, cross, n_same, n_other, n_endpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +338,12 @@ def _saturation_rows(k: int) -> int:
     if k == 1:
         return 1
     return math.ceil(math.log(k / PMF_TAIL) / -math.log1p(-1 / k))
+
+
+def _pgf_integrals(dist: OrderSizeDistribution) -> tuple[float, float]:
+    """(int_0^1 P, int_0^1 (1 - x) P) = (E[1/(M+1)], E[1/((M+1)(M+2))])."""
+    P = dist.pgf
+    return integrate_1d(P)[0], integrate_1d(lambda x: (1 - x) * P(x))[0]
 
 
 @lru_cache(maxsize=1)
@@ -347,11 +377,12 @@ def _occupancy(model: AisleModel):
     if len(p) == n + 1:
         # order sizes beyond n occupy every aisle: only column k gains
         m = np.arange(n + 1)
-        P, em = dist.pgf, dist.mean()
+        em = dist.mean()
         t0 = 1.0 - math.fsum(p)
         t1 = em - math.fsum(m * p)
-        th = integrate_pgf(P, em) - math.fsum(p / (m + 1))
-        tq = integrate_pgf(lambda x: (1 - x) * P(x), em) - math.fsum(p / ((m + 1) * (m + 2)))
+        int_p, int_q = _pgf_integrals(dist)
+        th = int_p - math.fsum(p / (m + 1))
+        tq = int_q - math.fsum(p / ((m + 1) * (m + 2)))
         cp[k] += t0
         mw[k] += t1
         far[k] += t0 - k * th

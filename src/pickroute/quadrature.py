@@ -1,88 +1,129 @@
-"""Adaptive integration at fixed tolerances, plus closed-form kernels.
+"""One fixed quadrature rule on a node array, plus closed-form kernels.
 
-Thin wrappers around scipy's QUADPACK returning ``(value, err_est)`` pairs;
-logarithmic endpoint singularities (``log(1-x)``, ``log^2(1-x)``) are within
-its extrapolation reach.  Every double integral of the moment formulas is
-``∬ w(x) w(y) g(x+y)`` over the unit square with w = 1 or w = log(1-x), so it
-is taken as one integral in s = x + y against the kernel ``∫ w(x) w(s-x) dx``.
+Every integral of the moment formulas runs over [0, 1] against an order-size
+PGF, which climbs to 1 within about 1/mean of x = 1.  The rule is tanh-sinh
+(Takahasi & Mori 1974) with step h = 1/8 on 13 decade panels [0, 0.9],
+[0.9, 0.99], ..., [1 - 1e-12, 1]: the nodes of each panel cluster at both its
+ends, which absorbs log(1-x) endpoint singularities, and the panels resolve a
+peak down to width 1e-12.  Each node x is a float whose 1 - x is exact for
+x >= 1/2, so log(1 - x) and ratios over 1 - x keep full precision next to
+x = 1.  An integral is one evaluation of the integrand on the node array,
+with any leading shape (one row per aisle span, say), and one weighted sum.
+The error estimate is |I_h - I_2h|, I_2h taking every other node, so it
+costs no evaluation.
+
+Every double integral of the moment formulas is ``∬ w(x) w(y) g(x+y)`` over
+the unit square with w = 1 or w = log(1-x), so it is taken as one integral in
+s = x + y against the kernel ``∫ w(x) w(s-x) dx``.
 """
 from __future__ import annotations
 
 import math
 
-from scipy import integrate
+import numpy as np
 from scipy.special import spence
 
-__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "integrate_pgf", "gap_kernel", "box_kernel",
-           "log_kernel"]
+__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel", "box_kernel", "log_kernel"]
 
+# |I_h - I_2h| is the error of the coarser rule; where the rule has converged
+# the error of I_h is about its square.  On integrands the panels resolve it
+# stays below 1e-5 |I| while I_h agrees with a rule four times denser to
+# 1e-13; a peak narrower than the last panel, or a non-integrable
+# singularity, overshoots REL_TOL by orders of magnitude.
 ABS_TOL = 1e-10
-REL_TOL = 1e-9
-# The double integrals enter cross moments that are small differences of
-# O(event probability) terms, so their single integral is taken 100x tighter.
-CROSS_ABS_TOL = 1e-12
-CROSS_REL_TOL = 1e-11
-# PGF integrals that stand in for order-size tail sums are multiplied by up to
-# 2k^2 in the occupancy sums, so they are taken near machine precision.
-PGF_ABS_TOL = 1e-17
-PGF_REL_TOL = 1e-13
-MAX_SUBDIVISIONS = 2000
+REL_TOL = 1e-4
 
 _PI2_3 = math.pi ** 2 / 3
 _PI2_6 = math.pi ** 2 / 6
+_BELOW_1 = np.nextafter(1.0, 0.0)
+
+
+def _rule(h: float = 1 / 8, n: int = 28, decades: int = 12):
+    """(nodes, weights, weights of the step-2h rule) of the tanh-sinh rule with
+    nodes at t = -n h..n h on each decade panel.  Nodes within 2^-54 of 1 would
+    round to x = 1, where log(1-x) has no value; they are put on the largest
+    float below 1 instead, so that the mass of a bounded integrand there is
+    kept."""
+    t = np.arange(-n, n + 1) * h
+    u = math.pi / 2 * np.sinh(t)
+    to_top = 1 / (1 + np.exp(2 * u))        # (b - x) / (b - a) on a panel [a, b]
+    to_bottom = 1 / (1 + np.exp(-2 * u))    # (x - a) / (b - a)
+    weight = h * math.pi / 4 * np.cosh(t) / np.cosh(u) ** 2
+    coarse = np.where(np.arange(-n, n + 1) % 2 == 0, 2 * weight, 0.0)
+    gaps = [1.0] + [10.0 ** -i for i in range(1, decades + 1)] + [0.0]   # 1 - panel edges
+    nodes, weights, weights_2h = [], [], []
+    for top, bottom in zip(gaps[:-1], gaps[1:]):
+        width = top - bottom
+        x = width * to_bottom if top == 1.0 else 1 - (bottom + width * to_top)
+        nodes.append(np.minimum(x, _BELOW_1))
+        weights.append(width * weight)
+        weights_2h.append(width * coarse)
+    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(weights_2h)
+
+
+NODES, WEIGHTS, _WEIGHTS_2H = _rule()
+_ERR_WEIGHTS = WEIGHTS - _WEIGHTS_2H
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the quadrature did not converge; carries the partial result."""
+    """Raised when the rule's error estimate is above tolerance; carries the
+    partial result and the estimate (arrays for several integrands)."""
 
-    def __init__(self, message: str, partial_value: float, err_est: float):
+    def __init__(self, message: str, partial_value, err_est):
         super().__init__(message)
         self.partial_value = partial_value
         self.err_est = err_est
 
 
-def _quad(f, a: float, b: float, abs_tol: float, rel_tol: float, points=None):
-    res = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=MAX_SUBDIVISIONS,
-                         points=points, full_output=1)
-    value, err = res[0], res[1]
-    if len(res) > 3:
-        raise IntegrationError(f"integration failed: {res[3]}", value, err)
+def _apply(values, weights, err_weights):
+    """(value, err) of the weighted sums over the last axis, floats for one
+    integrand; raises :class:`IntegrationError` where the estimate is above
+    tolerance or not finite."""
+    values = np.asarray(values, dtype=float)
+    value = np.vecdot(values, weights)
+    err = np.abs(np.vecdot(values, err_weights))
+    if value.ndim == 0:
+        value, err = float(value), float(err)
+    if not np.all(err <= np.maximum(ABS_TOL, REL_TOL * np.abs(value))):
+        raise IntegrationError(f"integration failed: error estimate {np.max(err):.3g} above tolerance",
+                               value, err)
     return value, err
 
 
-def integrate_1d(f, a: float, b: float):
-    """Adaptive integral of ``f`` over [a, b]; integrable endpoint singularities allowed."""
+def integrate_1d(f, a: float = 0.0, b: float = 1.0):
+    """∫_a^b f from one evaluation of ``f`` on the node array mapped to [a, b];
+    integrable endpoint singularities allowed.  ``f`` returns an array whose
+    last axis runs over the nodes, and the result has its leading shape."""
     if a > b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
     if a == b:
         return 0.0, 0.0
-    return _quad(f, a, b, ABS_TOL, REL_TOL)
+    width = b - a
+    x = a + width * NODES
+    inside = (x > a) & (x < b)   # nodes that round onto an end of [a, b] are dropped
+    return _apply(f(x[inside]), width * WEIGHTS[inside], width * _ERR_WEIGHTS[inside])
+
+
+_S = np.concatenate([NODES, 1.0 + NODES])
+_S_WEIGHTS = np.concatenate([WEIGHTS, WEIGHTS])
+_S_ERR_WEIGHTS = np.concatenate([_ERR_WEIGHTS, _ERR_WEIGHTS])
 
 
 def integrate_2d(g, kernel):
-    """∬_{[0,1]^2} w(x) w(y) g(x+y) dx dy as ∫_0^2 kernel(s) g(s) ds, split at the
-    kink s = 1 of the kernel of w (:func:`box_kernel` or :func:`log_kernel`)."""
-    f = lambda s: kernel(s) * g(s)
-    lo, lo_err = _quad(f, 0.0, 1.0, CROSS_ABS_TOL, CROSS_REL_TOL)
-    hi, hi_err = _quad(f, 1.0, 2.0, CROSS_ABS_TOL, CROSS_REL_TOL)
-    return lo + hi, lo_err + hi_err
+    """∬_{[0,1]^2} w(x) w(y) g(x+y) dx dy as ∫_0^2 kernel(s) g(s) ds, taken as
+    the rule on [0, 1] and on [1, 2] (s = 1 + x, nodes clustering at s = 2),
+    split at the kink s = 1 of the kernel of w (:func:`box_kernel` or
+    :func:`log_kernel`)."""
+    return _apply(kernel(_S) * g(_S), _S_WEIGHTS, _S_ERR_WEIGHTS)
 
 
-def integrate_pgf(f, mean: float) -> float:
-    """∫_0^1 f, where f is an order-size PGF of the given mean times a bounded
-    factor.  Such a PGF climbs to 1 within about 1/mean of x = 1, a peak that
-    the adaptive rule's first sweep misses when the mean is large, so [0, 1]
-    is split at 1 - 10^i / mean for every 10^i < mean."""
-    points = [1.0 - 10.0 ** i / mean for i in range(math.ceil(math.log10(mean)))] if mean > 1 else None
-    return _quad(f, 0.0, 1.0, PGF_ABS_TOL, PGF_REL_TOL, points)[0]
-
-
-def box_kernel(s: float) -> float:
+def box_kernel(s):
     """Length of the overlap of [0, 1] and [s-1, s]: min(s, 2-s), 0 outside [0, 2]."""
-    return max(0.0, min(s, 2.0 - s))
+    s = np.asarray(s, dtype=float)
+    return np.maximum(0.0, np.minimum(s, 2.0 - s))[()]
 
 
-def log_kernel(s: float) -> float:
+def log_kernel(s):
     """c(s) = ∫ log(1-x) log(1-s+x) dx over the overlap of [0, 1] and [s-1, s].
 
     In u = 1-x the integrand is log(u) log(t-u) with t = 2-s.  For s >= 1 u runs
@@ -92,30 +133,30 @@ def log_kernel(s: float) -> float:
     the bracket below is that integral in closed form, Li2(1-b) = spence(b).
     c vanishes at s = 0 and s = 2.
     """
-    if not 0.0 < s < 2.0:
-        return 0.0
-    t = 2.0 - s
-    lt = math.log(t)
-    c = t * (lt * lt - 2.0 * lt + 2.0 - _PI2_6)
-    if s >= 1.0:
-        return c
-    b = (1.0 - s) / t
-    blb = b * math.log(b)
-    l1b = math.log1p(-b)
-    bracket = (lt * lt * b + lt * (blb - b) - lt * ((1.0 - b) * l1b + b)
-               + (blb - b + 1.0) * l1b - blb + 2.0 * b + spence(b) - _PI2_6)
-    return c - 2.0 * t * bracket
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = 2.0 - s
+        lt = np.log(t)
+        c = t * (lt * lt - 2.0 * lt + 2.0 - _PI2_6)
+        b = (1.0 - s) / t
+        blb = b * np.log(b)
+        l1b = np.log1p(-b)
+        bracket = (lt * lt * b + lt * (blb - b) - lt * ((1.0 - b) * l1b + b)
+                   + (blb - b + 1.0) * l1b - blb + 2.0 * b + spence(b) - _PI2_6)
+        c = np.where(s >= 1.0, c, c - 2.0 * t * bracket)
+    return np.where((s > 0.0) & (s < 2.0), c, 0.0)[()]
 
 
-def gap_kernel(x: float) -> float:
+def gap_kernel(x):
     """g(x) = integral over [x, 1] of log^2(1-y) / y^2 dy, for x in (0, 1].
 
     Evaluated in closed form via the dilogarithm:
         g(x) = pi^2/3 + (1-x) * log^2(1-x) / x - 2 * Li2(x),
     with Li2(x) = spence(1-x).  g(1) = 0 and g decreases to pi^2/3 at 0+.
     """
-    if x <= 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise ValueError(f"gap kernel requires x > 0, got {x!r}")
-    if x >= 1.0:
-        return 0.0
-    return _PI2_3 + (1.0 - x) * math.log1p(-x) ** 2 / x - 2.0 * spence(1.0 - x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = _PI2_3 + (1.0 - x) * np.log1p(-x) ** 2 / x - 2.0 * spence(1.0 - x)
+    return np.where(x < 1.0, g, 0.0)[()]

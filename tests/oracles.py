@@ -330,3 +330,115 @@ def occupancy_blocks_mp(model) -> dict:
         "contiguous_far_moments": (far, far2, mfar),
         "contiguous_count_prime": w,
     }
+
+
+# ---------------------------------------------------------------------------
+# span blocks and furthest-item moments, integrated in mpmath
+# ---------------------------------------------------------------------------
+
+# Breakpoints at 1 - 10^-i for a steep PGF: one of mean mu climbs to 1 within
+# about 1/mu of x = 1, a peak that a rule without them can step over.
+DECADES = (0, *(1 - mpmath.mpf(10) ** -i for i in range(1, 13)), 1)
+
+
+def _mp_integral(f, points):
+    """int f over [0, 1], split at ``points``.  A node that rounds onto x = 1
+    (its weight is below 10^-dps) is skipped: log(1-x) and the slopes over
+    1 - x are not defined there."""
+    return mpmath.quad(lambda x: 0 if x == 1 else f(x), list(points))
+
+
+def _mp_cross(kernel, g, points):
+    """int_0^2 kernel(s) g(s) ds, split at the kink s = 1 and at 1 + ``points``."""
+    return mpmath.quad(lambda s: kernel(s) * g(s), [*points, *(1 + x for x in points[1:])])
+
+
+def _mp_box_kernel(s):
+    return min(s, 2 - s)
+
+
+def _mp_gap_kernel(x):
+    """g(x) = int_x^1 log^2(1-y) / y^2 dy in closed form (Li2 = polylog(2, .))."""
+    return mpmath.pi ** 2 / 3 + (1 - x) * mpmath.log(1 - x) ** 2 / x - 2 * mpmath.polylog(2, x)
+
+
+def _mp_log_kernel(s):
+    """c(s) = int log(1-x) log(1-s+x) dx over the overlap of [0, 1] and [s-1, s].
+    With t = 2 - s it is F(t) = t (log^2 t - 2 log t + 2 - pi^2/6) for s >= 1;
+    for s < 1 two mirror end pieces t int_0^b (L + log a)(L + log(1-a)) da,
+    b = (t-1)/t and L = log t, are cut from F(t); by parts,
+    int_0^b log a log(1-a) da = (b-1) log b log(1-b) + (1-b) log(1-b)
+    - b log b + 2b - Li2(b)."""
+    if not 0 < s < 2:
+        return mpmath.mpf(0)
+    t = 2 - s
+    L = mpmath.log(t)
+    c = t * (L * L - 2 * L + 2 - mpmath.pi ** 2 / 6)
+    if s >= 1:
+        return c
+    b = (t - 1) / t
+    lb, l1b = mpmath.log(b), mpmath.log(1 - b)
+    int_prod = (b - 1) * lb * l1b + (1 - b) * l1b - b * lb + 2 * b - mpmath.polylog(2, b)
+    end = L * L * b + L * (b * lb - b) + L * (-(1 - b) * l1b - b) + int_prod
+    return c - 2 * t * end
+
+
+def far_item_moments_mp(model, points=(0, 1), dps: int = 30) -> tuple[float, float, float]:
+    """``prelim.far_item_moments`` in mpmath: E[A] = 1 - int P, E[A^2] =
+    1 - 2 int x P and E[A_i A_j] = 1 - 2 int P + int min(s, 2-s) P2(s) ds, the
+    integrals over [0, 1] split at ``points`` (``DECADES`` for a steep PGF)."""
+    k = model.k
+    with mpmath.workdps(dps):
+        P = _mp_law(model.dist)[0]
+        K = mpmath.mpf(k)
+        int_p = _mp_integral(lambda x: P((k - 1 + x) / K), points)
+        int_xp = _mp_integral(lambda x: x * P((k - 1 + x) / K), points)
+        box = _mp_cross(_mp_box_kernel, lambda s: P((k - 2 + s) / K), points)
+        return float(1 - int_p), float(1 - 2 * int_xp), float(1 - 2 * int_p + box)
+
+
+def span_blocks_mp(model, d: int, points=(0, 1), dps: int = 30) -> dict:
+    """``prelim.gap_cond_moments`` and ``prelim.far_half_cond_moments`` at span
+    d in mpmath, as {"gap": fields, "far_half": fields} in SpanCond order
+    (cross and n_other of "gap" are None for d = 2), the integrals over
+    [0, 1] split at ``points``."""
+    k = model.k
+    with mpmath.workdps(dps):
+        P, Pp = _mp_law(model.dist)[:2]
+        K = mpmath.mpf(k)
+
+        def second_diff(f, o, u, h):
+            return lambda x: f((o + x) / h) - 2 * f((o - u + x) / h) + f((o - 2 * u + x) / h)
+
+        # largest gap, whole aisles: gam(x) = E[x^N 1{event}] of an interior aisle
+        gam = second_diff(P, d, 1, K)
+        prob = gam(1)
+        dgam1 = second_diff(Pp, d + 1, 1, K)(0) / K
+        int_gam = _mp_integral(gam, points)
+        int_log = _mp_integral(lambda x: gam(x) * mpmath.log(1 - x), points)
+        int_kernel = _mp_integral(lambda x: x * gam(x) * _mp_gap_kernel(x), points)
+        r = _mp_integral(lambda x: (prob - gam(x)) / (1 - x), points)
+        end = lambda x: P((d + x) / K) - P((d - 1 + x) / K)  # noqa: E731
+        dlam1 = (Pp((d + 1) / K) - Pp(d / K)) / K
+        r_end = _mp_integral(lambda x: (end(1) - end(x)) / (1 - x), points)
+        cross = n_other = None
+        if d >= 3:
+            cross = float(prob + 2 * int_log + _mp_cross(_mp_log_kernel, second_diff(P, d - 1, 1, K), points))
+            n_other = float(dgam1 - r)
+        gap = (float(prob), float(prob + int_log), float(prob + 2 * int_log + int_kernel), cross,
+               float(dgam1 - int_log - r - int_gam), n_other, float(dlam1 - r_end))
+
+        # midpoint, half-aisles: phi(z) = E[z^N 1{event}] of an interior half
+        H = 2 * K
+        phi = second_diff(P, 2 * d + 1, 2, H)
+        prob = phi(1)
+        dphi1 = second_diff(Pp, 2 * d + 2, 2, H)(0) / H
+        int_phi = _mp_integral(phi, points)
+        int_zphi = _mp_integral(lambda z: z * phi(z), points)
+        box = _mp_cross(_mp_box_kernel, second_diff(P, 2 * d, 2, H), points)
+        dpsi1 = (Pp((d + 1) / K) - Pp(d / K)) / H
+        bracket = P((d + 1) / K) - P(d / K) - P((2 * d + 1) / H) + P((2 * d - 1) / H)
+        far_half = (float(prob), float(prob - int_phi), float(prob - 2 * int_zphi),
+                    float(prob - 2 * int_phi + box), float(dphi1 - prob + int_phi),
+                    float(dphi1 - prob + phi(0)), float(dpsi1 - bracket))
+    return {"gap": gap, "far_half": far_half}

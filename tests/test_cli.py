@@ -243,9 +243,10 @@ def test_cli_entry_point_subprocess(tmp_path):
 
 def test_import_leaves_heavy_modules_unloaded():
     # mpmath left the package; scipy.stats and scipy.signal each take longer to
-    # import than all of pickroute
-    code = ("import sys, pickroute; "
-            "print([m for m in ('mpmath', 'scipy.stats', 'scipy.signal') if m in sys.modules])")
+    # import than all of pickroute, and scipy.integrate (with scipy.optimize and
+    # scipy.sparse, which it loads) left with QUADPACK
+    heavy = ('mpmath', 'scipy.stats', 'scipy.signal', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse')
+    code = f"import sys, pickroute; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -205,6 +205,16 @@ def test_moderate_monte_carlo_agreement():
         assert abs(rep.e_t2 - est.mean_t2) < 4 * est.se_t2, h
 
 
+@pytest.mark.parametrize("k", [3, 8])
+def test_largest_gap_with_steep_pgf(k):
+    # geom:1e9 climbs within k/1e9 of x = 1; an adaptive rule without the decade
+    # panels raised a spurious IntegrationError here
+    cfg = WarehouseConfig(k, 20.0, 2.5, 1.0)
+    rep = compute_moments(cfg, parse_dist_spec("geom:1e9"), PickTimeModel.from_scv(5.0, 1.0), "largest-gap")
+    assert math.isfinite(rep.e_t) and math.isfinite(rep.var_t)
+    assert rep.var_t >= 0.0
+
+
 def test_unknown_heuristic_rejected():
     with pytest.raises(ValueError):
         compute_moments(STANDARD, Deterministic(2), PickTimeModel(0.0, 0.0), "optimal")

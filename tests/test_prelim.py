@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson, parse_dist_spec
 from pickroute import prelim
 from pickroute.prelim import AisleModel
 
-from oracles import enum_conditional, enum_discrete, far_item_kplus_cross
+from oracles import (DECADES, _mp_law, enum_conditional, enum_discrete, far_item_kplus_cross, far_item_moments_mp,
+                     span_blocks_mp)
 
 SMALL_CASES = [(k, m) for k in (1, 2, 3) for m in (1, 2, 3, 4)]
 
@@ -185,6 +189,59 @@ def test_gap_cond_cross_despite_cancellation(mean, d, ref):
     # mpmath at 30 digits with the kernel integrated directly
     model = AisleModel(20, Geometric(1 / mean))
     assert prelim.gap_cond_moments(model, d).cross == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ["geom:18", "det:3", "spois:4", "snbin:3:9"])
+@pytest.mark.parametrize("k", [5, 20, 64])
+def test_span_blocks_on_arrays_equal_scalar_calls(spec, k):
+    # one call on all spans returns, to the bit, what one call per span does
+    model = AisleModel(k, parse_dist_spec(spec))
+    spans = np.arange(2, k)
+    for block in (prelim.gap_cond_moments, prelim.far_half_cond_moments):
+        rows = dataclasses.astuple(block(model, spans))
+        for i, d in enumerate(spans.tolist()):
+            one = dataclasses.astuple(block(model, d))
+            assert all(np.array_equal(r[i], v, equal_nan=True) for r, v in zip(rows, one)), (block, d)
+
+
+@pytest.mark.parametrize("k", [20, 64])
+def test_span_blocks_match_high_precision_oracle(k):
+    model = AisleModel(k, Geometric(1 / 18))
+    for d in (2, 3, k // 2, k - 1):
+        want = span_blocks_mp(model, d)
+        for name, block in (("gap", prelim.gap_cond_moments), ("far_half", prelim.far_half_cond_moments)):
+            got = dataclasses.astuple(block(model, d))
+            for g, w in zip(got, want[name]):
+                if w is None:
+                    assert math.isnan(g)
+                else:
+                    assert g == pytest.approx(w, rel=1e-9, abs=0.0), (name, d)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_steep_pgf_integrals(k):
+    # spois:1e5 climbs within k/mean of x = 1; an adaptive rule without the
+    # decade panels returned int_0^1 P((k-1+x)/k) dx = 5.6e-19 for 3.0e-5 at k = 3
+    model = AisleModel(k, parse_dist_spec("spois:1e5"))
+    want = far_item_moments_mp(model, DECADES, dps=20)
+    assert prelim.far_item_moments(model) == pytest.approx(want, rel=1e-9, abs=0.0)
+    for d in sorted({2, k - 1}):
+        got = dataclasses.astuple(prelim.gap_cond_moments(model, d))
+        want = span_blocks_mp(model, d, DECADES, dps=20)["gap"]
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g == pytest.approx(w, rel=1e-9, abs=0.0), d
+
+
+@pytest.mark.parametrize("spec", ["geom:1e6", "spois:1000", "snbin:20:2000"])
+def test_occupancy_tail_integrals(spec):
+    # int_0^1 P = E[1/(M+1)] and int_0^1 (1-x) P = E[1/((M+1)(M+2))], which
+    # carry the order sizes beyond the truncated pmf
+    dist = parse_dist_spec(spec)
+    with mpmath.workdps(30):
+        P = _mp_law(dist)[0]
+        want = [float(mpmath.quad(f, list(DECADES))) for f in (P, lambda x: (1 - x) * P(x))]
+    assert prelim._pgf_integrals(dist) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_conditional_depends_only_on_span():

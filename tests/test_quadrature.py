@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scipy import integrate
+from scipy.special import exp1
 
 from pickroute.quadrature import (
     IntegrationError,
@@ -32,13 +33,23 @@ def test_integrate_1d_polynomial():
 
 
 def test_integrate_1d_log_square_singularity():
-    value, _ = integrate_1d(lambda x: math.log1p(-x) ** 2, 0.0, 1.0)
+    value, _ = integrate_1d(lambda x: np.log1p(-x) ** 2, 0.0, 1.0)
     assert value == pytest.approx(2.0, rel=1e-9)
 
 
 def test_integrate_1d_x_log():
-    value, _ = integrate_1d(lambda x: -math.log1p(-x) * x, 0.0, 1.0)
+    value, _ = integrate_1d(lambda x: -np.log1p(-x) * x, 0.0, 1.0)
     assert value == pytest.approx(0.75, rel=1e-10)
+
+
+@pytest.mark.parametrize("f, exact", [
+    (lambda x: x * x, 1 / 3),
+    (lambda x: np.log1p(-x) ** 2, 2.0),
+    (lambda x: x * np.log1p(-x), -0.75),
+])
+def test_integrate_1d_error_estimate_bounds_error(f, exact):
+    value, err = integrate_1d(f, 0.0, 1.0)
+    assert abs(value - exact) <= err
 
 
 def test_integrate_1d_rejects_reversed_interval():
@@ -47,27 +58,29 @@ def test_integrate_1d_rejects_reversed_interval():
 
 
 def test_integrate_1d_failure_carries_partial_value():
-    # 1/x diverges at 0; QUADPACK never evaluates the endpoint itself
+    # 1/x diverges at 0; the rule never evaluates the endpoint itself
     with pytest.raises(IntegrationError) as info:
         integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
     assert math.isfinite(info.value.partial_value)
 
 
 def test_integrate_2d_examples():
-    assert integrate_2d(lambda s: 1.0, box_kernel)[0] == pytest.approx(1.0, abs=1e-10)
+    assert integrate_2d(np.ones_like, box_kernel)[0] == pytest.approx(1.0, abs=1e-10)
     # (x + y)^2 over the unit square: 2/3 + 2 * 1/4 = 7/6
     assert integrate_2d(lambda s: s * s, box_kernel)[0] == pytest.approx(7 / 6, abs=1e-10)
-    value, _ = integrate_2d(lambda s: 1.0, log_kernel)
+    value, _ = integrate_2d(np.ones_like, log_kernel)
     assert value == pytest.approx(1.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("kernel, w", [
-    (box_kernel, lambda x: 1.0),
-    (log_kernel, lambda x: math.log1p(-x)),
+    (box_kernel, lambda u: np.ones_like(u)),
+    (log_kernel, lambda u: np.log(u)),
 ])
 def test_kernels_against_direct_convolution(kernel, w):
+    # w is the weight as a function of 1 - x; the second factor's 1 - (s - x)
+    # is taken as (1 - s) + x, which keeps its digits at nodes next to x = s - 1
     for s in (1e-6, 0.5, 1 - 1e-9, 1.0, 1.5, 2 - 1e-6):
-        direct, _ = integrate_1d(lambda x: w(x) * w(s - x), max(0.0, s - 1.0), min(1.0, s))
+        direct, _ = integrate_1d(lambda x: w(1 - x) * w((1 - s) + x), max(0.0, s - 1.0), min(1.0, s))
         assert kernel(s) == pytest.approx(direct, rel=1e-9, abs=1e-13)
     assert kernel(0.0) == 0.0
     assert kernel(2.0) == 0.0
@@ -78,10 +91,18 @@ def test_integrate_2d_against_dblquad():
     for kernel, w in ((box_kernel, lambda x: 1.0), (log_kernel, lambda x: math.log1p(-x))):
         ref, _ = integrate.dblquad(lambda y, x: w(x) * w(y) * math.exp(x + y), 0.0, 1.0, 0.0, 1.0,
                                    epsabs=1e-13, epsrel=1e-13)
-        value, err = integrate_2d(math.exp, kernel)
+        value, err = integrate_2d(np.exp, kernel)
         assert value == pytest.approx(ref, rel=1e-9)
         assert err < 1e-9
-    assert integrate_2d(math.exp, box_kernel)[0] == pytest.approx((math.e - 1) ** 2, rel=1e-12)
+    assert integrate_2d(np.exp, box_kernel)[0] == pytest.approx((math.e - 1) ** 2, rel=1e-12)
+
+
+def test_integrate_2d_error_estimate_bounds_error():
+    # e^(x+y) against w(x) w(y): the square of int_0^1 w(x) e^x dx, which is
+    # e - 1 for w = 1 and -e (gamma + E1(1)) for w = log(1-x)
+    for kernel, one in ((box_kernel, math.e - 1), (log_kernel, -math.e * (np.euler_gamma + exp1(1.0)))):
+        value, err = integrate_2d(np.exp, kernel)
+        assert abs(value - one ** 2) <= err
 
 
 def test_gap_kernel_endpoints_and_domain():
@@ -112,5 +133,5 @@ def test_gap_kernel_bounded_near_zero():
 
 def test_gap_kernel_weighted_integral():
     # E[D^2] for a single uniform point: int_0^1 x^2 g(x) dx = 7/12
-    value, _ = integrate_1d(lambda x: x * x * gap_kernel(x) if x > 0 else 0.0, 0.0, 1.0)
+    value, _ = integrate_1d(lambda x: x * x * gap_kernel(x), 0.0, 1.0)
     assert value == pytest.approx(7 / 12, rel=1e-9)
