@@ -18,6 +18,13 @@ shifted neg. binomial  ``snbin:r:mean``         M = NegBin(r, p) + r
 =====================  =======================  ==========================
 
 PGF evaluations accept a ``float`` or a numpy array.
+
+The truncated pmfs come from log-pmfs in numpy that take 0 log 0 = 0.  The
+Poisson one does not go through log-gamma: at mean 1000, (m-1) log(lam) - lam
+- log (m-1)! falls from terms near 7,000 to a few units, which leaves errors
+up to 3e-12 in the probabilities above 1e-30 and 3e-13 in their sum.  It uses Loader's
+saddle-point form instead (C. Loader, "Fast and accurate computation of
+binomial probabilities", 2000), within 2e-13 of 40-digit mpmath there.
 """
 from __future__ import annotations
 
@@ -25,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
     "OrderSizeDistribution",
@@ -39,6 +45,52 @@ __all__ = [
 
 # ``pmf`` stops at the first m past which sum_{i>m} i^2 P(M = i) <= PMF_TAIL.
 PMF_TAIL = 1e-18
+
+_LOG_FACTORIAL = np.array([math.log(math.factorial(n)) for n in range(16)])
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+# log n! - (n + 1/2) log n + n - log(2 pi)/2 = sum_k c_k n^(1-2k), c_k = B_2k / (2k (2k-1))
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+# bd0 = (n - lam) v + 2 n sum_{j>=1} v^(2j+1) / (2j+1), v = (n - lam) / (n + lam), |v| < 0.1
+_BD0 = tuple(1 / (2 * j + 3) for j in range(8))
+
+
+def _horner(w, coeffs):
+    """sum_i coeffs[i] w^i."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * w + c
+    return acc
+
+
+def _poisson_logpmf(n: np.ndarray, lam: float) -> np.ndarray:
+    """log(lam^n e^-lam / n!) for integers n >= 0.  Below n = 16 it is the
+    direct sum; from there it is Loader's saddle-point form
+    -stirlerr(n) - bd0(n, lam) - log(2 pi n) / 2, with bd0 = n log(n/lam) + lam - n
+    summed as a series near n = lam, where the direct form cancels."""
+    if lam == 0:
+        return np.where(n == 0, 0.0, -math.inf)
+    out = np.empty(n.shape)
+    small = n < len(_LOG_FACTORIAL)
+    out[small] = n[small] * math.log(lam) - lam - _LOG_FACTORIAL[n[small]]
+    x = n[~small].astype(float)
+    diff = x - lam
+    v = diff / (x + lam)
+    near = np.abs(v) < 0.1
+    bd0 = np.empty(x.shape)
+    vn, w = v[near], v[near] ** 2
+    bd0[near] = diff[near] * vn + 2.0 * x[near] * vn * w * _horner(w, _BD0)
+    far = x[~near]
+    bd0[~near] = far * np.log(far / lam) - diff[~near]
+    r = 1.0 / x
+    out[~small] = -(_horner(r * r, _STIRLING) * r) - bd0 - (0.5 * np.log(x) + _HALF_LOG_2PI)
+    return out
+
+
+def _xlog(n: np.ndarray, log_y: float) -> np.ndarray:
+    """n log y for integers n >= 0 given log y, taking 0 log 0 = 0."""
+    if log_y == -math.inf:
+        return np.where(n == 0, 0.0, -math.inf)
+    return n * log_y
 
 
 def _exp(x):
@@ -171,7 +223,7 @@ class ShiftedPoisson(OrderSizeDistribution):
         return 1
 
     def _logpmf(self, m):
-        return xlogy(m - 1, self.lam) - self.lam - gammaln(m)
+        return _poisson_logpmf(m - 1, self.lam)
 
 
 @dataclass(frozen=True)
@@ -210,7 +262,8 @@ class Geometric(OrderSizeDistribution):
         return 1
 
     def _logpmf(self, m):
-        return math.log(self.p) + xlog1py(m - 1, -self.p)
+        log_q = math.log1p(-self.p) if self.p < 1 else -math.inf
+        return math.log(self.p) + _xlog(m - 1, log_q)
 
 
 @dataclass(frozen=True)
@@ -258,7 +311,8 @@ class ShiftedNegBinomial(OrderSizeDistribution):
         # would cancel to ~1e-12 in the tail
         n = m - self.r
         log_binom = sum(np.log1p(n / i) for i in range(1, self.r))
-        return log_binom + self.r * math.log(self.p) + xlog1py(n, -self.p)
+        log_q = math.log1p(-self.p) if self.p < 1 else -math.inf
+        return log_binom + self.r * math.log(self.p) + _xlog(n, log_q)
 
 
 def parse_dist_spec(text: str) -> OrderSizeDistribution:

@@ -8,6 +8,7 @@ being differences of nearly equal numbers); text cells exactly.
 """
 import csv
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,11 +33,6 @@ REL_TOL = 1e-12
 Z_ABS_TOL = 1e-9
 
 
-def run_case(name: str, out: Path) -> int:
-    flags, _ = CASES[name]
-    return main([name, str(CONFIG), *flags, "--out", str(out)])
-
-
 def _number(cell: str):
     try:
         value = float(cell)
@@ -54,10 +50,16 @@ def _cell_matches(column: str, got: str, want: str) -> bool:
     return abs(g - w) <= REL_TOL * abs(w)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_golden_csv(name, tmp_path):
-    out = tmp_path / f"{name}.csv"
-    assert run_case(name, out) == CASES[name][1]
+def case_args(name: str, out: Path) -> list[str]:
+    flags, _ = CASES[name]
+    return [name, str(CONFIG), *flags, "--out", str(out)]
+
+
+def run_case(name: str, out: Path) -> int:
+    return main(case_args(name, out))
+
+
+def assert_matches_golden(name: str, out: Path):
     golden = GOLDEN / f"{name}.csv"
     if name in BYTE_EXACT:
         assert out.read_bytes() == golden.read_bytes()
@@ -73,6 +75,39 @@ def test_golden_csv(name, tmp_path):
         assert len(row_got) == len(header)
         for column, g, w in zip(header, row_got, row_want):
             assert _cell_matches(column, g, w), (name, row_want[:3], column, g, w)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_csv(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert run_case(name, out) == CASES[name][1]
+    assert_matches_golden(name, out)
+
+
+# A fresh interpreter whose import system refuses scipy: every subcommand
+# must run on numpy alone.
+BLOCKED_SCIPY_RUN = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not available")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from pickroute.cli import main
+"""
+
+
+def test_golden_csv_without_scipy(tmp_path):
+    args = [case_args(name, tmp_path / f"{name}.csv") for name in CASES]
+    code = BLOCKED_SCIPY_RUN + f"print([main(args) for args in {args!r}])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr([status for _, status in CASES.values()])
+    for name in CASES:
+        assert_matches_golden(name, tmp_path / f"{name}.csv")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -129,10 +130,12 @@ def test_factorial2_matches_pmf_sum(dist):
     assert math.fsum(m * (m - 1) * pmf) == pytest.approx(dist.factorial2(), rel=1e-10)
 
 
+# lam = 0 and p = 1 take 0 log 0 = 0 without a log(0) warning
 PMF_LAWS = ALL_DISTS + [Geometric(1 / 40), ShiftedNegBinomial(3, 3 / 40),
                        ShiftedPoisson(0.0), Geometric(1.0), ShiftedNegBinomial(2, 1.0)]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dist", PMF_LAWS, ids=lambda d: repr(d))
 def test_pmf_matches_scipy_stats(dist):
     law = _scipy_law(dist)
@@ -147,6 +150,26 @@ def test_pmf_matches_scipy_stats(dist):
     short = dist.pmf(3)
     np.testing.assert_array_equal(short, p[:len(short)])
     assert len(short) == min(4, len(p))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mean", [1000.0, 10_001.0])
+def test_poisson_pmf_at_large_mean_matches_high_precision(mean):
+    # (m-1) log(lam) - lam - log (m-1)! cancels from ~7,000 to a few units at
+    # mean 1000: scipy.stats.poisson is off by 1.6e-12 near the mode there and
+    # sums to 1 + 3.2e-13 (1 + 1.4e-11 at mean 10,001), so the reference is
+    # 40-digit mpmath
+    dist = ShiftedPoisson(mean - 1.0)
+    p = dist.pmf(100_000)
+    lam = mpmath.mpf(dist.lam)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.exp((i - 1) * mpmath.log(lam) - lam - mpmath.loggamma(i)))
+                         for i in range(1, len(p))])
+    np.testing.assert_allclose(p[1:], want, rtol=1e-12, atol=0.0)
+    assert p[0] == 0.0
+    assert math.fsum(p) == pytest.approx(1.0, abs=1e-14)
+    rest = np.arange(len(p), len(p) + 100_000)
+    assert math.fsum(rest ** 2 * _scipy_law(dist).pmf(rest)) <= PMF_TAIL
 
 
 def test_geometric_pgf_dominates_poisson_at_equal_mean():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,12 +8,15 @@ from scipy import integrate
 from scipy.special import exp1
 
 from pickroute.quadrature import (
+    NODES,
     IntegrationError,
+    _S,
     box_kernel,
     gap_kernel,
     integrate_1d,
     integrate_2d,
     log_kernel,
+    spence,
 )
 
 
@@ -135,3 +139,29 @@ def test_gap_kernel_weighted_integral():
     # E[D^2] for a single uniform point: int_0^1 x^2 g(x) dx = 7/12
     value, _ = integrate_1d(lambda x: x * x * gap_kernel(x), 0.0, 1.0)
     assert value == pytest.approx(7 / 12, rel=1e-9)
+
+
+def _dilog_arguments():
+    """NODES, 1 - NODES, the arguments b = (1-s)/(2-s) that log_kernel keeps on
+    its node array (s < 1), and 2,000 seeded points of (0, 1)."""
+    s = _S[_S < 1.0]
+    rng = np.random.default_rng(20240)
+    return np.concatenate([NODES, 1.0 - NODES, (1.0 - s) / (2.0 - s), rng.random(2000)])
+
+
+def test_spence_matches_high_precision_dilogarithm():
+    z = _dilog_arguments()
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.polylog(2, 1 - mpmath.mpf(float(v)))) for v in z])
+    got = spence(z)
+    zero = want == 0.0   # z = 1, where 1 - NODES rounds up
+    assert np.all(got[zero] == 0.0)
+    assert np.max(np.abs(got - want)[~zero] / want[~zero]) <= 1e-15
+
+
+def test_spence_endpoints_and_domain():
+    assert spence(0.0) == math.pi ** 2 / 6
+    assert spence(1.0) == 0.0
+    # log_kernel discards the NaN it forms for s >= 1, where b <= 0
+    assert np.all(np.isnan(spence(np.array([-1e-300, -0.5, 1.0 + 2e-16, 2.0, np.inf, np.nan]))))
+    assert spence(np.array([0.0, 0.5, 1.0])).shape == (3,)
