@@ -25,7 +25,7 @@ from .orderdist import (
 from .prelim import AisleModel
 from .queueing import LeadTimeReport, QueueScenario, UnstableQueueError, erlang_c_wait_prob, lead_time_estimate
 from .quadrature import IntegrationError
-from .simulate import McEstimate, SampledOrder, route_time, run_replications_all, sample_order
+from .simulate import McEstimate, run_replications_all
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "OrderSizeDistribution",
     "PickTimeModel",
     "QueueScenario",
-    "SampledOrder",
     "ShiftedNegBinomial",
     "ShiftedPoisson",
     "UnstableQueueError",
@@ -55,7 +54,5 @@ __all__ = [
     "lead_time_estimate",
     "parse_dist_spec",
     "recommend",
-    "route_time",
     "run_replications_all",
-    "sample_order",
 ]

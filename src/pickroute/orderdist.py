@@ -45,6 +45,10 @@ __all__ = [
 
 # ``pmf`` stops at the first m past which sum_{i>m} i^2 P(M = i) <= PMF_TAIL.
 PMF_TAIL = 1e-18
+# ``pmf`` evaluates the log-pmf on this many order sizes first, then on blocks
+# three times as long as all before them: a law with no early cut costs a few
+# blocks, one that cuts early is not evaluated far past its cut
+_PMF_BLOCK = 512
 
 _LOG_FACTORIAL = np.array([math.log(math.factorial(n)) for n in range(16)])
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -142,15 +146,24 @@ class OrderSizeDistribution:
         of length n + 1 therefore means the law may have mass beyond n.
         """
         lo = self._support_start()
-        m = np.arange(lo, n + 2)
-        p = np.exp(self._logpmf(m))
-        t = m * m * p
+        # m = lo..n+1 block by block, each three times as long as all before
+        # it, up to the block that holds the cut
+        ps, t_prev, start, end = [], np.empty(0), lo, n
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = t[1:] / t[:-1]
-            cut = np.flatnonzero((r < 1) & (t[1:] / (1 - r) <= PMF_TAIL))
-        end = min(n, lo + int(cut[0])) if cut.size else n
+            while start <= n + 1:
+                m = np.arange(start, min(start + max(_PMF_BLOCK, 3 * (start - lo)), n + 2))
+                p = np.exp(self._logpmf(m))
+                ps.append(p)
+                t = np.concatenate((t_prev, m * m * p))  # t[0] is at m = start - t_prev.size
+                r = t[1:] / t[:-1]
+                cut = np.flatnonzero((r < 1) & (t[1:] / (1 - r) <= PMF_TAIL))
+                if cut.size:
+                    end = min(n, start - t_prev.size + int(cut[0]))
+                    break
+                start, t_prev = start + m.size, t[-1:]
         out = np.zeros(end + 1)
-        out[lo:] = p[:end + 1 - lo]
+        if ps:
+            out[lo:] = np.concatenate(ps)[:end + 1 - lo]
         return out
 
 

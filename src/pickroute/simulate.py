@@ -2,10 +2,9 @@
 directly, and estimate picking-time moments with standard errors.
 
 Each route-time equation is evaluated literally on sampled orders, so the
-simulator shares no code with the analytic moment formulas.  A scalar
-reference implementation (:func:`route_time`) defines the semantics; the
-replication driver uses an equivalent vectorized engine (consistency between
-the two is pinned by tests).
+simulator shares no code with the analytic moment formulas.  The engine is
+vectorized; tests pin it to an item-by-item scalar evaluation of the same
+equations (``route_time`` in ``tests/oracles.py``).
 
 Reproducibility: replications are processed in fixed-size batches, each with
 its own counter-based Philox stream keyed by (seed, batch index), so identical
@@ -20,11 +19,17 @@ per-order sums come back in submission order and the route times are formed
 from them once per batch, so neither the worker count nor the order in which
 chunks finish can change a bit.
 
-A chunk is sorted with one argsort of a packed (cell, position) key, redone
-with ``np.lexsort`` if two positions tied on it, and reduced by per-order
-``np.bincount`` sums over occupied cells only, so memory is O(items) whatever
-k.  They equal a row sum over all k aisles to the bit for k < 8; from k = 8
-numpy's pairwise row sum differs by < 1e-15 relative.
+A chunk is sorted by (cell, position) with one in-place value sort of a
+packed uint64 key: the cell in the high bits, the leading bits of the
+position's integer ``pos * 2**53`` next, and the item's index in the low bits,
+which reads the positions back with one gather.  If two positions in one cell
+tied on their bits and came out swapped, the chunk is sorted again with
+``np.lexsort``.  Per-order sums are ``np.bincount`` sums over occupied cells
+only, so memory is O(items) whatever k; the largest-gap and half-aisle maxima
+are formed for interior cells only (neither the first nor the last occupied
+cell of an order), the only ones that enter those sums.  The sums equal a row
+sum over all k aisles to the bit for k < 8; from k = 8 numpy's pairwise row
+sum differs by < 1e-15 relative.
 """
 from __future__ import annotations
 
@@ -39,17 +44,10 @@ import numpy as np
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig
 from .orderdist import OrderSizeDistribution
 
-__all__ = ["SampledOrder", "McEstimate", "sample_order", "route_time",
-           "run_replications_all", "route_times_batch"]
+__all__ = ["McEstimate", "run_replications_all", "route_times_batch"]
 
 _BATCH = 1 << 17  # fixed batch size; part of the reproducible stream layout
 _CHUNK = 1 << 16  # items sorted and reduced at once; chunks hold whole orders
-
-
-@dataclass(frozen=True)
-class SampledOrder:
-    m: int
-    items: tuple  # ((aisle in 1..k, position in [0,1]), ...)
 
 
 @dataclass(frozen=True)
@@ -64,74 +62,6 @@ class McEstimate:
 def _rng_for_batch(seed: int, batch: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=(batch,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_order(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                 rng: np.random.Generator) -> SampledOrder:
-    """One order: size from the distribution, uniform aisle and position per item."""
-    m = int(dist.sample(rng))
-    aisles = rng.integers(1, cfg.k + 1, size=m)
-    positions = rng.random(m)
-    return SampledOrder(m, tuple((int(a), float(p)) for a, p in zip(aisles, positions)))
-
-
-def route_time(cfg: WarehouseConfig, heuristic: str, order: SampledOrder,
-               pick_samples) -> float:
-    """Total picking time of one order under the named heuristic.
-
-    ``pick_samples`` holds one pick duration per item.  Largest gaps count the
-    spacings to both aisle ends; the midpoint split sends an item exactly at
-    the middle to the back half.
-    """
-    if order.m < 1 or not order.items:
-        raise ValueError("route_time requires a nonempty order")
-    if len(pick_samples) != order.m:
-        raise ValueError("pick_samples length must equal the order size")
-    k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
-
-    per_aisle: dict[int, list[float]] = {}
-    for aisle, pos in order.items:
-        per_aisle.setdefault(aisle, []).append(pos)
-    kplus = max(per_aisle)
-    kminus = min(per_aisle)
-    t_pick = float(sum(pick_samples))
-    t_cross = (2.0 * wa / v) * (kplus - 1)
-
-    if heuristic == "return":
-        within = sum(max(ps) for ps in per_aisle.values())
-        return t_pick + (2.0 * l / v) * within + t_cross
-
-    if heuristic == "midpoint":
-        within = 0.0
-        for aisle in range(kminus + 1, kplus):
-            ps = per_aisle.get(aisle)
-            if not ps:
-                continue
-            front = [p for p in ps if p < 0.5]
-            back = [p for p in ps if p >= 0.5]
-            a_f = max(front) / 0.5 if front else 0.0
-            a_b = (1.0 - min(back)) / 0.5 if back else 0.0
-            within += a_f + a_b
-        return t_pick + (l / v) * within + 2.0 * l / v + t_cross
-
-    if heuristic == "largest-gap":
-        within = 0.0
-        for aisle in range(kminus + 1, kplus):
-            ps = per_aisle.get(aisle)
-            if not ps:
-                continue  # empty aisle: the whole aisle is the gap
-            sp = sorted(ps)
-            gaps = [sp[0]] + [b - a for a, b in zip(sp, sp[1:])] + [1.0 - sp[-1]]
-            within += 1.0 - max(gaps)
-        return t_pick + (2.0 * l / v) * within + 2.0 * l / v + t_cross
-
-    if heuristic == "s-shaped":
-        occupied = len(per_aisle)
-        odd = occupied % 2
-        a_last = max(per_aisle[kplus])
-        return t_pick + (l / v) * (occupied + odd * (2.0 * a_last - 1.0)) + t_cross
-
-    raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
 
 
 def _pick_sums(pick: PickTimeModel, m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -149,19 +79,32 @@ def _pick_sums(pick: PickTimeModel, m: np.ndarray, rng: np.random.Generator) -> 
 def _sort_cells(cell: np.ndarray, pos: np.ndarray, n_cells: int):
     """Items sorted by (cell, position), exactly as ``np.lexsort((pos, cell))``.
 
-    The uint64 key holds the cell in its high bits and the leading ``shift``
-    bits of the integer ``pos * 2**53`` (pos in [0, 1)) in its low bits.
+    One uint64 key per item holds the cell in its high bits, then the leading
+    ``pb`` bits of the integer ``pos * 2**53`` (pos in [0, 1)), then the item's
+    index in its low bits; the key is sorted by value and the index reads the
+    positions back.
     """
-    shift = min(53, 64 - (n_cells - 1).bit_length())
-    key = cell.astype(np.uint64) << np.uint64(shift)
-    key |= (pos * 2.0 ** 53).astype(np.uint64) >> np.uint64(53 - shift)
-    order = np.argsort(key)
-    sc, sp = cell[order], pos[order]
-    # positions in one cell that tied on the key may have come out swapped
-    if np.any((sc[1:] == sc[:-1]) & (sp[1:] < sp[:-1])):
-        order = np.lexsort((pos, cell))
-        sc, sp = cell[order], pos[order]
-    return sc, sp
+    index_bits = (max(cell.size, 1) - 1).bit_length()
+    pb = min(53, 64 - (n_cells - 1).bit_length() - index_bits)
+    if pb >= 1:
+        shift = np.uint64(pb + index_bits)
+        key = cell.astype(np.uint64)
+        key <<= shift
+        # pos * 2**pb is exact, so truncation keeps the leading pb bits of pos * 2**53
+        bits = (pos * 2.0 ** pb).astype(np.uint64)
+        bits <<= np.uint64(index_bits)
+        key |= bits
+        key |= np.arange(cell.size, dtype=np.uint64)
+        key.sort()
+        np.bitwise_and(key, np.uint64((1 << index_bits) - 1), out=bits)
+        sp = np.take(pos, bits.view(np.intp))
+        key >>= shift
+        sc = key.view(np.int64)
+        # positions in one cell that tied on the key may have come out swapped
+        if not np.any((sc[1:] == sc[:-1]) & (sp[1:] < sp[:-1])):
+            return sc, sp
+    order = np.lexsort((pos, cell))
+    return cell[order], pos[order]
 
 
 def _workers() -> int:
@@ -182,32 +125,43 @@ def _chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray):
     sc, sp = _sort_cells(aisle + np.repeat(np.arange(0, n * k, k), m), pos, n * k)
     starts = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))
     ends = np.append(starts[1:], sc.size)
-    oid, cell_aisle = np.divmod(sc[starts], k)
-
+    cells = sc[starts]
+    oid = cells // k
     # furthest item: positions are sorted within each cell
     a = sp[ends - 1]
-    # largest gap: max of (first position, inner spacings, trailing space)
-    gap_before = np.diff(sp, prepend=0.0)
-    gap_before[starts] = sp[starts]
-    d = np.maximum(np.maximum.reduceat(gap_before, starts), 1.0 - a)
-    # half-aisle maxima, as fractions of the half length: front-half items
-    # come first in a cell, so its back half starts at index `split`
-    n_front = np.concatenate(([0], np.cumsum(sp < 0.5)))
-    split = starts + (n_front[ends] - n_front[starts])
-    af = np.where(split > starts, sp[split - 1], 0.0) * 2.0
-    ab = np.where(split < ends, 1.0 - sp[np.minimum(split, sc.size - 1)], 0.0) * 2.0
 
     # every order has an item, so it owns a run of occupied cells: the first
     # and last are aisles kminus and kplus, the others are interior
     new_order = oid[1:] != oid[:-1]
     o_last = np.concatenate((new_order, [True]))
-    interior = ~(np.concatenate(([True], new_order)) | o_last)
-    return (cell_aisle[o_last] + 1,
+    s_mid, s_gap = np.zeros((2, n))
+    inner = np.flatnonzero(~(new_order[1:] | new_order[:-1])) + 1
+    if inner.size:
+        i_start, i_end, i_oid = starts[inner], ends[inner], oid[inner]
+        # largest gap: max of (first position, inner spacings, trailing
+        # space); the last cell of a chunk is never interior, so i_end < size
+        gap_before = np.empty_like(sp)
+        gap_before[0] = sp[0]
+        np.subtract(sp[1:], sp[:-1], out=gap_before[1:])
+        gap_before[i_start] = sp[i_start]
+        bounds = np.empty(2 * inner.size, dtype=np.intp)
+        bounds[0::2], bounds[1::2] = i_start, i_end
+        d = np.maximum(np.maximum.reduceat(gap_before, bounds)[0::2], 1.0 - a[inner])
+        # half-aisle maxima, as fractions of the half length: front-half
+        # items come first in a cell, so its back half starts at `split`
+        n_front = np.empty(sc.size + 1, dtype=np.intp)
+        n_front[0] = 0
+        np.cumsum(sp < 0.5, out=n_front[1:])
+        split = i_start + (n_front[i_end] - n_front[i_start])
+        af = np.where(split > i_start, sp[split - 1], 0.0) * 2.0
+        ab = np.where(split < i_end, 1.0 - sp[split], 0.0) * 2.0
+        s_mid = np.bincount(i_oid, weights=af + ab, minlength=n)
+        s_gap = np.bincount(i_oid, weights=1.0 - d, minlength=n)
+    return (cells[o_last] % k + 1,
             np.bincount(oid, minlength=n),
             a[o_last],
             np.bincount(oid, weights=a, minlength=n),
-            np.bincount(oid, weights=(af + ab) * interior, minlength=n),
-            np.bincount(oid, weights=(1.0 - d) * interior, minlength=n))
+            s_mid, s_gap)
 
 
 def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,

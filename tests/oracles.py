@@ -14,19 +14,24 @@ k = 512.  Two exceptions use the PGF: ``far_item_kplus_cross`` is the
 per-aisle formula that the package only uses summed over aisles, and
 ``occupancy_blocks_mp`` is the alternating-sum form of the package's
 occupancy blocks, evaluated in mpmath at 40 + 0.6k digits.
+
+``route_time`` evaluates one sampled order's route literally, item by item:
+the scalar definition that the vectorized Monte Carlo engine must reproduce.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from scipy import integrate
 
-from pickroute.heuristics import HEURISTICS
-from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson
+from pickroute.heuristics import HEURISTICS, WarehouseConfig
+from pickroute.orderdist import Deterministic, Geometric, OrderSizeDistribution, ShiftedPoisson
 
 
 def harmonic(n: int) -> Fraction:
@@ -442,3 +447,77 @@ def span_blocks_mp(model, d: int, points=(0, 1), dps: int = 30) -> dict:
                     float(prob - 2 * int_phi + box), float(dphi1 - prob + int_phi),
                     float(dphi1 - prob + phi(0)), float(dpsi1 - bracket))
     return {"gap": gap, "far_half": far_half}
+
+
+@dataclass(frozen=True)
+class SampledOrder:
+    m: int
+    items: tuple  # ((aisle in 1..k, position in [0,1]), ...)
+
+
+def sample_order(cfg: WarehouseConfig, dist: OrderSizeDistribution,
+                 rng: np.random.Generator) -> SampledOrder:
+    """One order: size from the distribution, uniform aisle and position per item."""
+    m = int(dist.sample(rng))
+    aisles = rng.integers(1, cfg.k + 1, size=m)
+    positions = rng.random(m)
+    return SampledOrder(m, tuple((int(a), float(p)) for a, p in zip(aisles, positions)))
+
+
+def route_time(cfg: WarehouseConfig, heuristic: str, order: SampledOrder,
+               pick_samples) -> float:
+    """Total picking time of one order under the named heuristic.
+
+    ``pick_samples`` holds one pick duration per item.  Largest gaps count the
+    spacings to both aisle ends; the midpoint split sends an item exactly at
+    the middle to the back half.
+    """
+    if order.m < 1 or not order.items:
+        raise ValueError("route_time requires a nonempty order")
+    if len(pick_samples) != order.m:
+        raise ValueError("pick_samples length must equal the order size")
+    k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
+
+    per_aisle: dict[int, list[float]] = {}
+    for aisle, pos in order.items:
+        per_aisle.setdefault(aisle, []).append(pos)
+    kplus = max(per_aisle)
+    kminus = min(per_aisle)
+    t_pick = float(sum(pick_samples))
+    t_cross = (2.0 * wa / v) * (kplus - 1)
+
+    if heuristic == "return":
+        within = sum(max(ps) for ps in per_aisle.values())
+        return t_pick + (2.0 * l / v) * within + t_cross
+
+    if heuristic == "midpoint":
+        within = 0.0
+        for aisle in range(kminus + 1, kplus):
+            ps = per_aisle.get(aisle)
+            if not ps:
+                continue
+            front = [p for p in ps if p < 0.5]
+            back = [p for p in ps if p >= 0.5]
+            a_f = max(front) / 0.5 if front else 0.0
+            a_b = (1.0 - min(back)) / 0.5 if back else 0.0
+            within += a_f + a_b
+        return t_pick + (l / v) * within + 2.0 * l / v + t_cross
+
+    if heuristic == "largest-gap":
+        within = 0.0
+        for aisle in range(kminus + 1, kplus):
+            ps = per_aisle.get(aisle)
+            if not ps:
+                continue  # empty aisle: the whole aisle is the gap
+            sp = sorted(ps)
+            gaps = [sp[0]] + [b - a for a, b in zip(sp, sp[1:])] + [1.0 - sp[-1]]
+            within += 1.0 - max(gaps)
+        return t_pick + (2.0 * l / v) * within + 2.0 * l / v + t_cross
+
+    if heuristic == "s-shaped":
+        occupied = len(per_aisle)
+        odd = occupied % 2
+        a_last = max(per_aisle[kplus])
+        return t_pick + (l / v) * (occupied + odd * (2.0 * a_last - 1.0)) + t_cross
+
+    raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")

@@ -152,6 +152,34 @@ def test_pmf_matches_scipy_stats(dist):
     assert len(short) == min(4, len(p))
 
 
+def _pmf_in_one_block(dist, n):
+    """``pmf(n)`` with the log-pmf evaluated on all of m = lo..n+1 at once."""
+    lo = dist._support_start()
+    m = np.arange(lo, n + 2)
+    p = np.exp(dist._logpmf(m))
+    t = m * m * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = t[1:] / t[:-1]
+        cut = np.flatnonzero((r < 1) & (t[1:] / (1 - r) <= PMF_TAIL))
+    end = min(n, lo + int(cut[0])) if cut.size else n
+    out = np.zeros(end + 1)
+    out[lo:] = p[:end + 1 - lo]
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("dist", PMF_LAWS + [ShiftedPoisson(999.0)], ids=lambda d: repr(d))
+def test_pmf_blocks_match_one_block(dist, block, monkeypatch):
+    # blocks end at m = lo + B - 1, lo + 4B - 1, ...: requests and cuts on
+    # either side of those ends give the same array as one block; small B
+    # puts block ends next to the cuts
+    import pickroute.orderdist as od
+    if block is not None:
+        monkeypatch.setattr(od, "_PMF_BLOCK", block)
+    for n in (0, 1, 3, 510, 511, 512, 2046, 2047, 2048, 2896, 100_000):
+        np.testing.assert_array_equal(dist.pmf(n), _pmf_in_one_block(dist, n))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mean", [1000.0, 10_001.0])
 def test_poisson_pmf_at_large_mean_matches_high_precision(mean):

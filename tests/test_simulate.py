@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import SampledOrder, route_time, sample_order
 from pickroute import (
     Deterministic,
     Geometric,
     HEURISTICS,
     PickTimeModel,
     WarehouseConfig,
-    route_time,
     parse_dist_spec,
     run_replications_all,
-    sample_order,
 )
-from pickroute.simulate import SampledOrder, _sort_cells, route_times_batch
+from pickroute.simulate import _chunk_sums, _rng_for_batch, _sort_cells, route_times_batch
 
 CFG = WarehouseConfig(3, 20.0, 2.5, 1.0)
 
@@ -28,27 +27,21 @@ def test_sample_order_shapes():
 
 
 def test_sample_order_uniformity():
-    rng = np.random.default_rng(3)
-    cfg = WarehouseConfig(2, 10.0, 1.0, 1.0)
+    # the engine's own draws: sizes, then one aisle per item from the batch stream
+    rng = _rng_for_batch(3, 0)
     n = 200_000
-    sizes = []
-    in_first = 0
-    total = 0
-    for _ in range(n):
-        order = sample_order(cfg, Deterministic(4), rng)
-        sizes.append(order.m)
-        in_first += sum(1 for a, _ in order.items if a == 1)
-        total += order.m
-    assert set(sizes) == {4}
-    frac = in_first / total
+    sizes = Deterministic(4).sample(rng, size=n)
+    assert set(sizes.tolist()) == {4}
+    aisle = rng.integers(0, 2, size=int(sizes.sum()))
+    total = aisle.size
+    frac = np.count_nonzero(aisle == 0) / total
     se = math.sqrt(0.25 / total)
     assert abs(frac - 0.5) < 4 * se
 
 
 def test_sample_order_geometric_mean():
-    rng = np.random.default_rng(4)
-    cfg = WarehouseConfig(2, 10.0, 1.0, 1.0)
-    sizes = np.array([sample_order(cfg, Geometric(0.5), rng).m for _ in range(200_000)], float)
+    rng = _rng_for_batch(4, 0)
+    sizes = Geometric(0.5).sample(rng, size=200_000).astype(float)
     assert abs(sizes.mean() - 2.0) < 4 * sizes.std() / math.sqrt(len(sizes))
 
 
@@ -86,11 +79,14 @@ def test_route_time_validation():
 
 def test_vectorized_engine_matches_scalar_reference(monkeypatch):
     import pickroute.simulate as sim
-    # k = 9 with 300-item chunks: the batch spans at least three chunks; a
-    # non-zero pick time pins the gamma draw after every chunk's positions
+    # k = 9 and k = 3 with 300-item chunks: the batch spans at least three
+    # chunks; a non-zero pick time pins the gamma draw after every chunk's
+    # positions.  At k = 3 only aisle 2 can be interior, and only when aisles
+    # 1 and 3 are occupied as well.
     for k, chunk, pick in ((4, sim._CHUNK, PickTimeModel(0.0, 0.0)),
                            (9, 300, PickTimeModel(0.0, 0.0)),
-                           (9, 300, PickTimeModel.from_scv(4.0, 0.7))):
+                           (9, 300, PickTimeModel.from_scv(4.0, 0.7)),
+                           (3, 300, PickTimeModel.from_scv(4.0, 0.7))):
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         cfg = WarehouseConfig(k, 17.0, 2.0, 1.3)
         dist = Geometric(1 / 5)
@@ -101,13 +97,17 @@ def test_vectorized_engine_matches_scalar_reference(monkeypatch):
         rng = sim._rng_for_batch(123, 0)
         m = dist.sample(rng, size=n)
         total = int(m.sum())
-        if k == 9:
+        if chunk == 300:
             assert total >= 3 * chunk
         oid = np.repeat(np.arange(n), m)
         aisle = rng.integers(0, cfg.k, size=total)
         pos = rng.random(total)
         picks = (rng.gamma((1.0 / pick.scv) * m, pick.mean * pick.scv)
                  if pick.mean else np.zeros(n))
+        if k == 3:
+            occupied = np.zeros((n, k), dtype=bool)
+            occupied[oid, aisle] = True
+            assert np.any(occupied.all(axis=1))
         for i in range(n):
             sel = oid == i
             order = SampledOrder(int(m[i]), tuple(
@@ -117,6 +117,19 @@ def test_vectorized_engine_matches_scalar_reference(monkeypatch):
             for h in HEURISTICS:
                 expect = route_time(cfg, h, order, pick_samples)
                 assert times[h][i] == pytest.approx(expect, rel=1e-12), (k, h, i)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_chunk_sums_without_interior_cells_are_zero(k):
+    # with at most two aisles no occupied cell lies between an order's first
+    # and last, so the midpoint and largest-gap sums are exactly zero
+    rng = _rng_for_batch(11, 0)
+    m = parse_dist_spec("geom:8").sample(rng, size=2_000)
+    aisle = rng.integers(0, k, size=int(m.sum()))
+    sums = _chunk_sums(k, aisle, rng.random(aisle.size), m)
+    assert all(s.size == m.size for s in sums)
+    for s in sums[4:]:
+        assert s.dtype == np.float64 and np.all(s == 0.0)
 
 
 @pytest.mark.parametrize("spec", ["det:3", "geom:32", "snbin:3:9"])
@@ -278,14 +291,32 @@ def test_sort_cells_tie_falls_back_to_lexsort(monkeypatch):
 
 
 def test_sort_cells_small_batch_uses_full_key(monkeypatch):
-    # with 2**11 cells or fewer all 53 position bits fit (the shift is capped
-    # at 53), so even adjacent doubles never tie and no fallback is taken
+    # 2**3 cells and 2**8 items take 11 key bits, which leaves all 53
+    # position bits (capped at 53), so even adjacent doubles never tie and no
+    # fallback is taken
     rng = np.random.default_rng(5)
-    cell = rng.integers(0, 1 << 8, size=50_000)
+    cell = rng.integers(0, 1 << 3, size=1 << 8)
     pos = rng.random(cell.size)
     cell[:2] = 7
     pos[:2] = [np.nextafter(0.7, 1.0), 0.7]
     expect_c, expect_p = _lexsorted(cell, pos)
     monkeypatch.setattr(np, "lexsort", None)
-    sc, sp = _sort_cells(cell, pos, 1 << 8)
+    sc, sp = _sort_cells(cell, pos, 1 << 3)
+    assert np.array_equal(sc, expect_c) and np.array_equal(sp, expect_p)
+
+
+@pytest.mark.parametrize("cell_bits", [60, 62])
+def test_sort_cells_without_position_bits_uses_lexsort(cell_bits, monkeypatch):
+    # with 16 items (4 index bits) 2**60 cells leave no position bit in the
+    # key, and 2**62 cells would not even fit the cell and index
+    rng = np.random.default_rng(6)
+    cell = rng.integers(0, 1 << cell_bits, size=16)
+    cell[8:] = cell[:8]
+    pos = rng.random(cell.size)
+    expect_c, expect_p = _lexsorted(cell, pos)
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    sc, sp = _sort_cells(cell, pos, 1 << cell_bits)
+    assert calls == [1]
     assert np.array_equal(sc, expect_c) and np.array_equal(sp, expect_p)
