@@ -9,7 +9,6 @@ from pickroute.prelim import (
     AisleModel,
     far_item_moments,
     gap_moments,
-    iodd_mean,
     kplus_moments,
     occupancy_law,
 )
@@ -27,9 +26,9 @@ for name, make in (("geometric", lambda m: Geometric(1 / m)),
         kp, _, _ = kplus_moments(model)
         a, _, _ = far_item_moments(model)
         g, _, _ = gap_moments(model)
-        _, occ_mean, _, _ = occupancy_law(model)
+        pmf, occ_mean, _ = occupancy_law(model)
         print(f"{mean:5d} {kp:9.3f} {a:7.3f} {g:7.3f} {occ_mean:13.3f} "
-              f"{iodd_mean(model):13.3f}")
+              f"{sum(pmf[::2]):13.3f}")
     print()
 
 print("interpretation: with more items per order the picker must reach the far")

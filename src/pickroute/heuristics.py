@@ -183,24 +183,27 @@ def _sshaped(cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel) -> Mo
     P, Pp = model.dist.pgf, model.dist.pgf_prime
     em, ep = model.dist.mean(), pick.mean
 
-    pmf, ei, ei2, cp = prelim.occupancy_law(model)
+    # the blocks are C(k, j) times the same moments on the occupied set {1..j}
+    pmf, ei, ei2 = prelim.occupancy_law(model)
     odd = range(1, k + 1, 2)
     e_iodd = math.fsum(pmf[j - 1] for j in odd)
     e_iodd_i = math.fsum(j * pmf[j - 1] for j in odd)
     e_mi = k * em - (k - 1) * Pp((k - 1) / k)
     e_ki = k * k - k * (k + 1) * P((k - 1) / k) + math.fsum(P((j - 1) / k) for j in range(1, k + 1))
     # kplus and an odd occupied count: a set of odd size j has maximum m in
-    # C(m-1, j-1) ways, and sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1)
-    e_iodd_k = math.fsum(j * math.comb(k + 1, j + 1) * cp[j - 1] for j in odd)
+    # C(m-1, j-1) ways, and sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1),
+    # with C(k+1, j+1) / C(k, j) = (k+1)/(j+1)
+    e_iodd_k = math.fsum(j * (k + 1) / (j + 1) * pmf[j - 1] for j in odd)
+    # N_1 needs aisle 1 occupied: C(k-1, j-1) / C(k, j) = j/k
     w = prelim.contiguous_count_prime(model)
-    e_m_iodd = math.fsum(math.comb(k - 1, j - 1) * w[j] for j in odd)
+    e_m_iodd = math.fsum(j / k * w[j] for j in odd)
 
     far, far2, mfar = prelim.contiguous_far_moments(model)
-    e_iodd_a = math.fsum(math.comb(k, j) * far[j] for j in odd)
-    e_iodd_a2 = math.fsum(math.comb(k, j) * far2[j] for j in odd)
-    e_iodd_a_i = math.fsum(j * math.comb(k, j) * far[j] for j in odd)
-    e_iodd_a_k = math.fsum(j * math.comb(k + 1, j + 1) * far[j] for j in odd)
-    e_m_iodd_a = math.fsum(math.comb(k, j) * mfar[j] for j in odd)
+    e_iodd_a = math.fsum(far[j] for j in odd)
+    e_iodd_a2 = math.fsum(far2[j] for j in odd)
+    e_iodd_a_i = math.fsum(j * far[j] for j in odd)
+    e_iodd_a_k = math.fsum(j * (k + 1) / (j + 1) * far[j] for j in odd)
+    e_m_iodd_a = math.fsum(mfar[j] for j in odd)
 
     e_tw = (l / v) * ei + (2 * l / v) * e_iodd_a - (l / v) * e_iodd
     terms = {

@@ -9,8 +9,8 @@ an order-size distribution) and is expressed through the order-size PGF:
 * largest-gap moments per aisle (the part of an aisle a picker can skip),
 * the same two quantities for one interior unit (half-aisle or aisle), joint
   with the event that the occupied aisles span a fixed distance d,
-* classical occupancy quantities: law of the number of occupied aisles,
-  probability the occupied set is a fixed contiguous set, odd-count indicator.
+* classical occupancy quantities: law of the number of occupied aisles, and
+  the furthest item of the last occupied aisle joint with it.
 
 Conditional-event formulas depend on the aisle span ``d = kplus - kminus``
 only, never on the individual aisle indices.  The span-d blocks take an array
@@ -19,38 +19,51 @@ rule in :mod:`pickroute.quadrature`; their PGF terms are differences of
 P((j + x)/h) over neighbouring offsets j, which all spans share.
 
 The occupancy quantities are PGF sums with alternating signs, which cancel
-like 3^k.  They are instead taken from one table of positive numbers,
+like 3^k.  They are instead taken from one table of numbers in [0, 1],
 
-    a_m(j) = j! S(m, j) / k^m = P(m items occupy exactly aisles {1..j}),
+    q_m(j) = C(k, j) j! S(m, j) / k^m = P(m items occupy exactly j aisles),
 
 S the Stirling numbers of the second kind, built by the classical occupancy
-chain (Feller, vol. 1, ch. II): a_0 = [j = 0] and
-a_{m+1}(j) = (j/k) (a_m(j) + a_m(j-1)), item m+1 landing in one of the j
-aisles.  With p_m = P(M = m), the identities
-sum_l (-1)^(j-l) C(j, l) l^m = j! S(m, j) and its shifted form
+chain (Feller, vol. 1, ch. II): q_0 = [j = 0] and
+q_{m+1}(j) = (j/k) q_m(j) + ((k-j+1)/k) q_m(j-1), item m+1 landing in one of
+the j occupied aisles or in one of the k-j+1 empty ones.  With p_m = P(M = m),
+the identities sum_l (-1)^(j-l) C(j, l) l^m = j! S(m, j) and its shifted form
 sum_l (-1)^(j-1-l) C(j-1, l) (l+1)^(m-1) = (j-1)! S(m, j) turn each sum into
-a sum of non-negative terms (A_j is the furthest item of aisle j, N_1 the item
-count of aisle 1, "set" the event that the occupied set is {1..j}):
+a sum of non-negative terms.  Each block is C(k, j) times a moment on the
+occupied set {1..j} ("set"; A_j is the furthest item of aisle j, N_1 the item
+count of aisle 1, I the occupied count, A the furthest item of the last
+occupied aisle):
 
-    cp[j]   = P(set)             = sum_m p_m a_m(j)
-    w[j]    = k E[N_1 1{set}]    = (k/j) sum_m m p_m a_m(j)
-    far[j]  = E[A_j 1{set}]      = (k/j) sum_m p_m (1 - j/(m+1)) a_{m+1}(j)
-    mfar[j] = E[M A_j 1{set}]    = (k/j) sum_m m p_m (1 - j/(m+1)) a_{m+1}(j)
-    far2[j] = E[A_j^2 1{set}]    = (k/j) sum_m p_m [a_{m+1}(j)
-                                   - 2k (m+2-j) / ((m+1)(m+2)) a_{m+2}(j)]
+    cp[j]   = C(k, j) P(set)             = P(I = j)  = sum_m p_m q_m(j)
+    w[j]    = C(k, j) k E[N_1 1{set}]                = (k/j) sum_m m p_m q_m(j)
+    far[j]  = C(k, j) E[A_j 1{set}]      = E[A 1{I = j}]
+            = (k/j) sum_m p_m (1 - j/(m+1)) q_{m+1}(j)
+    mfar[j] = C(k, j) E[M A_j 1{set}]    = (k/j) sum_m m p_m (1 - j/(m+1)) q_{m+1}(j)
+    far2[j] = C(k, j) E[A_j^2 1{set}]    = (k/j) sum_m p_m [q_{m+1}(j)
+                                           - 2k (m+2-j) / ((m+1)(m+2)) q_{m+2}(j)]
+
+Sums over sets of j aisles that need another binomial take it as a ratio to
+C(k, j), which would overflow a double from k ~ 1,030:
+C(k+1, j+1) / C(k, j) = (k+1)/(j+1) and C(k-1, j-1) / C(k, j) = j/k.
 
 The rows run over the order sizes of the truncated pmf, and stop at the
 latest at the n past which all k aisles are occupied but for probability
 1e-18.  Beyond n only column k gains mass, through the tail sums
 sum_{m>n} p_m {1, m, 1/(m+1), 1/((m+1)(m+2))}; they are totals minus head
-sums, the totals being 1, E[M], int_0^1 P and int_0^1 (1-x) P.
+sums, the totals being 1, E[M], int_0^1 P and int_0^1 (1-x) P.  The rows are
+built in blocks: a block's first row is one chain step past the row before
+it, and the block doubles from there, rows m+h..m+2h-1 = rows m..m+h-1 times
+T^h, with T the bidiagonal chain matrix and T^2, T^4, ... squared once per
+table.  A doubled row costs (k+1)^2 multiply-adds against a few numpy calls
+for a chain step, so blocks are 512 rows long below k = 64, 64 rows below
+k = 128 and one row (the chain alone) from there.  At most 514 rows are held
+at a time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -62,7 +75,6 @@ __all__ = [
     "kplus_moments",
     "cond_pair_pgf",
     "cond_pair_pgf_prime1",
-    "pair_event_prob",
     "far_item_moments",
     "sum_far_item_kplus_cross",
     "m_far_cross",
@@ -71,7 +83,6 @@ __all__ = [
     "far_half_cond_moments",
     "gap_cond_moments",
     "occupancy_law",
-    "iodd_mean",
     "contiguous_far_moments",
     "contiguous_count_prime",
 ]
@@ -103,9 +114,9 @@ def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     return mean, second, cross_m
 
 
-def _check_span(k: int, d, lo: int) -> None:
-    if np.any((d < lo) | (d > k - 1)):
-        raise ValueError(f"span d must lie in {lo}..{k - 1}, got {d}")
+def _check_span(k: int, d) -> None:
+    if np.any((d < 2) | (d > k - 1)):
+        raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
 
 
 def _pgf_differences(P, top, step: int, x, h: int, order: int):
@@ -136,23 +147,16 @@ def cond_pair_pgf(model: AisleModel, z, y, d, u: int):
     the result is shaped d.shape + (z + y).shape.
     """
     k, P = model.k, model.dist.pgf
-    _check_span(k, d, 2)
+    _check_span(k, d)
     return _pgf_differences(P, u * (np.asarray(d) + 1) - 2, u, z + y, u * k, 2)
 
 
 def cond_pair_pgf_prime1(model: AisleModel, d, u: int):
     """d/dz of ``cond_pair_pgf`` at z = 1, y = 1 (= E[X 1{event}] for interior X)."""
     k, Pp = model.k, model.dist.pgf_prime
-    _check_span(k, d, 2)
+    _check_span(k, d)
     o, h = u * (d + 1) - 2, u * k
     return (Pp((o + 2) / h) - 2 * Pp((o + 2 - u) / h) + Pp((o + 2 - 2 * u) / h)) / h
-
-
-def pair_event_prob(model: AisleModel, d: int) -> float:
-    """P(kplus = j, kminus = l) for any fixed pair with j - l = d >= 1."""
-    k, P = model.k, model.dist.pgf
-    _check_span(k, d, 1)
-    return P((d + 1) / k) - 2 * P(d / k) + P((d - 1) / k)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,10 @@ def far_half_cond_moments(model: AisleModel, d) -> SpanCond:
 
     def integrands(z):
         phi = cond_pair_pgf(model, z, 1.0, spans, 2)
-        return np.stack([phi, phi * z])
+        out = np.empty((2,) + phi.shape)   # filled in place, as in gap_cond_moments
+        out[0] = phi
+        np.multiply(phi, z, out=out[1])
+        return out
 
     (int_phi, int_zphi), _ = integrate_1d(integrands)
 
@@ -325,11 +332,18 @@ def far_half_cond_moments(model: AisleModel, d) -> SpanCond:
 
 
 # ---------------------------------------------------------------------------
-# occupancy problem: number of occupied aisles, contiguous sets, odd indicator
+# occupancy problem: number of occupied aisles and the last aisle's furthest item
 # ---------------------------------------------------------------------------
 
-# Rows of the occupancy table held at a time; bounds its memory at large k.
-_BLOCK = 512
+# Order sizes whose rows of the occupancy table are held at a time; bounds
+# its memory at large k.
+_ROWS = 512
+
+
+def _block_rows(k: int) -> int:
+    """Rows of the occupancy table per block, each block doubled from one
+    chain step (see the module docstring for the rule)."""
+    return _ROWS if k < 64 else 64 if k < 128 else 1
 
 
 def _saturation_rows(k: int) -> int:
@@ -349,31 +363,42 @@ def _pgf_integrals(dist: OrderSizeDistribution) -> tuple[float, float]:
 @lru_cache(maxsize=1)
 def _occupancy(model: AisleModel):
     """(cp, w, far, mfar, far2) as arrays over j = 0..k (j = 0 unused), from the
-    table a_m(j) of the module docstring; cached because the three public
+    table q_m(j) of the module docstring; cached because the three public
     blocks below share it."""
     k, dist = model.k, model.dist
     n = _saturation_rows(k)
     p = dist.pmf(n)
     j = np.arange(k + 1)
-    step = j / k
+    stay, move = j / k, (k + 1 - j[1:]) / k
+    block = _block_rows(k)
+    # T^h for h = 1, 2, 4, ... below the rows one block fills: q_{m+h} = q_m T^h
+    powers = []
+    for _ in range((min(block, len(p) + 1) - 1).bit_length()):
+        powers.append(powers[-1] @ powers[-1] if powers else np.diag(stay) + np.diag(move, 1))
     cp, mw, far, mfar, far2 = np.zeros((5, k + 1))
-    a = np.zeros((_BLOCK + 2, k + 1))   # a[i] = a_{start+i}
-    a[0, 0] = 1.0
-    for start in range(0, len(p), _BLOCK):
-        pm = p[start:start + _BLOCK]
+    q = np.zeros((_ROWS + 2, k + 1))   # q[i] = q_{start+i}
+    q[0, 0] = 1.0
+    for start in range(0, len(p), _ROWS):
+        pm = p[start:start + _ROWS]
         b = len(pm)
-        for i in range(b + 1):
-            np.add(a[i, 1:], a[i, :-1], out=a[i + 1, 1:])
-            a[i + 1] *= step
+        for s in range(1, b + 2, block):   # one chain step, then doubling
+            np.multiply(q[s - 1], stay, out=q[s])
+            q[s, 1:] += q[s - 1, :-1] * move
+            for i, power in enumerate(powers):
+                h = 1 << i
+                end = min(s + 2 * h, b + 2)
+                if end <= s + h:
+                    break
+                np.matmul(q[s:end - h], power, out=q[s + h:end])
         m = np.arange(start, start + b)[:, None]
-        a0, a1, a2 = a[:b], a[1:b + 1], a[2:b + 2]
-        cp += pm @ a0
-        mw += (m[:, 0] * pm) @ a0
-        fw = (pm[:, None] * (1 - j / (m + 1))) * a1
+        q0, q1, q2 = q[:b], q[1:b + 1], q[2:b + 2]
+        cp += pm @ q0
+        mw += (m[:, 0] * pm) @ q0
+        fw = (pm[:, None] * (1 - j / (m + 1))) * q1
         far += fw.sum(axis=0)
         mfar += (m * fw).sum(axis=0)
-        far2 += (pm[:, None] * (a1 - 2 * k * (m + 2 - j) / ((m + 1) * (m + 2)) * a2)).sum(axis=0)
-        a[0] = a[b]
+        far2 += (pm[:, None] * (q1 - 2 * k * (m + 2 - j) / ((m + 1) * (m + 2)) * q2)).sum(axis=0)
+        q[0] = q[b]
     if len(p) == n + 1:
         # order sizes beyond n occupy every aisle: only column k gains
         m = np.arange(n + 1)
@@ -393,37 +418,31 @@ def _occupancy(model: AisleModel):
 
 
 def occupancy_law(model: AisleModel):
-    """(pmf over j=1..k of the occupied-aisle count, its mean and second moment,
-    and the contiguous-set probabilities P(occupied set = {1..j}))."""
+    """(pmf over j=1..k of the occupied-aisle count, its mean and second moment)."""
     k, P = model.k, model.dist.pgf
-    contiguous = _occupancy(model)[0][1:].tolist()
-    pmf = [comb(k, j) * c for j, c in enumerate(contiguous, start=1)]
+    pmf = _occupancy(model)[0][1:].tolist()
     mean = k - k * P(1 - 1 / k)
     second = k * k + k * (1 - 2 * k) * P(1 - 1 / k)
     if k >= 2:
         second += k * (k - 1) * P(1 - 2 / k)
-    return pmf, mean, second, contiguous
-
-
-def iodd_mean(model: AisleModel) -> float:
-    """E[1{number of occupied aisles is odd}] (equals its own second moment)."""
-    pmf, _, _, _ = occupancy_law(model)
-    return math.fsum(pmf[j - 1] for j in range(1, model.k + 1, 2))
+    return pmf, mean, second
 
 
 def contiguous_far_moments(model: AisleModel):
-    """Furthest-item interactions with the contiguous occupied set {1..j}.
+    """The furthest item A of the last occupied aisle, joint with the occupied
+    count I.
 
-    Returns lists indexed by j = 1..k (index 0 unused):
-      far[j]   = E[A_j   1{occupied set = {1..j}}]
-      far2[j]  = E[A_j^2 1{occupied set = {1..j}}]
-      mfar[j]  = E[M A_j 1{occupied set = {1..j}}]
-    where A_j is the furthest item location in the last occupied aisle.
+    Returns lists indexed by j = 1..k (index 0 unused), each C(k, j) times the
+    same moment on the contiguous occupied set {1..j}:
+      far[j]   = E[A   1{I = j}]
+      far2[j]  = E[A^2 1{I = j}]
+      mfar[j]  = E[M A 1{I = j}]
     """
     _, _, far, mfar, far2 = _occupancy(model)
     return far.tolist(), far2.tolist(), mfar.tolist()
 
 
 def contiguous_count_prime(model: AisleModel):
-    """w[j] = E[N_1 1{occupied set = {1..j}}] * k for j = 1..k (index 0 unused)."""
+    """w[j] = C(k, j) k E[N_1 1{occupied set = {1..j}}] = (k/j) E[M 1{I = j}]
+    for j = 1..k (index 0 unused), I the occupied-aisle count."""
     return _occupancy(model)[1].tolist()

@@ -17,6 +17,10 @@ occupancy blocks, evaluated in mpmath at 40 + 0.6k digits.
 
 ``route_time`` evaluates one sampled order's route literally, item by item:
 the scalar definition that the vectorized Monte Carlo engine must reproduce.
+
+``pair_event_prob``, ``contiguous_probs`` and ``iodd_mean`` are quantities
+the package no longer needs, derived from its PGF and occupancy law for the
+tests that check them.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from scipy import integrate
 
 from pickroute.heuristics import HEURISTICS, WarehouseConfig
 from pickroute.orderdist import Deterministic, Geometric, OrderSizeDistribution, ShiftedPoisson
+from pickroute.prelim import occupancy_law
 
 
 def harmonic(n: int) -> Fraction:
@@ -285,9 +290,31 @@ def _mp_law(dist):
             lambda x: r * p ** r * x ** (r - 1) / (1 - q * x) ** (r + 1), None, None)
 
 
+def pair_event_prob(model, d: int) -> float:
+    """P(kplus = j, kminus = l) for any fixed pair with j - l = d >= 1."""
+    k, P = model.k, model.dist.pgf
+    if not 1 <= d <= k - 1:
+        raise ValueError(f"span d must lie in 1..{k - 1}, got {d}")
+    return P((d + 1) / k) - 2 * P(d / k) + P((d - 1) / k)
+
+
+def contiguous_probs(pmf) -> list[float]:
+    """P(occupied set = {1..j}) for j = 1..k, from the occupied-count pmf:
+    pmf[j-1] / C(k, j), divided exactly so that it underflows to 0 rather
+    than overflowing at large k."""
+    k = len(pmf)
+    return [float(Fraction(p) / math.comb(k, j)) for j, p in enumerate(pmf, start=1)]
+
+
+def iodd_mean(model) -> float:
+    """E[1{number of occupied aisles is odd}] (equals its own second moment)."""
+    pmf, _, _ = occupancy_law(model)
+    return math.fsum(pmf[j - 1] for j in range(1, model.k + 1, 2))
+
+
 def occupancy_blocks_mp(model) -> dict:
     """The three occupancy blocks of ``pickroute.prelim`` (same names, same
-    return shapes) from the alternating PGF sums
+    return shapes), each C(k, j) times the alternating PGF sum
 
       cp[j]   = sum_l (-1)^(j-l) C(j, l) P(l/k)
       w[j]    = sum_l (-1)^(j-1-l) C(j-1, l) P'((l+1)/k)
@@ -316,7 +343,8 @@ def occupancy_blocks_mp(model) -> dict:
             K.append(k * (b * pv[l + 1] - a * pv[l] - dphi))
         cp, w, far, far2, mfar = ([0.0] * (k + 1) for _ in range(5))
         for j in range(1, k + 1):
-            cp[j] = float(mpmath.fsum((-1) ** (j - l) * math.comb(j, l) * pv[l] for l in range(j + 1)))
+            cp[j] = float(math.comb(k, j) * mpmath.fsum((-1) ** (j - l) * math.comb(j, l) * pv[l]
+                                                        for l in range(j + 1)))
             sw = s = s2 = sm = mpmath.mpf(0)
             for l in range(j):
                 c = math.comb(j - 1, l) * (-1) ** (j - 1 - l)
@@ -324,14 +352,13 @@ def occupancy_blocks_mp(model) -> dict:
                 s -= c * (I[l] - pv[l + 1])
                 s2 -= c * (2 * J[l] - pv[l + 1])
                 sm -= c * (K[l] - mpmath.mpf(l + 1) / k * pd[l + 1])
-            w[j], far[j], far2[j], mfar[j] = float(sw), float(s), float(s2), float(sm)
+            c = math.comb(k, j)
+            w[j], far[j], far2[j], mfar[j] = float(c * sw), float(c * s), float(c * s2), float(c * sm)
         p1, p2 = pv[k - 1], (pv[k - 2] if k >= 2 else 0)
         mean = float(k - k * p1)
         second = float(k * k + k * (1 - 2 * k) * p1 + k * (k - 1) * p2)
-    contiguous = cp[1:]
     return {
-        "occupancy_law": ([math.comb(k, j) * c for j, c in enumerate(contiguous, start=1)],
-                          mean, second, contiguous),
+        "occupancy_law": (cp[1:], mean, second),
         "contiguous_far_moments": (far, far2, mfar),
         "contiguous_count_prime": w,
     }

@@ -25,11 +25,11 @@ from pickroute import (
     run_replications_all,
 )
 from pickroute.heuristics import MomentReport
-from pickroute.prelim import AisleModel, gap_moments, kplus_moments, occupancy_law, iodd_mean, pair_event_prob
+from pickroute.prelim import AisleModel, gap_moments, kplus_moments, occupancy_law
 from pickroute.simulate import route_times_batch
 from pickroute.cli import main as cli_main
 
-from oracles import enum_discrete
+from oracles import contiguous_probs, enum_discrete, iodd_mean, pair_event_prob
 
 V3KMH = 3000.0 / 3600.0
 MC_N = 1_000_000
@@ -81,7 +81,8 @@ def test_criterion_2_enumeration_equivalence():
             assert abs(mean - float(oracle["kp_mean"])) < tol
             assert abs(second - float(oracle["kp_sec"])) < tol
             assert abs(cross - float(oracle["m_kp"])) < tol
-            pmf, _, _, contiguous = occupancy_law(model)
+            pmf, _, _ = occupancy_law(model)
+            contiguous = contiguous_probs(pmf)
             for j in range(k):
                 assert abs(pmf[j] - float(oracle["pmf"][j])) < tol
                 assert abs(contiguous[j] - float(oracle["contiguous"][j])) < tol
@@ -104,7 +105,7 @@ def test_criterion_3_shifted_poisson_closed_forms():
             mean, _, _ = kplus_moments(model)
             assert mean == pytest.approx(closed_kplus, rel=1e-9)
 
-            pmf, _, _, _ = occupancy_law(model)
+            pmf, _, _ = occupancy_law(model)
             p = 1 - math.exp(-lam / k)
             for j in range(1, k + 1):
                 closed_pmf = math.comb(k - 1, j - 1) * p ** (j - 1) * (1 - p) ** (k - j)

@@ -96,10 +96,12 @@ def _fields(rep):
     return (rep.e_t, rep.e_t2, rep.var_t, rep.sd_t, rep.e_tw, rep.e_ttr)
 
 
-@pytest.mark.parametrize("k", [96, 128, 256, 512])
+@pytest.mark.parametrize("k", [96, 128, 256, 512, 2048])
 def test_sshaped_finite_at_large_k(k):
+    # past k ~ 1,030 C(k, j) overflows a double: S-shaped raised OverflowError
+    # while its occupancy table was weighted by binomials
     cfg = WarehouseConfig(k, **LARGE_K_CFG)
-    for spec in ("det:3", "spois:4", "geom:8", "geom:40", "snbin:3:9", "snbin:3:40"):
+    for spec in ("det:3", "spois:4", "geom:8", "geom:18", "geom:40", "snbin:3:9", "snbin:3:40"):
         rep = compute_moments(cfg, parse_dist_spec(spec), LARGE_K_PICK, "s-shaped")
         assert all(math.isfinite(x) for x in _fields(rep)), spec
         assert 0.0 < rep.sd_t < rep.e_t, spec
@@ -122,11 +124,21 @@ def test_sshaped_det3_at_k512_regression():
     for k in (1, 2, 3, 5):   # the oracle itself against full enumeration
         assert sshaped_det_moments(k, 3, l, wa, v, ep, ep2) == pytest.approx(
             enum_moment_report(k, 3, l, wa, v, ep, ep2)["s-shaped"], rel=1e-14)
-    rep = compute_moments(WarehouseConfig(512, **LARGE_K_CFG), Deterministic(3), LARGE_K_PICK, "s-shaped")
-    e_t, e_t2 = sshaped_det_moments(512, 3, l, wa, v, ep, ep2)
-    assert rep.e_t == pytest.approx(e_t, rel=1e-12)
-    assert rep.e_t2 == pytest.approx(e_t2, rel=1e-12)
-    assert rep.sd_t == pytest.approx(math.sqrt(e_t2 - e_t * e_t), rel=1e-8)
+    for k in (512, 2048):   # and past the overflow of C(k, j) near k = 1,030
+        rep = compute_moments(WarehouseConfig(k, **LARGE_K_CFG), Deterministic(3), LARGE_K_PICK, "s-shaped")
+        e_t, e_t2 = sshaped_det_moments(k, 3, l, wa, v, ep, ep2)
+        assert rep.e_t == pytest.approx(e_t, rel=1e-12), k
+        assert rep.e_t2 == pytest.approx(e_t2, rel=1e-12), k
+        assert rep.sd_t == pytest.approx(math.sqrt(e_t2 - e_t * e_t), rel=1e-8), k
+
+
+@pytest.mark.parametrize("spec", ["geom:18", "spois:4", "snbin:3:40", "det:3", "geom:40"])
+def test_sshaped_monte_carlo_at_k2048(spec):
+    cfg, dist = WarehouseConfig(2048, **LARGE_K_CFG), parse_dist_spec(spec)
+    est = run_replications_all(cfg, dist, LARGE_K_PICK, 200_000, seed=2048)["s-shaped"]
+    rep = compute_moments(cfg, dist, LARGE_K_PICK, "s-shaped")
+    assert abs(rep.e_t - est.mean_t) <= 4 * est.se_mean
+    assert abs(rep.e_t2 - est.mean_t2) <= 4 * est.se_t2
 
 
 def test_report_invariants():

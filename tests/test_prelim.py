@@ -5,12 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from pickroute import PickTimeModel, WarehouseConfig, compute_moments, prelim
 from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson, parse_dist_spec
-from pickroute import prelim
 from pickroute.prelim import AisleModel
 
-from oracles import (DECADES, _mp_law, enum_conditional, enum_discrete, far_item_kplus_cross, far_item_moments_mp,
-                     span_blocks_mp)
+from oracles import (DECADES, _mp_law, contiguous_probs, enum_conditional, enum_discrete, far_item_kplus_cross,
+                     far_item_moments_mp, iodd_mean, pair_event_prob, span_blocks_mp)
+from test_orderdist import PMF_LAWS
 
 SMALL_CASES = [(k, m) for k in (1, 2, 3) for m in (1, 2, 3, 4)]
 
@@ -51,7 +52,7 @@ def test_cond_pair_pgf_event_probability():
     # exactly one item in aisle 1 and one in aisle 3, in either order
     assert prelim.cond_pair_pgf(model, 1.0, 1.0, 2, 1) == pytest.approx(2 / 9, abs=1e-14)
     assert prelim.cond_pair_pgf(model, 1.0, 1.0, 2, 2) == pytest.approx(2 / 9, abs=1e-14)
-    assert prelim.pair_event_prob(model, 2) == pytest.approx(2 / 9, abs=1e-14)
+    assert pair_event_prob(model, 2) == pytest.approx(2 / 9, abs=1e-14)
 
 
 def test_cond_pair_pgf_half_full_agree_at_one():
@@ -73,7 +74,7 @@ def test_pair_probabilities_partition():
         k = 5
         model = AisleModel(k, dist)
         total = k * dist.pgf(1 / k)  # both endpoints in the same aisle
-        total += sum((k - d) * prelim.pair_event_prob(model, d) for d in range(1, k))
+        total += sum((k - d) * pair_event_prob(model, d) for d in range(1, k))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -82,7 +83,7 @@ def test_pair_event_prob_matches_enumeration(k, m):
     oracle = enum_discrete(k, m)["pair_prob"]
     model = AisleModel(k, Deterministic(m))
     for d, expect in oracle.items():
-        assert prelim.pair_event_prob(model, d) == pytest.approx(float(expect), abs=1e-12)
+        assert pair_event_prob(model, d) == pytest.approx(float(expect), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +259,10 @@ def test_conditional_depends_only_on_span():
 # ---------------------------------------------------------------------------
 
 def test_occupancy_trivial_cases():
-    pmf, mean, second, _ = prelim.occupancy_law(AisleModel(4, Deterministic(1)))
+    pmf, mean, second = prelim.occupancy_law(AisleModel(4, Deterministic(1)))
     assert pmf[0] == pytest.approx(1.0, abs=1e-14)
     assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
-    pmf, mean, _, _ = prelim.occupancy_law(AisleModel(2, Deterministic(2)))
+    pmf, mean, _ = prelim.occupancy_law(AisleModel(2, Deterministic(2)))
     assert pmf == pytest.approx([0.5, 0.5], abs=1e-14)
     assert mean == pytest.approx(1.5, abs=1e-12)
 
@@ -269,7 +270,8 @@ def test_occupancy_trivial_cases():
 @pytest.mark.parametrize("k,m", SMALL_CASES)
 def test_occupancy_matches_enumeration(k, m):
     oracle = enum_discrete(k, m)
-    pmf, mean, second, contiguous = prelim.occupancy_law(AisleModel(k, Deterministic(m)))
+    pmf, mean, second = prelim.occupancy_law(AisleModel(k, Deterministic(m)))
+    contiguous = contiguous_probs(pmf)
     for j in range(k):
         assert pmf[j] == pytest.approx(float(oracle["pmf"][j]), abs=1e-12)
         assert contiguous[j] == pytest.approx(float(oracle["contiguous"][j]), abs=1e-12)
@@ -277,14 +279,14 @@ def test_occupancy_matches_enumeration(k, m):
     expect_sec = sum((j + 1) ** 2 * p for j, p in enumerate(oracle["pmf"]))
     assert mean == pytest.approx(float(expect_mean), abs=1e-12)
     assert second == pytest.approx(float(expect_sec), abs=1e-12)
-    assert prelim.iodd_mean(AisleModel(k, Deterministic(m))) == pytest.approx(
+    assert iodd_mean(AisleModel(k, Deterministic(m))) == pytest.approx(
         float(oracle["iodd"]), abs=1e-12)
 
 
 def test_occupancy_shifted_poisson_is_shifted_binomial():
     for lam in (1.0, 5.0, 20.0):
         for k in (3, 5, 10):
-            pmf, _, _, _ = prelim.occupancy_law(AisleModel(k, ShiftedPoisson(lam)))
+            pmf, _, _ = prelim.occupancy_law(AisleModel(k, ShiftedPoisson(lam)))
             p = 1 - math.exp(-lam / k)
             for j in range(1, k + 1):
                 expect = math.comb(k - 1, j - 1) * p ** (j - 1) * (1 - p) ** (k - j)
@@ -292,11 +294,11 @@ def test_occupancy_shifted_poisson_is_shifted_binomial():
 
 
 def test_iodd_examples_and_closed_form():
-    assert prelim.iodd_mean(AisleModel(1, Geometric(1 / 3))) == pytest.approx(1.0, abs=1e-12)
-    assert prelim.iodd_mean(AisleModel(2, Deterministic(2))) == pytest.approx(0.5, abs=1e-12)
+    assert iodd_mean(AisleModel(1, Geometric(1 / 3))) == pytest.approx(1.0, abs=1e-12)
+    assert iodd_mean(AisleModel(2, Deterministic(2))) == pytest.approx(0.5, abs=1e-12)
     for lam in (1.0, 5.0, 20.0):
         for k in (3, 5, 10):
-            got = prelim.iodd_mean(AisleModel(k, ShiftedPoisson(lam)))
+            got = iodd_mean(AisleModel(k, ShiftedPoisson(lam)))
             closed = 0.5 * math.exp(-lam + lam / k) * (2 - math.exp(lam / k)) ** (k - 1) + 0.5
             assert got == pytest.approx(closed, rel=1e-9)
 
@@ -308,23 +310,41 @@ def test_iodd_matches_printed_alternating_sum_small_k():
             model = AisleModel(k, dist)
             printed = sum(math.comb(k, l) * (-1) ** (l + 1) * 2 ** (k - l - 1) * dist.pgf(l / k)
                           for l in range(k)) + (k % 2)
-            assert prelim.iodd_mean(model) == pytest.approx(printed, abs=1e-9)
+            assert iodd_mean(model) == pytest.approx(printed, abs=1e-9)
 
 
 def test_occupancy_stable_at_large_k():
-    # the pmf stays a probability vector with the PGF's moments up to k = 512;
-    # the alternating sums lost this past k ~ 96 (entries of -1.4e-8 at k = 128)
+    # the pmf stays a probability vector with the PGF's moments up to k = 2048;
+    # the alternating sums lost this past k ~ 96 (entries of -1.4e-8 at k = 128),
+    # and C(k, j) times the contiguous probabilities overflowed from k ~ 1,030
     for spec in ("det:1", "det:3", "spois:4", "geom:8", "geom:32", "snbin:3:9", "geom:40", "snbin:3:40"):
         dist = parse_dist_spec(spec)
-        for k in (1, 2, 5, 64, 96, 128, 256, 512):
-            pmf, mean, second, contiguous = prelim.occupancy_law(AisleModel(k, dist))
+        for k in (1, 2, 5, 64, 96, 128, 256, 512, 1024, 2048):
+            pmf, mean, second = prelim.occupancy_law(AisleModel(k, dist))
+            contiguous = contiguous_probs(pmf)
             assert all(0.0 <= p <= 1 + 1e-12 for p in pmf), (spec, k)
             assert all(c >= 0.0 for c in contiguous), (spec, k)
             assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12), (spec, k)
             assert math.fsum(j * p for j, p in enumerate(pmf, start=1)) == pytest.approx(mean, rel=1e-10)
             assert math.fsum(j * j * p for j, p in enumerate(pmf, start=1)) == pytest.approx(second, rel=1e-10)
             assert second - mean ** 2 >= -1e-9
-            assert 0.0 <= prelim.iodd_mean(AisleModel(k, dist)) <= 1.0
+            assert 0.0 <= iodd_mean(AisleModel(k, dist)) <= 1.0
+
+
+@pytest.mark.parametrize("k", [2, 5, 12, 64, 96, 128])
+def test_occupancy_blocks_match_chain(k, monkeypatch):
+    # rows doubled from a block's first row by the powers of the chain matrix
+    # against the plain chain, one row per block
+    cfg, pick = WarehouseConfig(k, 20.0, 2.5, 3000.0 / 3600.0), PickTimeModel.from_scv(5.0, 1.0)
+    for dist in PMF_LAWS:
+        prelim._occupancy.cache_clear()
+        want = compute_moments(cfg, dist, pick, "s-shaped")
+        with monkeypatch.context() as patch:
+            patch.setattr(prelim, "_block_rows", lambda k: 1)
+            prelim._occupancy.cache_clear()
+            got = compute_moments(cfg, dist, pick, "s-shaped")
+        assert (got.e_t, got.e_t2) == pytest.approx((want.e_t, want.e_t2), rel=1e-13, abs=0.0), dist
+    prelim._occupancy.cache_clear()
 
 
 def test_variance_nonnegativity_across_models():
@@ -337,5 +357,5 @@ def test_variance_nonnegativity_across_models():
             assert a_sec - a_mean ** 2 >= -1e-9
             g_mean, g_sec, _ = prelim.gap_moments(model)
             assert g_sec - g_mean ** 2 >= -1e-9
-            _, o_mean, o_sec, _ = prelim.occupancy_law(model)
+            _, o_mean, o_sec = prelim.occupancy_law(model)
             assert o_sec - o_mean ** 2 >= -1e-9
