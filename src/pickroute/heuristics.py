@@ -189,7 +189,7 @@ def _sshaped(cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel) -> Mo
     e_iodd = math.fsum(pmf[j - 1] for j in odd)
     e_iodd_i = math.fsum(j * pmf[j - 1] for j in odd)
     e_mi = k * em - (k - 1) * Pp((k - 1) / k)
-    e_ki = k * k - k * (k + 1) * P((k - 1) / k) + math.fsum(P((j - 1) / k) for j in range(1, k + 1))
+    e_ki = k * k - k * (k + 1) * P((k - 1) / k) + math.fsum(P(np.arange(k) / k))
     # kplus and an odd occupied count: a set of odd size j has maximum m in
     # C(m-1, j-1) ways, and sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1),
     # with C(k+1, j+1) / C(k, j) = (k+1)/(j+1)

@@ -13,10 +13,19 @@ an order-size distribution) and is expressed through the order-size PGF:
   the furthest item of the last occupied aisle joint with it.
 
 Conditional-event formulas depend on the aisle span ``d = kplus - kminus``
-only, never on the individual aisle indices.  The span-d blocks take an array
-of spans and evaluate each integrand once on a (spans x nodes) array of the
-rule in :mod:`pickroute.quadrature`; their PGF terms are differences of
-P((j + x)/h) over neighbouring offsets j, which all spans share.
+only, never on the individual aisle indices.  Return, midpoint and largest
+gap need the PGF on one lattice per unit count u (u = 1 whole aisles, u = 2
+half-aisles), h = u k: the values P(j/h) and P'(j/h) for j = 0..h, and the
+rows P((j + x)/h) for j < h on the nodes of the rule in
+:mod:`pickroute.quadrature`, each evaluated once per model and kept (one
+table of rows at a time).  A span-d term is a second difference of rows in
+j, taken node by node for all spans 2..k-1 at once and then integrated
+against a fixed weight column: differencing first keeps the digits that
+cancel between neighbouring rows, which integrating each row first loses
+(the largest-gap cross term at k = 64, d = 3, geom:18 went from 7e-14 to
+5e-10 relative).  A two-unit cross term, an integral in s = x + y, is the
+same second difference one lattice row lower (s < 1) and where it is
+(s = 1 + x), against the two halves of its kernel.
 
 The occupancy quantities are PGF sums with alternating signs, which cancel
 like 3^k.  They are instead taken from one table of numbers in [0, 1],
@@ -68,13 +77,12 @@ from functools import lru_cache
 import numpy as np
 
 from .orderdist import PMF_TAIL, OrderSizeDistribution
-from .quadrature import box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
+from .quadrature import NODES, gap_kernel, integrate_1d, integrate_2d, integrate_rows, log_kernel
 
 __all__ = [
     "AisleModel",
     "kplus_moments",
     "cond_pair_pgf",
-    "cond_pair_pgf_prime1",
     "far_item_moments",
     "sum_far_item_kplus_cross",
     "m_far_cross",
@@ -106,32 +114,19 @@ class AisleModel:
 
 def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     """(E[kplus], E[kplus^2], E[M * kplus]) for the furthest occupied aisle."""
-    k, P = model.k, model.dist.pgf
-    Pp = model.dist.pgf_prime
-    mean = k - math.fsum(P(j / k) for j in range(k))
-    second = k * k - math.fsum((2 * j + 1) * P(j / k) for j in range(k))
-    cross_m = k * model.dist.mean() - math.fsum(j / k * Pp(j / k) for j in range(k))
+    k = model.k
+    grid, slope = _pgf_lattice(model, 1)
+    j = np.arange(k)
+    p = grid[:-1]   # P(j/k)
+    mean = k - math.fsum(p.tolist())
+    second = k * k - math.fsum(((2 * j + 1) * p).tolist())
+    cross_m = k * model.dist.mean() - math.fsum((j / k * slope[:-1]).tolist())
     return mean, second, cross_m
 
 
 def _check_span(k: int, d) -> None:
     if np.any((d < 2) | (d > k - 1)):
         raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
-
-
-def _pgf_differences(P, top, step: int, x, h: int, order: int):
-    """The order-th difference, in steps of ``step``, of j -> P((j + x) / h) at
-    each integer j of ``top``, shaped top.shape + x.shape.  P is evaluated once
-    per row of the grid min(top) - order step, ..., max(top), which the terms
-    of neighbouring spans share."""
-    top = np.asarray(top)
-    if top.size == 0:
-        return np.zeros(top.shape + np.shape(x))
-    lo = top.min() - order * step
-    grid = np.arange(lo, top.max() + 1, step)
-    diff = np.diff(P((grid.reshape((-1,) + (1,) * np.ndim(x)) + x) / h), n=order, axis=0)
-    rows = (top - lo) // step - order
-    return diff if np.array_equal(rows, np.arange(len(diff))) else diff[rows]
 
 
 def cond_pair_pgf(model: AisleModel, z, y, d, u: int):
@@ -142,21 +137,76 @@ def cond_pair_pgf(model: AisleModel, z, y, d, u: int):
     the two halves of one aisle); the single-unit version is ``y = 1``.  With
     o = u(d+1) - 2 the PGF is P((o+z+y)/(uk)) - 2P((o-u+z+y)/(uk)) +
     P((o-2u+z+y)/(uk)), a second difference in steps of u.  Requires d >= 2
-    so that an interior aisle exists; the span-d blocks below rely on this
-    check.  ``d`` may be an integer array and ``z + y`` an array of nodes;
-    the result is shaped d.shape + (z + y).shape.
+    so that an interior aisle exists.  ``d`` may be an integer array and
+    ``z + y`` an array; the result is shaped d.shape + (z + y).shape.
     """
     k, P = model.k, model.dist.pgf
     _check_span(k, d)
-    return _pgf_differences(P, u * (np.asarray(d) + 1) - 2, u, z + y, u * k, 2)
+    s = z + y
+    o = u * (np.asarray(d) + 1) - 2
+    o = o.reshape(o.shape + (1,) * np.ndim(s))
+    h = u * k
+    return P((o + s) / h) - 2 * P((o - u + s) / h) + P((o - 2 * u + s) / h)
 
 
-def cond_pair_pgf_prime1(model: AisleModel, d, u: int):
-    """d/dz of ``cond_pair_pgf`` at z = 1, y = 1 (= E[X 1{event}] for interior X)."""
-    k, Pp = model.k, model.dist.pgf_prime
-    _check_span(k, d)
-    o, h = u * (d + 1) - 2, u * k
-    return (Pp((o + 2) / h) - 2 * Pp((o + 2 - u) / h) + Pp((o + 2 - 2 * u) / h)) / h
+@lru_cache(maxsize=2)
+def _pgf_lattice(model: AisleModel, u: int):
+    """(P(j/h), P'(j/h)) for j = 0..h on the lattice of an aisle split into
+    ``u`` units, h = u k, read-only; cached for both unit counts of a model."""
+    h = u * model.k
+    x = np.arange(h + 1) / h
+    lattice = model.dist.pgf(x), model.dist.pgf_prime(x)
+    for values in lattice:
+        values.flags.writeable = False
+    return lattice
+
+
+# Rows of the PGF table per call of the PGF.  A call on all rows at once
+# makes temporaries that malloc hands back to the system and faults in again
+# on the next call (64 rows of geom:18 on a 2-vCPU VM: 245 minor faults and
+# 0.76 ms, against none and 0.36 ms in blocks of 8).
+_TABLE_ROWS = 8
+
+
+@lru_cache(maxsize=1)
+def _pgf_table(model: AisleModel, u: int):
+    """The rows P((j + x)/h) on the rule's nodes for j = 0..h-1 of the lattice
+    of :func:`_pgf_lattice`, read-only.  The return and span blocks below
+    read their PGF values from it and the lattice; cached, so that the three
+    return blocks share one table."""
+    h = u * model.k
+    top = np.arange(h)[:, None]
+    rows = np.empty((h, NODES.size))
+    for lo in range(0, h, _TABLE_ROWS):
+        rows[lo:lo + _TABLE_ROWS] = model.dist.pgf((top[lo:lo + _TABLE_ROWS] + NODES) / h)
+    rows.flags.writeable = False
+    return rows
+
+
+# Weight functions of the integrals on the table's rows; quadrature keeps each
+# one's columns.
+def _x(x):
+    return x
+
+
+def _one_minus(x):
+    return 1 - x
+
+
+def _log1m(x):
+    return np.log1p(-x)
+
+
+def _slope(x):
+    return 1 / (1 - x)
+
+
+def _x_gap_kernel(x):
+    return x * gap_kernel(x)
+
+
+def _log_kernel_far(x):
+    return log_kernel(1 + x)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +219,15 @@ def far_item_moments(model: AisleModel) -> tuple[float, float, float]:
     ``A`` is the furthest item location as a fraction of the aisle length; the
     cross moment pairs two distinct aisles and is NaN when k = 1.
     """
-    k, P = model.k, model.dist.pgf
-    pn = lambda x: P(1 - 1 / k + x / k)
-    int_p = integrate_1d(pn)[0]
+    rows = _pgf_table(model, 1)
+    last = rows[-1]   # P((k - 1 + x)/k)
+    int_p = integrate_rows((last, np.ones_like))[0]
     mean = 1.0 - int_p
-    second = 1.0 - 2.0 * integrate_1d(lambda x: x * pn(x))[0]
-    if k >= 2:
-        cross = 1.0 - 2.0 * int_p + integrate_2d(lambda s: P(1 - 2 / k + s / k), box_kernel)[0]
+    second = 1.0 - 2.0 * integrate_rows((last, _x))[0]
+    if model.k >= 2:
+        # the box kernel min(s, 2 - s) of the pair's sum s: row k - 2 for
+        # s < 1, row k - 1 for s = 1 + x
+        cross = 1.0 - 2.0 * int_p + integrate_rows((rows[-2], _x), (last, _one_minus))[0]
     else:
         cross = math.nan
     return mean, second, cross
@@ -188,18 +240,18 @@ def sum_far_item_kplus_cross(model: AisleModel) -> float:
     k E[A] - sum_{j=i}^{k-1} tail_j, and the sum over i weighs tail_j by j;
     E[A] = 1 - int_0^1 P((k-1+x)/k) dx is the row j = k of the same integral.
     """
-    k, P = model.k, model.dist.pgf
-    j = np.arange(1, k + 1)
-    ints = integrate_1d(lambda x: P((j[:, None] - 1 + x) / k))[0]
-    j = j[:-1]
-    return k * k * (1.0 - float(ints[-1])) - math.fsum(j * (P(j / k) - ints[:-1]))
+    k = model.k
+    grid, rows = _pgf_lattice(model, 1)[0], _pgf_table(model, 1)
+    ints = integrate_rows((rows, np.ones_like))[0]
+    j = np.arange(1, k)
+    return k * k * (1.0 - float(ints[-1])) - math.fsum(j * (grid[1:k] - ints[:-1]))
 
 
 def m_far_cross(model: AisleModel) -> float:
     """E[M * A_i], the order size against the furthest item in one aisle."""
-    k, P = model.k, model.dist.pgf
-    em = model.dist.mean()
-    return em - k + (k - 1) * P(1 - 1 / k) + integrate_1d(lambda x: P(1 - 1 / k + x / k))[0]
+    k = model.k
+    p = float(_pgf_lattice(model, 1)[0][k - 1])
+    return model.dist.mean() - k + (k - 1) * p + integrate_rows((_pgf_table(model, 1)[-1], np.ones_like))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,87 +300,85 @@ class SpanCond:
     n_endpoint: np.ndarray  # E[N_m X_i 1{event}], m a unit of the closest or furthest aisle
 
 
-def _span_cond(d, *fields) -> SpanCond:
-    """The fields, computed for the spans np.atleast_1d(d), as a SpanCond of
-    arrays, or of floats when ``d`` is one span."""
-    return SpanCond(*(f if np.ndim(d) else f[0] for f in fields))
+def _span_cond(spans, *fields) -> SpanCond:
+    """The fields, arrays over every span 2..k-1, at ``spans``."""
+    return SpanCond(*(f[spans - 2] for f in fields))
 
 
 def gap_cond_moments(model: AisleModel, d) -> SpanCond:
     """Largest-gap span-d moments of X_i = 1 - D_i for an interior aisle, for
     one span d or an integer array of them."""
-    k, P = model.k, model.dist.pgf
-    Pp = model.dist.pgf_prime
-    spans = np.atleast_1d(d)
+    k = model.k
+    spans = np.asarray(d)
+    _check_span(k, spans)
+    grid, slope = _pgf_lattice(model, 1)
+    rows = _pgf_table(model, 1)
 
-    prob = cond_pair_pgf(model, 1.0, 1.0, spans, 1)
-    dgam1 = cond_pair_pgf_prime1(model, spans, 1)
+    # gam(x) = E[x^N 1{event}] of an interior aisle, rows d-2, d-1, d of the
+    # table: spans 2..k-1 down, nodes across
+    step = np.diff(rows, axis=0)
+    gam = np.diff(step, axis=0)
+    prob = np.diff(grid, 2)[1:]
+    dgam1 = (slope[3:] - 2 * slope[2:-1] + slope[1:-2]) / k
     # endpoint aisle: the joint PGF with the closest (or furthest) aisle has a
     # different inclusion-exclusion structure than the interior pair
-    end1 = P((spans + 1) / k) - P(spans / k)
-    dlam1 = (Pp((spans + 1) / k) - Pp(spans / k)) / k
+    end1 = grid[3:] - grid[2:-1]
+    dlam1 = (slope[3:] - slope[2:-1]) / k
 
-    def integrands(x):
-        gam = cond_pair_pgf(model, x, 1.0, spans, 1)      # spans down, nodes across
-        # filled row by row: np.stack of five live temporaries doubles the peak
-        # memory, and at k = 512 the allocator then hands pages back and
-        # faults them in again on every call (3,200 faults, 47 ms; now 120, 30 ms)
-        out = np.empty((5,) + gam.shape)
-        out[0] = gam
-        out[1] = gam * np.log1p(-x)
-        out[2] = gam * (x * gap_kernel(x))
-        out[3] = (prob[:, None] - gam) / (1 - x)
-        out[4] = (end1[:, None] - _pgf_differences(P, spans, 1, x, k, 1)) / (1 - x)
-        return out
-
-    (int_gam, int_gam_log, int_gam_kernel, r, r_end), _ = integrate_1d(integrands)
+    int_gam = integrate_rows((gam, np.ones_like))[0]
+    int_gam_log = integrate_rows((gam, _log1m))[0]
+    int_gam_kernel = integrate_rows((gam, _x_gap_kernel))[0]
+    r = integrate_rows((prob[:, None] - gam, _slope))[0]
+    r_end = integrate_rows((end1[:, None] - step[1:], _slope))[0]
 
     mean = prob + int_gam_log
     second = prob + 2 * int_gam_log + int_gam_kernel
     n_same = dgam1 - int_gam_log - r - int_gam
-    # two interior aisles need d >= 3; the pair PGF depends on its two
-    # arguments only through their sum
-    two = spans >= 3
-    cross = np.full(spans.shape, math.nan)
-    cross[two] = (prob + 2 * int_gam_log)[two] + integrate_2d(
-        lambda s: cond_pair_pgf(model, s, 0.0, spans[two], 1), log_kernel)[0]
-    n_other = np.where(two, dgam1 - r, math.nan)
+    # two interior aisles need d >= 3; their pair PGF depends on its two
+    # arguments only through their sum s, which the log kernel weighs: the
+    # rows of s < 1 are gam one span down, those of s = 1 + x gam itself
+    cross = np.full(prob.shape, math.nan)
+    cross[1:] = (prob + 2 * int_gam_log)[1:] + integrate_rows((gam[:-1], log_kernel),
+                                                              (gam[1:], _log_kernel_far))[0]
+    n_other = dgam1 - r
+    n_other[:1] = math.nan
     n_endpoint = dlam1 - r_end
-    return _span_cond(d, prob, mean, second, cross, n_same, n_other, n_endpoint)
+    return _span_cond(spans, prob, mean, second, cross, n_same, n_other, n_endpoint)
 
 
 def far_half_cond_moments(model: AisleModel, d) -> SpanCond:
     """Midpoint span-d moments of X_i = A^f for an interior half-aisle, for one
     span d or an integer array of them."""
-    k, P = model.k, model.dist.pgf
-    Pp = model.dist.pgf_prime
+    k = model.k
+    spans = np.asarray(d)
+    _check_span(k, spans)
     h = 2 * k
-    spans = np.atleast_1d(d)
+    grid, slope = _pgf_lattice(model, 2)
+    rows = _pgf_table(model, 2)
+    even, odd, even_slope = grid[::2], grid[1::2], slope[::2]   # P(j/k); P((2j+1)/h); P'(j/k)
 
-    prob = cond_pair_pgf(model, 1.0, 1.0, spans, 2)
-    dphi1 = cond_pair_pgf_prime1(model, spans, 2)
+    # phi(z) = E[z^N 1{event}] of an interior half: odd rows 2d-3, 2d-1, 2d+1
+    phi = np.diff(rows[1::2], 2, axis=0)
+    prob = np.diff(even, 2)[1:]
+    dphi1 = (even_slope[3:] - 2 * even_slope[2:-1] + even_slope[1:-2]) / h
 
-    def integrands(z):
-        phi = cond_pair_pgf(model, z, 1.0, spans, 2)
-        out = np.empty((2,) + phi.shape)   # filled in place, as in gap_cond_moments
-        out[0] = phi
-        np.multiply(phi, z, out=out[1])
-        return out
-
-    (int_phi, int_zphi), _ = integrate_1d(integrands)
+    int_phi = integrate_rows((phi, np.ones_like))[0]
+    int_zphi = integrate_rows((phi, _x))[0]
 
     mean = prob - int_phi
     second = prob - 2 * int_zphi
-    cross = prob - 2 * int_phi + integrate_2d(lambda s: cond_pair_pgf(model, s, 0.0, spans, 2), box_kernel)[0]
+    # the box kernel of the pair's sum s: even rows 2d-4, 2d-2, 2d for s < 1,
+    # phi for s = 1 + x
+    cross = prob - 2 * int_phi + integrate_rows((np.diff(rows[::2], 2, axis=0), _x), (phi, _one_minus))[0]
     n_same = dphi1 - prob + int_phi
-    n_other = dphi1 - prob + cond_pair_pgf(model, 0.0, 1.0, spans, 2)
+    n_other = dphi1 - prob + np.diff(odd, 2)
 
     # endpoint aisle halves: distinct joint PGF (the tagged endpoint half may
     # be empty while the endpoint aisle is still occupied through its twin)
-    dpsi1 = (Pp((spans + 1) / k) - Pp(spans / k)) / h
-    bracket = P((spans + 1) / k) - P(spans / k) - P((2 * spans + 1) / h) + P((2 * spans - 1) / h)
+    dpsi1 = (even_slope[3:] - even_slope[2:-1]) / h
+    bracket = even[3:] - even[2:-1] - odd[2:] + odd[1:-1]
     n_endpoint = dpsi1 - bracket
-    return _span_cond(d, prob, mean, second, cross, n_same, n_other, n_endpoint)
+    return _span_cond(spans, prob, mean, second, cross, n_same, n_other, n_endpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +406,12 @@ def _saturation_rows(k: int) -> int:
 
 def _pgf_integrals(dist: OrderSizeDistribution) -> tuple[float, float]:
     """(int_0^1 P, int_0^1 (1 - x) P) = (E[1/(M+1)], E[1/((M+1)(M+2))])."""
-    P = dist.pgf
-    return integrate_1d(P)[0], integrate_1d(lambda x: (1 - x) * P(x))[0]
+    def rows(x):
+        p = dist.pgf(x)
+        return np.stack([p, (1 - x) * p])
+
+    int_p, int_q = integrate_1d(rows)[0]
+    return float(int_p), float(int_q)
 
 
 @lru_cache(maxsize=1)

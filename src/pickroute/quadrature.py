@@ -12,10 +12,20 @@ with any leading shape (one row per aisle span, say), and one weighted sum.
 The error estimate is |I_h - I_2h|, I_2h taking every other node, so it
 costs no evaluation.
 
+Most integrands of the moment formulas are rows of PGF values times a fixed
+weight function f of x (1, log(1-x), 1/(1-x), a kernel).  For those,
+:func:`integrate_rows` takes rows already evaluated on the nodes and dots
+them with two fixed columns, the value column w f and the error column
+(w - w_2h) f, built on first use of f and kept.
+
 Every double integral of the moment formulas is ``∬ w(x) w(y) g(x+y)`` over
 the unit square with w = 1 or w = log(1-x), so it is taken as one integral in
-s = x + y against the kernel ``∫ w(x) w(s-x) dx``.  Each kernel is evaluated
-once on its node array and kept.
+s = x + y against the kernel ``∫ w(x) w(s-x) dx``, split at the kink s = 1:
+:func:`integrate_2d` evaluates g on the nodes of [0, 1] and of [1, 2], and
+:func:`integrate_rows` takes the two halves s = x and s = 1 + x as two terms
+whose rows the caller already holds (on a lattice of PGF rows P((j + x)/h),
+g at s = 1 + x is the row one step up).  Each kernel is evaluated once on its
+nodes and kept.
 
 The kernels need the dilogarithm, here :func:`spence` (Li2(1 - z), as in
 scipy.special): the Bernoulli series of Li2 in u = -log(1 - x) for
@@ -29,7 +39,8 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel", "box_kernel", "log_kernel"]
+__all__ = ["IntegrationError", "integrate_1d", "integrate_rows", "integrate_2d", "gap_kernel", "box_kernel",
+           "log_kernel"]
 
 # |I_h - I_2h| is the error of the coarser rule; where the rule has converged
 # the error of I_h is about its square.  On integrands the panels resolve it
@@ -90,11 +101,14 @@ def _apply(values, weights, err_weights):
     integrand; raises :class:`IntegrationError` where the estimate is above
     tolerance or not finite."""
     values = np.asarray(values, dtype=float)
-    value = np.vecdot(values, weights)
-    err = np.abs(np.vecdot(values, err_weights))
+    return _checked(np.vecdot(values, weights), np.abs(np.vecdot(values, err_weights)))
+
+
+def _checked(value, err):
+    """(value, err), floats for one integrand, once err passes the tolerance."""
     if value.ndim == 0:
         value, err = float(value), float(err)
-    if not np.all(err <= np.maximum(ABS_TOL, REL_TOL * np.abs(value))):
+    if not (err <= np.maximum(ABS_TOL, REL_TOL * np.abs(value))).all():
         raise IntegrationError(f"integration failed: error estimate {np.max(err):.3g} above tolerance",
                                value, err)
     return value, err
@@ -112,6 +126,30 @@ def integrate_1d(f, a: float = 0.0, b: float = 1.0):
     x = a + width * NODES
     inside = (x > a) & (x < b)   # nodes that round onto an end of [a, b] are dropped
     return _apply(f(x[inside]), width * WEIGHTS[inside], width * _ERR_WEIGHTS[inside])
+
+
+@cache
+def _columns(f):
+    """The value and error columns WEIGHTS f(NODES) and _ERR_WEIGHTS f(NODES),
+    read-only, evaluated once per weight function f."""
+    values = f(NODES)
+    columns = np.stack([WEIGHTS * values, _ERR_WEIGHTS * values])
+    columns.flags.writeable = False
+    return columns
+
+
+def integrate_rows(*terms):
+    """The sum over ``terms`` = (rows, f) of ∫_0^1 rows(x) f(x) dx, ``rows``
+    already evaluated on :data:`NODES` (last axis) and ``f`` a module-level
+    weight function (``np.ones_like`` for 1).  The rows of all terms
+    broadcast together, and so do the value and the error estimate, which
+    is checked on the sum as :func:`integrate_1d` checks its integrand."""
+    value = err = 0.0
+    for rows, f in terms:
+        column, err_column = _columns(f)
+        value = value + np.vecdot(rows, column)
+        err = err + np.vecdot(rows, err_column)
+    return _checked(value, np.abs(err))
 
 
 _S = np.concatenate([NODES, 1.0 + NODES])

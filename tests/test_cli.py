@@ -244,13 +244,16 @@ def test_cli_entry_point_subprocess(tmp_path):
 def test_import_leaves_heavy_modules_unloaded():
     # mpmath and scipy left the package: scipy.special alone took longer to
     # import than all of pickroute, and scipy.stats, scipy.signal and
-    # scipy.integrate each longer still
+    # scipy.integrate each longer still.  Nor does the import evaluate any
+    # weight column, node kernel or PGF table: they are built on first use.
     heavy = ('mpmath', 'scipy.stats', 'scipy.signal', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse')
-    code = ("import sys, pickroute; print([m for m in sys.modules"
-            f" if m in {heavy!r} or m == 'scipy' or m.startswith('scipy.')])")
+    caches = "q._columns, q._kernel_on_nodes, p._pgf_lattice, p._pgf_table, p._occupancy"
+    code = ("import sys, pickroute; from pickroute import prelim as p, quadrature as q; print([m for m in sys.modules"
+            f" if m in {heavy!r} or m == 'scipy' or m.startswith('scipy.')]);"
+            f" print([f.__name__ for f in ({caches}) if f.cache_info().currsize])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
 
 
 def test_unknown_dist_flag_exits_2(capsys):

@@ -219,6 +219,16 @@ def test_span_blocks_match_high_precision_oracle(k):
                     assert g == pytest.approx(w, rel=1e-9, abs=0.0), (name, d)
 
 
+@pytest.mark.parametrize("spec, d", [("geom:18", 3), ("spois:4", 3), ("spois:4", 63)])
+def test_span_block_cross_terms_match_high_precision_oracle(spec, d):
+    # the cross terms cancel; they keep their digits only when the PGF rows are
+    # differenced node by node before they are integrated
+    model = AisleModel(64, parse_dist_spec(spec))
+    want = span_blocks_mp(model, d)
+    for name, block in (("gap", prelim.gap_cond_moments), ("far_half", prelim.far_half_cond_moments)):
+        assert block(model, d).cross == pytest.approx(want[name][3], rel=2e-10, abs=0.0), name
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_steep_pgf_integrals(k):
     # spois:1e5 climbs within k/mean of x = 1; an adaptive rule without the
