@@ -141,15 +141,15 @@ def _report(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickT
 
 def _span_sums(model: AisleModel, u: int, block) -> tuple[float, float, float, float]:
     """The four aisle sums of X = sum of X_i over the interior units, from the
-    span-d moments ``block(model, d)`` of one unit for all spans d = 2..k-1 at
-    once, with ``u`` units per aisle.
+    span-d moments ``block(model)`` of one unit, arrays over the spans
+    d = 2..k-1, with ``u`` units per aisle.
 
     A span-d event has k - d positions, n = u(d-1) interior units and 2u units
     in the two endpoint aisles; kplus averages (k + d + 1) / 2 over positions.
     """
     k = model.k
     d = np.arange(2, k)
-    c = block(model, d)
+    c = block(model)
     n = u * (d - 1)
     weight = (k - d) * n
     many = n >= 2

@@ -122,7 +122,8 @@ class OrderSizeDistribution:
         """E[M(M-1)], the second factorial moment (= pgf''(1))."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
+        """``size`` order sizes as an int64 array."""
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -187,9 +188,7 @@ class Deterministic(OrderSizeDistribution):
     def factorial2(self):
         return float(self.m * (self.m - 1))
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.m
+    def sample(self, rng, size):
         return np.full(size, self.m, dtype=np.int64)
 
     def spec(self):
@@ -224,9 +223,7 @@ class ShiftedPoisson(OrderSizeDistribution):
     def factorial2(self):
         return self.lam * (2 + self.lam)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return 1 + int(rng.poisson(self.lam))
+    def sample(self, rng, size):
         return (1 + rng.poisson(self.lam, size=size)).astype(np.int64)
 
     def spec(self):
@@ -263,9 +260,7 @@ class Geometric(OrderSizeDistribution):
         q = 1 - self.p
         return 2 * q / self.p ** 2
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return int(rng.geometric(self.p))
+    def sample(self, rng, size):
         return rng.geometric(self.p, size=size).astype(np.int64)
 
     def spec(self):
@@ -308,9 +303,7 @@ class ShiftedNegBinomial(OrderSizeDistribution):
         var = self.r * q / self.p ** 2
         return var + mu * mu - mu
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.r + int(rng.negative_binomial(self.r, self.p))
+    def sample(self, rng, size):
         return (self.r + rng.negative_binomial(self.r, self.p, size=size)).astype(np.int64)
 
     def spec(self):

@@ -17,8 +17,8 @@ only, never on the individual aisle indices.  Return, midpoint and largest
 gap need the PGF on one lattice per unit count u (u = 1 whole aisles, u = 2
 half-aisles), h = u k: the values P(j/h) and P'(j/h) for j = 0..h, and the
 rows P((j + x)/h) for j < h on the nodes of the rule in
-:mod:`pickroute.quadrature`, each evaluated once per model and kept (one
-table of rows at a time).  A span-d term is a second difference of rows in
+:mod:`pickroute.quadrature`, each evaluated once per model and unit count
+and kept.  A span-d term is a second difference of rows in
 j, taken node by node for all spans 2..k-1 at once and then integrated
 against a fixed weight column: differencing first keeps the digits that
 cancel between neighbouring rows, which integrating each row first loses
@@ -77,12 +77,11 @@ from functools import lru_cache
 import numpy as np
 
 from .orderdist import PMF_TAIL, OrderSizeDistribution
-from .quadrature import NODES, gap_kernel, integrate_1d, integrate_2d, integrate_rows, log_kernel
+from .quadrature import NODES, far_half, gap_kernel, integrate_1d, integrate_2d, integrate_rows, log_kernel
 
 __all__ = [
     "AisleModel",
     "kplus_moments",
-    "cond_pair_pgf",
     "far_item_moments",
     "sum_far_item_kplus_cross",
     "m_far_cross",
@@ -124,31 +123,6 @@ def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     return mean, second, cross_m
 
 
-def _check_span(k: int, d) -> None:
-    if np.any((d < 2) | (d > k - 1)):
-        raise ValueError(f"span d must lie in 2..{k - 1}, got {d}")
-
-
-def cond_pair_pgf(model: AisleModel, z, y, d, u: int):
-    """Joint conditional PGF E[z^X y^Y 1{kplus - kminus = d at fixed aisles}].
-
-    X, Y are the item counts of two distinct interior units, where an aisle is
-    split into ``u`` units (u = 1: whole aisles, u = 2: half-aisles, possibly
-    the two halves of one aisle); the single-unit version is ``y = 1``.  With
-    o = u(d+1) - 2 the PGF is P((o+z+y)/(uk)) - 2P((o-u+z+y)/(uk)) +
-    P((o-2u+z+y)/(uk)), a second difference in steps of u.  Requires d >= 2
-    so that an interior aisle exists.  ``d`` may be an integer array and
-    ``z + y`` an array; the result is shaped d.shape + (z + y).shape.
-    """
-    k, P = model.k, model.dist.pgf
-    _check_span(k, d)
-    s = z + y
-    o = u * (np.asarray(d) + 1) - 2
-    o = o.reshape(o.shape + (1,) * np.ndim(s))
-    h = u * k
-    return P((o + s) / h) - 2 * P((o - u + s) / h) + P((o - 2 * u + s) / h)
-
-
 @lru_cache(maxsize=2)
 def _pgf_lattice(model: AisleModel, u: int):
     """(P(j/h), P'(j/h)) for j = 0..h on the lattice of an aisle split into
@@ -168,12 +142,13 @@ def _pgf_lattice(model: AisleModel, u: int):
 _TABLE_ROWS = 8
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _pgf_table(model: AisleModel, u: int):
     """The rows P((j + x)/h) on the rule's nodes for j = 0..h-1 of the lattice
     of :func:`_pgf_lattice`, read-only.  The return and span blocks below
-    read their PGF values from it and the lattice; cached, so that the three
-    return blocks share one table."""
+    read their PGF values from it and the lattice; cached for both unit
+    counts of a model, so that return and largest gap share one table
+    whatever runs between them."""
     h = u * model.k
     top = np.arange(h)[:, None]
     rows = np.empty((h, NODES.size))
@@ -203,10 +178,6 @@ def _slope(x):
 
 def _x_gap_kernel(x):
     return x * gap_kernel(x)
-
-
-def _log_kernel_far(x):
-    return log_kernel(1 + x)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +259,9 @@ class SpanCond:
     with the event that the closest and furthest occupied aisles are two fixed
     aisles d apart.  A unit is a half-aisle for midpoint (X_i = A^f, the
     furthest item from its cross-aisle) and a whole aisle for largest gap
-    (X_i = 1 - D_i); N_m is the item count of unit m.  Each field has the
-    shape of the span argument d: a float for one span, an array for many."""
+    (X_i = 1 - D_i); N_m is the item count of unit m.  Each field is an
+    array over the spans d = 2..k-1, entry d - 2 for span d (empty for
+    k <= 2)."""
 
     prob: np.ndarray        # P(kplus = j, kminus = l), j - l = d
     mean: np.ndarray        # E[X_i 1{event}]
@@ -300,17 +272,10 @@ class SpanCond:
     n_endpoint: np.ndarray  # E[N_m X_i 1{event}], m a unit of the closest or furthest aisle
 
 
-def _span_cond(spans, *fields) -> SpanCond:
-    """The fields, arrays over every span 2..k-1, at ``spans``."""
-    return SpanCond(*(f[spans - 2] for f in fields))
-
-
-def gap_cond_moments(model: AisleModel, d) -> SpanCond:
+def gap_cond_moments(model: AisleModel) -> SpanCond:
     """Largest-gap span-d moments of X_i = 1 - D_i for an interior aisle, for
-    one span d or an integer array of them."""
+    every span d = 2..k-1."""
     k = model.k
-    spans = np.asarray(d)
-    _check_span(k, spans)
     grid, slope = _pgf_lattice(model, 1)
     rows = _pgf_table(model, 1)
 
@@ -339,19 +304,17 @@ def gap_cond_moments(model: AisleModel, d) -> SpanCond:
     # rows of s < 1 are gam one span down, those of s = 1 + x gam itself
     cross = np.full(prob.shape, math.nan)
     cross[1:] = (prob + 2 * int_gam_log)[1:] + integrate_rows((gam[:-1], log_kernel),
-                                                              (gam[1:], _log_kernel_far))[0]
+                                                              (gam[1:], far_half(log_kernel)))[0]
     n_other = dgam1 - r
     n_other[:1] = math.nan
     n_endpoint = dlam1 - r_end
-    return _span_cond(spans, prob, mean, second, cross, n_same, n_other, n_endpoint)
+    return SpanCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
 
 
-def far_half_cond_moments(model: AisleModel, d) -> SpanCond:
-    """Midpoint span-d moments of X_i = A^f for an interior half-aisle, for one
-    span d or an integer array of them."""
+def far_half_cond_moments(model: AisleModel) -> SpanCond:
+    """Midpoint span-d moments of X_i = A^f for an interior half-aisle, for
+    every span d = 2..k-1."""
     k = model.k
-    spans = np.asarray(d)
-    _check_span(k, spans)
     h = 2 * k
     grid, slope = _pgf_lattice(model, 2)
     rows = _pgf_table(model, 2)
@@ -378,7 +341,7 @@ def far_half_cond_moments(model: AisleModel, d) -> SpanCond:
     dpsi1 = (even_slope[3:] - even_slope[2:-1]) / h
     bracket = even[3:] - even[2:-1] - odd[2:] + odd[1:-1]
     n_endpoint = dpsi1 - bracket
-    return _span_cond(spans, prob, mean, second, cross, n_same, n_other, n_endpoint)
+    return SpanCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
 
 
 # ---------------------------------------------------------------------------

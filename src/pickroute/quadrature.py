@@ -7,25 +7,24 @@ PGF, which climbs to 1 within about 1/mean of x = 1.  The rule is tanh-sinh
 ends, which absorbs log(1-x) endpoint singularities, and the panels resolve a
 peak down to width 1e-12.  Each node x is a float whose 1 - x is exact for
 x >= 1/2, so log(1 - x) and ratios over 1 - x keep full precision next to
-x = 1.  An integral is one evaluation of the integrand on the node array,
-with any leading shape (one row per aisle span, say), and one weighted sum.
-The error estimate is |I_h - I_2h|, I_2h taking every other node, so it
-costs no evaluation.
+x = 1.  The error estimate is |I_h - I_2h|, I_2h taking every other node,
+so it costs no evaluation.
 
-Most integrands of the moment formulas are rows of PGF values times a fixed
-weight function f of x (1, log(1-x), 1/(1-x), a kernel).  For those,
-:func:`integrate_rows` takes rows already evaluated on the nodes and dots
-them with two fixed columns, the value column w f and the error column
-(w - w_2h) f, built on first use of f and kept.
+Every integrand of the moment formulas is rows of values on the nodes, with
+any leading shape (one row per aisle span, say), times a fixed weight
+function f of x (1, log(1-x), 1/(1-x), a kernel).  There is one weighted
+sum, :func:`integrate_rows`: it dots the rows with two fixed columns, the
+value column w f and the error column (w - w_2h) f, built on first use of f
+and kept.  :func:`integrate_1d` (f = 1) and :func:`integrate_2d` (f a
+kernel) are front ends that evaluate an integrand on the nodes for it.
 
 Every double integral of the moment formulas is ``∬ w(x) w(y) g(x+y)`` over
 the unit square with w = 1 or w = log(1-x), so it is taken as one integral in
-s = x + y against the kernel ``∫ w(x) w(s-x) dx``, split at the kink s = 1:
-:func:`integrate_2d` evaluates g on the nodes of [0, 1] and of [1, 2], and
-:func:`integrate_rows` takes the two halves s = x and s = 1 + x as two terms
-whose rows the caller already holds (on a lattice of PGF rows P((j + x)/h),
-g at s = 1 + x is the row one step up).  Each kernel is evaluated once on its
-nodes and kept.
+s = x + y against the kernel ``∫ w(x) w(s-x) dx``, split at the kink s = 1
+into two terms, s = x against the kernel and s = 1 + x against its far half
+:func:`far_half`.  :func:`integrate_2d` evaluates g on both; a caller that
+holds a lattice of PGF rows P((j + x)/h) passes them to
+:func:`integrate_rows` as they are, g at s = 1 + x being the row one step up.
 
 The kernels need the dilogarithm, here :func:`spence` (Li2(1 - z), as in
 scipy.special): the Bernoulli series of Li2 in u = -log(1 - x) for
@@ -39,8 +38,8 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["IntegrationError", "integrate_1d", "integrate_rows", "integrate_2d", "gap_kernel", "box_kernel",
-           "log_kernel"]
+__all__ = ["IntegrationError", "integrate_rows", "integrate_1d", "far_half", "integrate_2d", "gap_kernel",
+           "box_kernel", "log_kernel"]
 
 # |I_h - I_2h| is the error of the coarser rule; where the rule has converged
 # the error of I_h is about its square.  On integrands the panels resolve it
@@ -96,14 +95,6 @@ class IntegrationError(RuntimeError):
         self.err_est = err_est
 
 
-def _apply(values, weights, err_weights):
-    """(value, err) of the weighted sums over the last axis, floats for one
-    integrand; raises :class:`IntegrationError` where the estimate is above
-    tolerance or not finite."""
-    values = np.asarray(values, dtype=float)
-    return _checked(np.vecdot(values, weights), np.abs(np.vecdot(values, err_weights)))
-
-
 def _checked(value, err):
     """(value, err), floats for one integrand, once err passes the tolerance."""
     if value.ndim == 0:
@@ -112,20 +103,6 @@ def _checked(value, err):
         raise IntegrationError(f"integration failed: error estimate {np.max(err):.3g} above tolerance",
                                value, err)
     return value, err
-
-
-def integrate_1d(f, a: float = 0.0, b: float = 1.0):
-    """∫_a^b f from one evaluation of ``f`` on the node array mapped to [a, b];
-    integrable endpoint singularities allowed.  ``f`` returns an array whose
-    last axis runs over the nodes, and the result has its leading shape."""
-    if a > b:
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0, 0.0
-    width = b - a
-    x = a + width * NODES
-    inside = (x > a) & (x < b)   # nodes that round onto an end of [a, b] are dropped
-    return _apply(f(x[inside]), width * WEIGHTS[inside], width * _ERR_WEIGHTS[inside])
 
 
 @cache
@@ -140,10 +117,11 @@ def _columns(f):
 
 def integrate_rows(*terms):
     """The sum over ``terms`` = (rows, f) of ∫_0^1 rows(x) f(x) dx, ``rows``
-    already evaluated on :data:`NODES` (last axis) and ``f`` a module-level
-    weight function (``np.ones_like`` for 1).  The rows of all terms
-    broadcast together, and so do the value and the error estimate, which
-    is checked on the sum as :func:`integrate_1d` checks its integrand."""
+    already evaluated on :data:`NODES` (last axis) and ``f`` a weight
+    function that lives as long as the module (``np.ones_like`` for 1).
+    The rows of all terms broadcast together, and so do the value and the
+    error estimate, which is checked on the sum: raises
+    :class:`IntegrationError` where it is above tolerance or not finite."""
     value = err = 0.0
     for rows, f in terms:
         column, err_column = _columns(f)
@@ -152,17 +130,18 @@ def integrate_rows(*terms):
     return _checked(value, np.abs(err))
 
 
-_S = np.concatenate([NODES, 1.0 + NODES])
-_S_WEIGHTS = np.concatenate([WEIGHTS, WEIGHTS])
-_S_ERR_WEIGHTS = np.concatenate([_ERR_WEIGHTS, _ERR_WEIGHTS])
+def integrate_1d(f):
+    """∫_0^1 f from one evaluation of ``f`` on :data:`NODES`; integrable
+    endpoint singularities allowed.  ``f`` returns an array whose last axis
+    runs over the nodes, and the result has its leading shape."""
+    return integrate_rows((f(NODES), np.ones_like))
 
 
 @cache
-def _kernel_on_nodes(kernel):
-    """``kernel(_S)``, read-only, evaluated once per kernel."""
-    values = kernel(_S)
-    values.flags.writeable = False
-    return values
+def far_half(kernel):
+    """x -> kernel(1 + x), the half s = 1 + x of a kernel on [0, 2]; one
+    function per kernel, so that :func:`integrate_rows` keeps its columns."""
+    return lambda x: kernel(1 + x)
 
 
 def integrate_2d(g, kernel):
@@ -170,7 +149,7 @@ def integrate_2d(g, kernel):
     the rule on [0, 1] and on [1, 2] (s = 1 + x, nodes clustering at s = 2),
     split at the kink s = 1 of the kernel of w (:func:`box_kernel` or
     :func:`log_kernel`)."""
-    return _apply(_kernel_on_nodes(kernel) * g(_S), _S_WEIGHTS, _S_ERR_WEIGHTS)
+    return integrate_rows((g(NODES), kernel), (g(1 + NODES), far_half(kernel)))
 
 
 def _li2_series(u):

@@ -44,7 +44,7 @@ import numpy as np
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig
 from .orderdist import OrderSizeDistribution
 
-__all__ = ["McEstimate", "run_replications_all", "route_times_batch"]
+__all__ = ["McEstimate", "run_replications_all"]
 
 _BATCH = 1 << 17  # fixed batch size; part of the reproducible stream layout
 _CHUNK = 1 << 16  # items sorted and reduced at once; chunks hold whole orders
@@ -205,13 +205,6 @@ def _batches(cfg: WarehouseConfig, dist: OrderSizeDistribution,
     for batch, done in enumerate(range(0, n, _BATCH)):
         yield _batch_route_times(cfg, dist, pick, min(_BATCH, n - done),
                                  _rng_for_batch(seed, batch))
-
-
-def route_times_batch(cfg: WarehouseConfig, dist: OrderSizeDistribution,
-                      pick: PickTimeModel, n: int, seed: int) -> dict[str, np.ndarray]:
-    """Per-order route times for all heuristics with shared samples."""
-    batches = list(_batches(cfg, dist, pick, n, seed))
-    return {h: np.concatenate([times[h] for times in batches]) for h in HEURISTICS}
 
 
 def run_replications_all(cfg: WarehouseConfig, dist: OrderSizeDistribution,

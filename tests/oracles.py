@@ -17,6 +17,8 @@ occupancy blocks, evaluated in mpmath at 40 + 0.6k digits.
 
 ``route_time`` evaluates one sampled order's route literally, item by item:
 the scalar definition that the vectorized Monte Carlo engine must reproduce.
+``route_times_batch`` returns that engine's per-order route times, which the
+package only reduces to moments.
 
 ``pair_event_prob``, ``contiguous_probs`` and ``iodd_mean`` are quantities
 the package no longer needs, derived from its PGF and occupancy law for the
@@ -34,9 +36,10 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from pickroute.heuristics import HEURISTICS, WarehouseConfig
+from pickroute.heuristics import HEURISTICS, PickTimeModel, WarehouseConfig
 from pickroute.orderdist import Deterministic, Geometric, OrderSizeDistribution, ShiftedPoisson
 from pickroute.prelim import occupancy_law
+from pickroute.simulate import _batches
 
 
 def harmonic(n: int) -> Fraction:
@@ -485,7 +488,7 @@ class SampledOrder:
 def sample_order(cfg: WarehouseConfig, dist: OrderSizeDistribution,
                  rng: np.random.Generator) -> SampledOrder:
     """One order: size from the distribution, uniform aisle and position per item."""
-    m = int(dist.sample(rng))
+    m = int(dist.sample(rng, 1)[0])
     aisles = rng.integers(1, cfg.k + 1, size=m)
     positions = rng.random(m)
     return SampledOrder(m, tuple((int(a), float(p)) for a, p in zip(aisles, positions)))
@@ -548,3 +551,11 @@ def route_time(cfg: WarehouseConfig, heuristic: str, order: SampledOrder,
         return t_pick + (l / v) * (occupied + odd * (2.0 * a_last - 1.0)) + t_cross
 
     raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
+
+
+def route_times_batch(cfg: WarehouseConfig, dist: OrderSizeDistribution,
+                      pick: PickTimeModel, n: int, seed: int) -> dict[str, np.ndarray]:
+    """Per-order route times of the Monte Carlo engine for all heuristics,
+    from the stream of ``run_replications_all`` with the same seed."""
+    batches = list(_batches(cfg, dist, pick, n, seed))
+    return {h: np.concatenate([times[h] for times in batches]) for h in HEURISTICS}

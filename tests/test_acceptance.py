@@ -26,10 +26,9 @@ from pickroute import (
 )
 from pickroute.heuristics import MomentReport
 from pickroute.prelim import AisleModel, gap_moments, kplus_moments, occupancy_law
-from pickroute.simulate import route_times_batch
 from pickroute.cli import main as cli_main
 
-from oracles import contiguous_probs, enum_discrete, iodd_mean, pair_event_prob
+from oracles import contiguous_probs, enum_discrete, iodd_mean, pair_event_prob, route_times_batch
 
 V3KMH = 3000.0 / 3600.0
 MC_N = 1_000_000

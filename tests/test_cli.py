@@ -245,9 +245,9 @@ def test_import_leaves_heavy_modules_unloaded():
     # mpmath and scipy left the package: scipy.special alone took longer to
     # import than all of pickroute, and scipy.stats, scipy.signal and
     # scipy.integrate each longer still.  Nor does the import evaluate any
-    # weight column, node kernel or PGF table: they are built on first use.
+    # weight column, kernel half or PGF table: they are built on first use.
     heavy = ('mpmath', 'scipy.stats', 'scipy.signal', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse')
-    caches = "q._columns, q._kernel_on_nodes, p._pgf_lattice, p._pgf_table, p._occupancy"
+    caches = "q._columns, q.far_half, p._pgf_lattice, p._pgf_table, p._occupancy"
     code = ("import sys, pickroute; from pickroute import prelim as p, quadrature as q; print([m for m in sys.modules"
             f" if m in {heavy!r} or m == 'scipy' or m.startswith('scipy.')]);"
             f" print([f.__name__ for f in ({caches}) if f.cache_info().currsize])")

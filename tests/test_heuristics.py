@@ -227,6 +227,18 @@ def test_largest_gap_with_steep_pgf(k):
     assert rep.var_t >= 0.0
 
 
+def test_pgf_table_built_once_per_unit_count():
+    # return and largest gap read the u = 1 table and midpoint the u = 2 one;
+    # a layout cell runs them in that order, and the u = 1 table outlives
+    # midpoint's, so one model builds two tables, not three
+    cfg, pick = WarehouseConfig(12, 20.0, 2.5, 1.0), PickTimeModel.from_scv(5.0, 1.0)
+    dist = parse_dist_spec("geom:17.25")   # a model no other test builds
+    before = prelim._pgf_table.cache_info().misses
+    for heuristic in ("return", "midpoint", "largest-gap"):
+        compute_moments(cfg, dist, pick, heuristic)
+    assert prelim._pgf_table.cache_info().misses - before == 2
+
+
 def test_unknown_heuristic_rejected():
     with pytest.raises(ValueError):
         compute_moments(STANDARD, Deterministic(2), PickTimeModel(0.0, 0.0), "optimal")

@@ -212,8 +212,8 @@ def test_geometric_pgf_dominates_poisson_at_equal_mean():
 
 def test_sampler_examples():
     rng = np.random.default_rng(0)
-    assert Deterministic(5).sample(rng) == 5
-    assert ShiftedPoisson(0.0).sample(rng) == 1
+    assert Deterministic(5).sample(rng, 3).tolist() == [5, 5, 5]
+    assert ShiftedPoisson(0.0).sample(rng, 3).tolist() == [1, 1, 1]
     draws = Geometric(0.5).sample(np.random.default_rng(1), size=10**6).astype(float)
     se = draws.std() / math.sqrt(len(draws))
     assert draws.mean() == pytest.approx(2.0, abs=4 * se)

@@ -1,16 +1,17 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from pickroute import PickTimeModel, WarehouseConfig, compute_moments, prelim
 from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson, parse_dist_spec
 from pickroute.prelim import AisleModel
 
-from oracles import (DECADES, _mp_law, contiguous_probs, enum_conditional, enum_discrete, far_item_kplus_cross,
-                     far_item_moments_mp, iodd_mean, pair_event_prob, span_blocks_mp)
+from oracles import (DECADES, _mp_law, contiguous_probs, e_gap, enum_conditional, enum_discrete,
+                     far_item_kplus_cross, far_item_moments_mp, iodd_mean, iter_aisle_assignments, occupied,
+                     pair_event_prob, span_blocks_mp)
 from test_orderdist import PMF_LAWS
 
 SMALL_CASES = [(k, m) for k in (1, 2, 3) for m in (1, 2, 3, 4)]
@@ -45,28 +46,6 @@ def test_kplus_matches_enumeration(k, m):
     assert mean == pytest.approx(float(oracle["kp_mean"]), abs=1e-12)
     assert second == pytest.approx(float(oracle["kp_sec"]), abs=1e-12)
     assert cross == pytest.approx(float(oracle["m_kp"]), abs=1e-12)
-
-
-def test_cond_pair_pgf_event_probability():
-    model = AisleModel(3, Deterministic(2))
-    # exactly one item in aisle 1 and one in aisle 3, in either order
-    assert prelim.cond_pair_pgf(model, 1.0, 1.0, 2, 1) == pytest.approx(2 / 9, abs=1e-14)
-    assert prelim.cond_pair_pgf(model, 1.0, 1.0, 2, 2) == pytest.approx(2 / 9, abs=1e-14)
-    assert pair_event_prob(model, 2) == pytest.approx(2 / 9, abs=1e-14)
-
-
-def test_cond_pair_pgf_half_full_agree_at_one():
-    model = AisleModel(6, Geometric(1 / 5))
-    for d in (2, 3, 4, 5):
-        half = prelim.cond_pair_pgf(model, 1.0, 1.0, d, 2)
-        full = prelim.cond_pair_pgf(model, 1.0, 1.0, d, 1)
-        assert half == pytest.approx(full, abs=1e-14)
-
-
-def test_cond_pair_pgf_rejects_small_span():
-    model = AisleModel(4, Deterministic(2))
-    with pytest.raises(ValueError):
-        prelim.cond_pair_pgf(model, 0.5, 0.5, 1, 1)
 
 
 def test_pair_probabilities_partition():
@@ -131,6 +110,11 @@ def test_m_far_cross_examples():
 # largest-gap moments
 # ---------------------------------------------------------------------------
 
+def at_span(c: prelim.SpanCond, d: int) -> prelim.SpanCond:
+    """The fields of a span block, arrays over the spans 2..k-1, at span d."""
+    return prelim.SpanCond(*(getattr(c, f.name)[d - 2] for f in dataclasses.fields(c)))
+
+
 def test_gap_moments_single_point():
     mean_1md, second_1md, _ = prelim.gap_moments(AisleModel(1, Deterministic(1)))
     assert mean_1md == pytest.approx(0.25, abs=1e-8)
@@ -149,8 +133,8 @@ def test_gap_moments_variance_nonnegative():
 def test_conditional_quantities_match_enumeration(k, m, d):
     oracle = enum_conditional(k, m, d)
     model = AisleModel(k, Deterministic(m))
-    half = prelim.far_half_cond_moments(model, d)
-    gap = prelim.gap_cond_moments(model, d)
+    half = at_span(prelim.far_half_cond_moments(model), d)
+    gap = at_span(prelim.gap_cond_moments(model), d)
     assert half.prob == pytest.approx(float(oracle["prob"]), abs=1e-10)
     assert gap.prob == pytest.approx(float(oracle["prob"]), abs=1e-10)
     assert half.mean == pytest.approx(float(oracle["af_mean"]), abs=1e-10)
@@ -172,15 +156,15 @@ def test_gap_count_cross_empty_interior_case():
     # two items forced to the endpoint aisles: interior aisle is empty and
     # contributes nothing
     model = AisleModel(3, Deterministic(2))
-    assert prelim.gap_cond_moments(model, 2).n_same == pytest.approx(0.0, abs=1e-10)
+    assert prelim.gap_cond_moments(model).n_same[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gap_count_cross_same_aisle_enumeration_value():
     # det(3), k=3: on the event only count layout (1,1,1) has an occupied
     # interior aisle; E[N2 (1-D2) 1{event}] = (6/27) * (1/4)
     model = AisleModel(3, Deterministic(3))
-    assert prelim.gap_cond_moments(model, 2).n_same == pytest.approx(1 / 18, abs=1e-10)
-    assert prelim.gap_cond_moments(model, 2).n_endpoint == pytest.approx(1 / 18, abs=1e-10)
+    assert prelim.gap_cond_moments(model).n_same[0] == pytest.approx(1 / 18, abs=1e-10)
+    assert prelim.gap_cond_moments(model).n_endpoint[0] == pytest.approx(1 / 18, abs=1e-10)
 
 
 @pytest.mark.parametrize("mean, d, ref", [(32, 6, 1.2967248535819053e-06), (18, 3, 8.431073180624892e-07)])
@@ -189,20 +173,7 @@ def test_gap_cond_cross_despite_cancellation(mean, d, ref):
     # the result is only as good as the pieces; ref is the same formula in
     # mpmath at 30 digits with the kernel integrated directly
     model = AisleModel(20, Geometric(1 / mean))
-    assert prelim.gap_cond_moments(model, d).cross == pytest.approx(ref, rel=1e-10, abs=0.0)
-
-
-@pytest.mark.parametrize("spec", ["geom:18", "det:3", "spois:4", "snbin:3:9"])
-@pytest.mark.parametrize("k", [5, 20, 64])
-def test_span_blocks_on_arrays_equal_scalar_calls(spec, k):
-    # one call on all spans returns, to the bit, what one call per span does
-    model = AisleModel(k, parse_dist_spec(spec))
-    spans = np.arange(2, k)
-    for block in (prelim.gap_cond_moments, prelim.far_half_cond_moments):
-        rows = dataclasses.astuple(block(model, spans))
-        for i, d in enumerate(spans.tolist()):
-            one = dataclasses.astuple(block(model, d))
-            assert all(np.array_equal(r[i], v, equal_nan=True) for r, v in zip(rows, one)), (block, d)
+    assert prelim.gap_cond_moments(model).cross[d - 2] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [20, 64])
@@ -211,7 +182,7 @@ def test_span_blocks_match_high_precision_oracle(k):
     for d in (2, 3, k // 2, k - 1):
         want = span_blocks_mp(model, d)
         for name, block in (("gap", prelim.gap_cond_moments), ("far_half", prelim.far_half_cond_moments)):
-            got = dataclasses.astuple(block(model, d))
+            got = dataclasses.astuple(at_span(block(model), d))
             for g, w in zip(got, want[name]):
                 if w is None:
                     assert math.isnan(g)
@@ -226,7 +197,7 @@ def test_span_block_cross_terms_match_high_precision_oracle(spec, d):
     model = AisleModel(64, parse_dist_spec(spec))
     want = span_blocks_mp(model, d)
     for name, block in (("gap", prelim.gap_cond_moments), ("far_half", prelim.far_half_cond_moments)):
-        assert block(model, d).cross == pytest.approx(want[name][3], rel=2e-10, abs=0.0), name
+        assert block(model).cross[d - 2] == pytest.approx(want[name][3], rel=2e-10, abs=0.0), name
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -237,7 +208,7 @@ def test_steep_pgf_integrals(k):
     want = far_item_moments_mp(model, DECADES, dps=20)
     assert prelim.far_item_moments(model) == pytest.approx(want, rel=1e-9, abs=0.0)
     for d in sorted({2, k - 1}):
-        got = dataclasses.astuple(prelim.gap_cond_moments(model, d))
+        got = dataclasses.astuple(at_span(prelim.gap_cond_moments(model), d))
         want = span_blocks_mp(model, d, DECADES, dps=20)["gap"]
         for g, w in zip(got, want):
             if w is not None:
@@ -256,12 +227,25 @@ def test_occupancy_tail_integrals(spec):
 
 
 def test_conditional_depends_only_on_span():
-    # identical span built from different endpoint pairs yields identical
-    # inputs by construction; the API accepts only the span
-    model = AisleModel(6, Geometric(1 / 4))
-    a = prelim.cond_pair_pgf(model, 0.3, 0.9, 3, 1)
-    b = prelim.cond_pair_pgf(model, 0.3, 0.9, 3, 1)
-    assert a == b
+    # the blocks take the span only: by enumeration, every endpoint pair
+    # (l, l + d) gives the same event probability and the same E[(1 - D) 1{event}]
+    # of the aisle after l, and both are the block's entry for span d
+    k, m = 5, 4
+    gap = prelim.gap_cond_moments(AisleModel(k, Deterministic(m)))
+    for d in range(2, k):
+        by_pair = set()
+        for lo in range(1, k - d + 1):
+            prob = mean = Fraction(0)
+            for p, counts in iter_aisle_assignments(k, m):
+                occ = occupied(counts)
+                if (min(occ), max(occ)) == (lo, lo + d):
+                    prob += p
+                    mean += p * (1 - e_gap(counts[lo]))
+            by_pair.add((prob, mean))
+        assert len(by_pair) == 1, d
+        (prob, mean), = by_pair
+        assert gap.prob[d - 2] == pytest.approx(float(prob), abs=1e-14)
+        assert gap.mean[d - 2] == pytest.approx(float(mean), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import SampledOrder, route_time, sample_order
+from oracles import SampledOrder, route_time, route_times_batch, sample_order
 from pickroute import (
     Deterministic,
     Geometric,
@@ -13,7 +13,7 @@ from pickroute import (
     parse_dist_spec,
     run_replications_all,
 )
-from pickroute.simulate import _chunk_sums, _rng_for_batch, _sort_cells, route_times_batch
+from pickroute.simulate import _chunk_sums, _rng_for_batch, _sort_cells
 
 CFG = WarehouseConfig(3, 20.0, 2.5, 1.0)
 
