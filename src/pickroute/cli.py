@@ -14,6 +14,7 @@ import csv
 import io
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
 from .layout import layout_sweep
@@ -320,7 +321,9 @@ _FLAG_HELP = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pickroute",
         description="Exact order-picking time moments, Monte Carlo validation, "

@@ -58,6 +58,25 @@ _LI2_SERIES = (1 / 36, -1 / 3600, 4.72411186696901e-06, -9.185773074661964e-08, 
                4.518980029619918e-16, -1.0356517612181247e-17, 2.395218621026187e-19)
 
 
+def _log_kernel_series():
+    """c_2..c_50 of log_kernel(s) = sum_{n>=2} c_n s^(n+1), used for s < 1/2.
+
+    From log(1-x) = -sum x^a/a and ∫_0^s x^a (s-x)^b dx = s^(a+b+1) a! b! / (a+b+1)!,
+    c_n = sum_{a+b=n, a,b>=1} (a-1)! (b-1)! / (n+1)! = S_{n-2} / ((n+1) n (n-1)),
+    where S_m = sum_j 1/C(m, j) = 1 + (m+1)/(2m) S_{m-1}, S_0 = 1.  Terms to
+    n = 50 leave less than 1e-18 relative out at s = 1/2.
+    """
+    coef, s_m = [], 1.0
+    for m in range(49):  # n = m + 2
+        if m:
+            s_m = 1.0 + (m + 1) / (2 * m) * s_m
+        coef.append(s_m / ((m + 3) * (m + 2) * (m + 1)))
+    return tuple(coef)
+
+
+_LOG_KERNEL_SERIES = _log_kernel_series()
+
+
 def _rule(h: float = 1 / 8, n: int = 28, decades: int = 12):
     """(nodes, weights, weights of the step-2h rule) of the tanh-sinh rule with
     nodes at t = -n h..n h on each decade panel.  Nodes within 2^-54 of 1 would
@@ -193,7 +212,9 @@ def log_kernel(s):
     each t * ∫_0^b (L + log a)(L + log(1-a)) da with b = (t-1)/t and L = log t;
     the bracket below is that integral in closed form, Li2(1-b) = spence(b)
     (NaN for s >= 1, where the bracket is discarded).
-    c vanishes at s = 0 and s = 2.
+    c vanishes at s = 0 and s = 2.  Below s = 1/2 those closed-form terms of
+    order 1 cancel to c ~ s^3/6 (all digits lost by s = 1e-6), so c is taken
+    from its power series there.
     """
     s = np.asarray(s, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,6 +227,10 @@ def log_kernel(s):
         bracket = (lt * lt * b + lt * (blb - b) - lt * ((1.0 - b) * l1b + b)
                    + (blb - b + 1.0) * l1b - blb + 2.0 * b + spence(b) - _PI2_6)
         c = np.where(s >= 1.0, c, c - 2.0 * t * bracket)
+    series = _LOG_KERNEL_SERIES[-1]
+    for coef in _LOG_KERNEL_SERIES[-2::-1]:
+        series = series * s + coef
+    c = np.where(s < 0.5, s * s * s * series, c)
     return np.where((s > 0.0) & (s < 2.0), c, 0.0)[()]
 
 

@@ -19,17 +19,25 @@ per-order sums come back in submission order and the route times are formed
 from them once per batch, so neither the worker count nor the order in which
 chunks finish can change a bit.
 
-A chunk is sorted by (cell, position) with one in-place value sort of a
-packed uint64 key: the cell in the high bits, the leading bits of the
-position's integer ``pos * 2**53`` next, and the item's index in the low bits,
-which reads the positions back with one gather.  If two positions in one cell
-tied on their bits and came out swapped, the chunk is sorted again with
-``np.lexsort``.  Per-order sums are ``np.bincount`` sums over occupied cells
-only, so memory is O(items) whatever k; the largest-gap and half-aisle maxima
-are formed for interior cells only (neither the first nor the last occupied
-cell of an order), the only ones that enter those sums.  The sums equal a row
-sum over all k aisles to the bit for k < 8; from k = 8 numpy's pairwise row
-sum differs by < 1e-15 relative.
+A chunk takes one of two paths, chosen by k alone; both give the same
+per-order sums to the bit.
+
+- k >= 3, sorted: the chunk is sorted by (cell, position) with one in-place
+  value sort of a packed uint64 key: the cell in the high bits, the leading
+  bits of the position's integer ``pos * 2**53`` next, and the item's index in
+  the low bits, which reads the positions back with one gather.  If two
+  positions in one cell tied on their bits and came out swapped, the chunk is
+  sorted again with ``np.lexsort``.  Per-order sums are ``np.bincount`` sums
+  over occupied cells only, so memory is O(items) whatever k; the largest-gap
+  and half-aisle maxima are formed for interior cells only (neither the first
+  nor the last occupied cell of an order), the only ones that enter those
+  sums.  The sums equal a row sum over all k aisles to the bit for k < 8; from
+  k = 8 numpy's pairwise row sum differs by < 1e-15 relative.
+- k <= 2, dense: no aisle lies between two others, so no cell is interior
+  and the midpoint and largest-gap sums are zero.  Return and S-shaped use
+  only each cell's furthest item, a maximum that needs no sort: it comes from
+  ``np.maximum.at`` on the (order, aisle) cells, and occupancy from their
+  item counts (a position can be 0.0, so a maximum cannot tell it).
 """
 from __future__ import annotations
 
@@ -116,11 +124,37 @@ def _workers() -> int:
 
 
 def _chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray):
-    """Per-order sums of consecutive orders (sizes m, items in order), over occupied cells only.
+    """Per-order sums of consecutive orders (sizes m, items in order).
 
     Returns kplus, the occupied-aisle count, the furthest item in aisle kplus
     and the return, midpoint and largest-gap within-aisle sums.
     """
+    return (_dense_chunk_sums if k <= 2 else _sorted_chunk_sums)(k, aisle, pos, m)
+
+
+def _dense_chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray):
+    """:func:`_chunk_sums` for k <= 2 from (orders x aisles) arrays, without a sort."""
+    n = m.size
+    cell = aisle + np.repeat(np.arange(0, n * k, k), m)
+    count = np.bincount(cell, minlength=n * k).reshape(n, k)
+    far = np.zeros(n * k)
+    np.maximum.at(far, cell, pos)
+    far = far.reshape(n, k)
+    back = count[:, -1] > 0
+    kplus = np.where(back, k, 1)
+    # the return sum adds the cells in aisle order from 0.0, as the sorted
+    # path's bincount does; an empty cell adds +0.0, which is exact
+    s_ret = np.zeros(n)
+    for j in range(k):
+        s_ret += far[:, j]
+    return (kplus,
+            kplus - (count[:, 0] == 0),  # only aisle 1 can be empty below kplus
+            np.where(back, far[:, -1], far[:, 0]),
+            s_ret, *np.zeros((2, n)))
+
+
+def _sorted_chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray):
+    """:func:`_chunk_sums` over the occupied cells of the chunk sorted by (cell, position)."""
     n = m.size
     sc, sp = _sort_cells(aisle + np.repeat(np.arange(0, n * k, k), m), pos, n * k)
     starts = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))

@@ -134,6 +134,16 @@ def test_flags_override_config(tmp_path):
     assert rows[1][1] == "2"
 
 
+def test_parser_built_once_per_process(tmp_path):
+    from pickroute.cli import _build_parser
+    _build_parser.cache_clear()
+    argv = ["moments", "--k", "2", "--l", "10", "--wa", "1.0", "--v", "1 m/s",
+            "--dist", "det:2", "--heuristic", "return", "--out", str(tmp_path / "m.csv")]
+    assert main(argv) == main(argv) == EXIT_OK
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_moments_without_config_file(tmp_path):
     out = tmp_path / "m.csv"
     status = main(["moments", "--k", "2", "--l", "10", "--wa", "1.0", "--v", "1 m/s",

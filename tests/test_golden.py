@@ -1,12 +1,15 @@
-"""Golden-file tests: every subcommand on the README baseline config.
+"""Golden-file tests: every subcommand on the README baseline config, and
+the Monte Carlo estimates on the validate grid.
 
-The expected CSVs in ``tests/golden/`` were written by the CLI itself; rerun
-``python tests/test_golden.py`` to rewrite them after a deliberate numeric
-change (and say so in CHANGES.md).  Monte Carlo output must match byte for
-byte; analytic cells within 1e-12 relative (z-scores within 1e-9 absolute,
-being differences of nearly equal numbers); text cells exactly.
+The expected CSVs in ``tests/golden/`` were written by the CLI itself, and
+``mc_grid.json`` by :func:`mc_grid`; rerun ``python tests/test_golden.py`` to
+rewrite them after a deliberate numeric change (and say so in CHANGES.md).
+Monte Carlo output must match byte for byte; analytic cells within 1e-12
+relative (z-scores within 1e-9 absolute, being differences of nearly equal
+numbers); text cells exactly.
 """
 import csv
+import json
 import math
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from pickroute import HEURISTICS, PickTimeModel, WarehouseConfig, parse_dist_spec, run_replications_all
 from pickroute.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -29,6 +33,13 @@ CASES = {
     "validate": (MC, 0),
 }
 BYTE_EXACT = {"simulate"}
+
+# The validate grid at 20,000 samples, and geom:8 across two batches
+# (2**17 + 1,000 orders) on both sides of k = 2.
+MC_GRID = ([(k, spec, 20_000) for spec in ("det:3", "spois:4", "geom:8", "geom:32", "snbin:3:9")
+            for k in (1, 2, 3, 5)]
+           + [(k, "geom:8", (1 << 17) + 1_000) for k in (2, 5)])
+MC_GRID_SEED = 29
 REL_TOL = 1e-12
 Z_ABS_TOL = 1e-9
 
@@ -84,6 +95,23 @@ def test_golden_csv(name, tmp_path):
     assert_matches_golden(name, out)
 
 
+def mc_grid() -> dict:
+    """Every McEstimate field, as its repr, of each MC_GRID cell."""
+    pick = PickTimeModel.from_scv(5.0, 1.0)
+    out = {}
+    for k, spec, n in MC_GRID:
+        est = run_replications_all(WarehouseConfig(k, 20.0, 2.5, 3.0 / 3.6),
+                                   parse_dist_spec(spec), pick, n, MC_GRID_SEED)
+        out[f"{k}/{spec}/{n}"] = {h: {f: repr(v) for f, v in vars(est[h]).items()}
+                                  for h in HEURISTICS}
+    return out
+
+
+def test_mc_grid_golden():
+    want = json.loads((GOLDEN / "mc_grid.json").read_text(encoding="utf-8"))
+    assert mc_grid() == want
+
+
 # A fresh interpreter whose import system refuses scipy: every subcommand
 # must run on numpy alone.
 BLOCKED_SCIPY_RUN = """
@@ -114,3 +142,4 @@ if __name__ == "__main__":
     for case in CASES:
         status = run_case(case, GOLDEN / f"{case}.csv")
         print(f"{case}: exit {status}", file=sys.stderr)
+    (GOLDEN / "mc_grid.json").write_text(json.dumps(mc_grid(), indent=1) + "\n", encoding="utf-8")

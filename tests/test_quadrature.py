@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -90,6 +91,25 @@ def test_kernels_against_direct_convolution(kernel, w):
         assert kernel(s) == pytest.approx(direct, rel=1e-9, abs=1e-13)
     assert kernel(0.0) == 0.0
     assert kernel(2.0) == 0.0
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.49, 0.5, 0.7])
+def test_log_kernel_small_s_against_mpmath(s):
+    # c(s) ~ s^3/6 near 0, where the closed form's terms of order 1 cancel;
+    # for s < 1 the overlap is [0, s], on which the integrand is smooth
+    with mpmath.workdps(30):
+        s_mp = mpmath.mpf(s)
+        direct = mpmath.quad(lambda x: mpmath.log(1 - x) * mpmath.log(1 - s_mp + x), [0, s_mp])
+    assert log_kernel(s) == pytest.approx(float(direct), rel=1e-13, abs=0.0)
+
+
+def test_log_kernel_series_coefficients():
+    # the recurrence against the defining sum sum_{a+b=n} (a-1)! (b-1)! / (n+1)!
+    from pickroute.quadrature import _LOG_KERNEL_SERIES
+    for n, coef in enumerate(_LOG_KERNEL_SERIES, start=2):
+        exact = Fraction(sum(math.factorial(a - 1) * math.factorial(n - a - 1) for a in range(1, n)),
+                         math.factorial(n + 1))
+        assert coef == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def test_integrate_2d_against_dblquad():

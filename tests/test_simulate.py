@@ -13,7 +13,7 @@ from pickroute import (
     parse_dist_spec,
     run_replications_all,
 )
-from pickroute.simulate import _chunk_sums, _rng_for_batch, _sort_cells
+from pickroute.simulate import _chunk_sums, _rng_for_batch, _sort_cells, _sorted_chunk_sums
 
 CFG = WarehouseConfig(3, 20.0, 2.5, 1.0)
 
@@ -79,14 +79,16 @@ def test_route_time_validation():
 
 def test_vectorized_engine_matches_scalar_reference(monkeypatch):
     import pickroute.simulate as sim
-    # k = 9 and k = 3 with 300-item chunks: the batch spans at least three
+    # k = 9, 3, 2 and 1 with 300-item chunks: the batch spans at least three
     # chunks; a non-zero pick time pins the gamma draw after every chunk's
     # positions.  At k = 3 only aisle 2 can be interior, and only when aisles
-    # 1 and 3 are occupied as well.
+    # 1 and 3 are occupied as well; k = 2 and k = 1 take the dense path.
     for k, chunk, pick in ((4, sim._CHUNK, PickTimeModel(0.0, 0.0)),
                            (9, 300, PickTimeModel(0.0, 0.0)),
                            (9, 300, PickTimeModel.from_scv(4.0, 0.7)),
-                           (3, 300, PickTimeModel.from_scv(4.0, 0.7))):
+                           (3, 300, PickTimeModel.from_scv(4.0, 0.7)),
+                           (2, 300, PickTimeModel.from_scv(4.0, 0.7)),
+                           (1, 300, PickTimeModel.from_scv(4.0, 0.7))):
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         cfg = WarehouseConfig(k, 17.0, 2.0, 1.3)
         dist = Geometric(1 / 5)
@@ -130,6 +132,44 @@ def test_chunk_sums_without_interior_cells_are_zero(k):
     assert all(s.size == m.size for s in sums)
     for s in sums[4:]:
         assert s.dtype == np.float64 and np.all(s == 0.0)
+
+
+def _assert_same_sums(got, want):
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@pytest.mark.parametrize("spec", ["det:3", "spois:4", "geom:8", "geom:32", "snbin:3:9"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_dense_chunk_sums_match_sorted_path(spec, k, monkeypatch):
+    # at k <= 2 the chunk is reduced without a sort, to the same arrays
+    import pickroute.simulate as sim
+    rng = _rng_for_batch(13, 0)
+    m = parse_dist_spec(spec).sample(rng, size=5_000)
+    aisle = rng.integers(0, k, size=int(m.sum()))
+    pos = rng.random(aisle.size)
+    want = _sorted_chunk_sums(k, aisle, pos, m)
+    monkeypatch.setattr(sim, "_sort_cells", None)
+    _assert_same_sums(_chunk_sums(k, aisle, pos, m), want)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_dense_chunk_sums_with_item_at_zero(k):
+    # an occupied cell whose only item sits at 0.0 has a furthest item of 0.0,
+    # the value of an empty cell: occupancy must come from the counts
+    m = np.array([1, 2, 2, 3, 1])
+    aisle = np.array([0, 1, 0, 0, 1, 0, 1, 0, 1]) % k
+    pos = np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
+    got = _chunk_sums(k, aisle, pos, m)
+    _assert_same_sums(got, _sorted_chunk_sums(k, aisle, pos, m))
+    ret = [0.0, 0.25, 0.0, 0.5, 0.0]
+    if k == 2:
+        expect = ([1, 2, 2, 2, 2], [1, 2, 2, 2, 1], [0.0] * 5, ret)
+    else:
+        expect = ([1] * 5, [1] * 5, ret, ret)
+    assert [s.tolist() for s in got[:4]] == list(expect)
 
 
 @pytest.mark.parametrize("spec", ["det:3", "geom:32", "snbin:3:9"])
