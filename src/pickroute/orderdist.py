@@ -126,6 +126,17 @@ class OrderSizeDistribution:
         """``size`` order sizes as an int64 array."""
         raise NotImplementedError
 
+    def _check_factorial2(self):
+        """Raise ValueError unless E[M(M-1)], which every E[T^2] needs, is a
+        finite double."""
+        try:
+            finite = math.isfinite(self.factorial2())
+        except (OverflowError, ZeroDivisionError):   # an int beyond a double; p^2 under one
+            finite = False
+        if not finite:
+            raise ValueError(f"E[M(M-1)] of {self.spec()} overflows a double: "
+                             "order-size means must stay below about 1e154")
+
     def spec(self) -> str:
         raise NotImplementedError
 
@@ -175,6 +186,7 @@ class Deterministic(OrderSizeDistribution):
     def __post_init__(self):
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise ValueError(f"deterministic order size must be an integer >= 1, got {self.m!r}")
+        self._check_factorial2()
 
     def pgf(self, x):
         return x ** self.m
@@ -210,6 +222,7 @@ class ShiftedPoisson(OrderSizeDistribution):
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"shifted-Poisson rate must be finite and >= 0, got {self.lam!r}")
+        self._check_factorial2()
 
     def pgf(self, x):
         return x * _exp(-self.lam * (1 - x))
@@ -245,6 +258,7 @@ class Geometric(OrderSizeDistribution):
     def __post_init__(self):
         if not 0 < self.p <= 1:
             raise ValueError(f"geometric success probability must be in (0, 1], got {self.p!r}")
+        self._check_factorial2()
 
     # 1 - (1-p) x is evaluated as p + (1-x)(1-p), exactly p at x = 1: P(1) = 1
     def pgf(self, x):
@@ -286,6 +300,7 @@ class ShiftedNegBinomial(OrderSizeDistribution):
             raise ValueError(f"number of successes must be an integer >= 1, got {self.r!r}")
         if not 0 < self.p <= 1:
             raise ValueError(f"success probability must be in (0, 1], got {self.p!r}")
+        self._check_factorial2()
 
     def pgf(self, x):
         return (self.p * x / (self.p + (1 - x) * (1 - self.p))) ** self.r

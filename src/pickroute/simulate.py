@@ -11,7 +11,14 @@ its own counter-based Philox stream keyed by (seed, batch index), so identical
 (seed, n) always produce bit-identical estimates.
 
 A batch draws its sizes and aisles and is cut at order boundaries into chunks
-of about ``_CHUNK`` items of whole orders.  The chunks run in parallel on a
+of about ``_CHUNK`` items of whole orders.  The aisles are drawn in 32-bit
+words, as numpy draws any bound below 2**32 whatever the output type, so the
+values and the stream are those of an int64 draw; they are kept in the
+narrowest unsigned type that holds k - 1, one byte an item up to k = 256
+instead of eight.  They are drawn once per batch, not per chunk: freeing
+that batch-sized array lifts glibc's dynamic mmap and trim thresholds, after
+which the chunks' temporaries are reused from the heap instead of being
+mapped and faulted in again on every chunk.  The chunks run in parallel on a
 thread pool with one worker per usable CPU.  Each chunk's positions are drawn
 as it is submitted, and the pick sums after the last chunk's positions; only
 the calling thread draws, so the stream is read in one fixed order.  The
@@ -198,6 +205,15 @@ def _sorted_chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray
             s_mid, s_gap)
 
 
+def _aisles(rng: np.random.Generator, k: int, size: int) -> np.ndarray:
+    """``size`` aisles in 0..k-1, the values and stream of an int64 draw, in
+    the narrowest unsigned type that holds k - 1."""
+    if k > 1 << 32:
+        return rng.integers(0, k, size=size)
+    # numpy draws a bound below 2^32 from 32-bit words whatever the output type
+    return rng.integers(0, k, size=size, dtype=np.uint32).astype(np.min_scalar_type(k - 1), copy=False)
+
+
 def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
                        pick: PickTimeModel, b: int, rng: np.random.Generator):
     """Route times for b orders, all heuristics at once (shared samples).
@@ -207,7 +223,7 @@ def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
     """
     l, wa, v = cfg.l, cfg.wa, cfg.v
     m = dist.sample(rng, size=b)
-    aisle = rng.integers(0, cfg.k, size=int(m.sum()))
+    aisle = _aisles(rng, cfg.k, int(m.sum()))
 
     # cut before the first order that starts at or after each multiple of _CHUNK
     first = np.cumsum(m) - m  # index of each order's first item

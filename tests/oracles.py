@@ -304,9 +304,14 @@ def pair_event_prob(model, d: int) -> float:
 def contiguous_probs(pmf) -> list[float]:
     """P(occupied set = {1..j}) for j = 1..k, from the occupied-count pmf:
     pmf[j-1] / C(k, j), divided exactly so that it underflows to 0 rather
-    than overflowing at large k."""
+    than overflowing at large k (an int over an int is correctly rounded)."""
     k = len(pmf)
-    return [float(Fraction(p) / math.comb(k, j)) for j, p in enumerate(pmf, start=1)]
+    out, comb = [], 1
+    for j, p in enumerate(pmf, start=1):
+        comb = comb * (k - j + 1) // j
+        num, den = p.as_integer_ratio()
+        out.append(num / (den * comb))
+    return out
 
 
 def iodd_mean(model) -> float:

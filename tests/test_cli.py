@@ -257,13 +257,23 @@ def test_import_leaves_heavy_modules_unloaded():
     # scipy.integrate each longer still.  Nor does the import evaluate any
     # weight column, kernel half or PGF table: they are built on first use.
     heavy = ('mpmath', 'scipy.stats', 'scipy.signal', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse')
-    caches = "q._columns, q.far_half, p._pgf_lattice, p._pgf_table, p._occupancy"
+    caches = "q._columns, q.far_half, p._pgf_lattice, p._pgf_table, p._pgf_integrals, p._occupancy"
     code = ("import sys, pickroute; from pickroute import prelim as p, quadrature as q; print([m for m in sys.modules"
             f" if m in {heavy!r} or m == 'scipy' or m.startswith('scipy.')]);"
             f" print([f.__name__ for f in ({caches}) if f.cache_info().currsize])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("heuristic", ["return", "midpoint", "largest-gap", "s-shaped"])
+@pytest.mark.parametrize("spec", ["geom:1e160", "geom:1e200"])
+def test_moments_beyond_a_double_exits_2(spec, heuristic, capsys):
+    # E[M(M-1)] is not a finite double: every heuristic's E[T^2] would be inf
+    status = main(["moments", "--k", "5", "--l", "20", "--wa", "2.5", "--v", "3 km/h",
+                   "--dist", spec, "--heuristic", heuristic])
+    assert status == EXIT_CONFIG
+    assert "E[M(M-1)]" in capsys.readouterr().err
 
 
 def test_unknown_dist_flag_exits_2(capsys):

@@ -132,6 +132,18 @@ def test_sshaped_det3_at_k512_regression():
         assert rep.sd_t == pytest.approx(math.sqrt(e_t2 - e_t * e_t), rel=1e-8), k
 
 
+@pytest.mark.parametrize("spec,e_t,e_t2", [
+    ("geom:1e6", 5122473.13673563, 51243742991244.78),
+    ("spois:1e5", 622873.999999799, 387977019850.7495),
+    ("snbin:50:1e4", 163818.24172374082, 26937912522.365673),
+])
+def test_sshaped_at_k4096(spec, e_t, e_t2):
+    # computed once from the occupancy table at full width, without a floor
+    # (60-75 s for the three on one thread); the banded table takes about 2 s
+    rep = compute_moments(WarehouseConfig(4096, **LARGE_K_CFG), parse_dist_spec(spec), LARGE_K_PICK, "s-shaped")
+    assert (rep.e_t, rep.e_t2) == pytest.approx((e_t, e_t2), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("spec", ["geom:18", "spois:4", "snbin:3:40", "det:3", "geom:40"])
 def test_sshaped_monte_carlo_at_k2048(spec):
     cfg, dist = WarehouseConfig(2048, **LARGE_K_CFG), parse_dist_spec(spec)

@@ -244,6 +244,20 @@ def test_parse_dist_spec_rejects_invalid():
             parse_dist_spec(bad)
 
 
+@pytest.mark.parametrize("spec", ["spois:1e160", "geom:1e160", "snbin:3:1e160", "geom:1e200",
+                                  "snbin:3:1e200", "det:1e160", "geom:1e154"])
+def test_factorial2_beyond_a_double_is_rejected(spec):
+    # E[T^2] came out inf with no error from order-size means near 1.3e154,
+    # and p ** 2 underflowing to 0 raised a bare ZeroDivisionError
+    with pytest.raises(ValueError, match=r"E\[M\(M-1\)\] of .* overflows a double"):
+        parse_dist_spec(spec)
+
+
+def test_factorial2_near_the_limit_is_accepted():
+    for spec in ("spois:1.3e154", "geom:9e153", "snbin:3:9e153", "det:1e150"):
+        assert math.isfinite(parse_dist_spec(spec).factorial2()), spec
+
+
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec())
 def test_array_arguments_match_scalar(dist):
     # numpy's exp may differ from math.exp in the last bit, hence a few ulps

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from pickroute import PickTimeModel, WarehouseConfig, compute_moments, prelim
@@ -308,12 +309,13 @@ def test_iodd_matches_printed_alternating_sum_small_k():
 
 
 def test_occupancy_stable_at_large_k():
-    # the pmf stays a probability vector with the PGF's moments up to k = 2048;
+    # the pmf stays a probability vector with the PGF's moments up to k = 4096;
     # the alternating sums lost this past k ~ 96 (entries of -1.4e-8 at k = 128),
     # and C(k, j) times the contiguous probabilities overflowed from k ~ 1,030
-    for spec in ("det:1", "det:3", "spois:4", "geom:8", "geom:32", "snbin:3:9", "geom:40", "snbin:3:40"):
+    for spec in ("det:1", "det:3", "spois:4", "geom:8", "geom:32", "snbin:3:9", "geom:40", "snbin:3:40",
+                 "geom:1000", "spois:1e5"):
         dist = parse_dist_spec(spec)
-        for k in (1, 2, 5, 64, 96, 128, 256, 512, 1024, 2048):
+        for k in (1, 2, 5, 64, 96, 128, 256, 512, 1024, 2048, 4096):
             pmf, mean, second = prelim.occupancy_law(AisleModel(k, dist))
             contiguous = contiguous_probs(pmf)
             assert all(0.0 <= p <= 1 + 1e-12 for p in pmf), (spec, k)
@@ -338,6 +340,39 @@ def test_occupancy_blocks_match_chain(k, monkeypatch):
             prelim._occupancy.cache_clear()
             got = compute_moments(cfg, dist, pick, "s-shaped")
         assert (got.e_t, got.e_t2) == pytest.approx((want.e_t, want.e_t2), rel=1e-13, abs=0.0), dist
+    prelim._occupancy.cache_clear()
+
+
+@pytest.mark.parametrize("k", [2, 5, 12, 32, 48, 64, 96, 127])
+def test_occupancy_floor_keeps_doubled_table(k, monkeypatch):
+    # below k = 128 the floor zeroes entries in place and every product keeps
+    # its full width: the sums are those of the table without a floor, bit
+    # for bit
+    for dist in PMF_LAWS + [Geometric(1 / 1000)]:
+        prelim._occupancy.cache_clear()
+        got = prelim._occupancy(AisleModel(k, dist))
+        with monkeypatch.context() as patch:
+            patch.setattr(prelim, "_FLOOR", 0.0)
+            prelim._occupancy.cache_clear()
+            want = prelim._occupancy(AisleModel(k, dist))
+        for name, g, w in zip(("cp", "w", "far", "mfar", "far2"), got, want):
+            np.testing.assert_array_equal(g, w, err_msg=f"{dist} {name}")
+    prelim._occupancy.cache_clear()
+
+
+@pytest.mark.parametrize("k", [128, 256, 1024, 2048])
+def test_occupancy_band_matches_full_rows(k, monkeypatch):
+    # from k = 128 the chain steps and sums each row on its band of columns
+    # above the floor; with no floor the band holds every non-zero entry
+    cfg, pick = WarehouseConfig(k, 20.0, 2.5, 3000.0 / 3600.0), PickTimeModel.from_scv(5.0, 1.0)
+    for dist in PMF_LAWS + [Geometric(1 / 1000)]:
+        prelim._occupancy.cache_clear()
+        got = compute_moments(cfg, dist, pick, "s-shaped")
+        with monkeypatch.context() as patch:
+            patch.setattr(prelim, "_FLOOR", 0.0)
+            prelim._occupancy.cache_clear()
+            want = compute_moments(cfg, dist, pick, "s-shaped")
+        assert (got.e_t, got.e_t2) == pytest.approx((want.e_t, want.e_t2), rel=1e-14, abs=0.0), dist
     prelim._occupancy.cache_clear()
 
 

@@ -13,7 +13,7 @@ from pickroute import (
     parse_dist_spec,
     run_replications_all,
 )
-from pickroute.simulate import _chunk_sums, _rng_for_batch, _sort_cells, _sorted_chunk_sums
+from pickroute.simulate import _aisles, _chunk_sums, _rng_for_batch, _sort_cells, _sorted_chunk_sums
 
 CFG = WarehouseConfig(3, 20.0, 2.5, 1.0)
 
@@ -218,6 +218,26 @@ def test_chunk_error_reaches_caller(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive(), "run_replications_all hung after a chunk error"
     assert [str(exc) for exc in raised] == ["chunk failed"]
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 255, 256, 257, 1000, 65536, 65537,
+                               2 ** 31 - 1, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1])
+def test_narrow_aisles_match_int64_draw(k):
+    # the aisles are drawn in 32-bit words and kept in the narrowest unsigned
+    # type: the values and the generator state after the draw are those of
+    # the int64 draw, so the rest of the stream is unchanged
+    want_rng, got_rng = _rng_for_batch(5, 0), _rng_for_batch(5, 0)
+    want = want_rng.integers(0, k, size=10_001)
+    got = _aisles(got_rng, k, 10_001)
+    assert got.dtype == (np.min_scalar_type(k - 1) if k <= 2 ** 32 else np.int64)
+    np.testing.assert_array_equal(got, want)
+    assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 def test_batch_memory_is_linear_in_items():
