@@ -5,20 +5,23 @@ travel, and the heuristics differ only in the within-aisle part.  Pick time
 and cross-aisle travel, (2wa/v)(kplus - 1) out to the furthest occupied aisle
 and back, are common to all four, and so are their terms in E[T^2].
 
-Return, midpoint and largest gap split each aisle into ``u`` units of length
-l/u, walk into each unit they serve a distance X_i (as a fraction of l/u) and
-back, and so walk (2l/u) X within aisles, X being the sum of the X_i:
+Each heuristic splits every aisle into ``u`` units of length l/u and walks
+(2l/u) X within aisles.  Return, midpoint and largest gap walk into each unit
+they serve a distance X_i (as a fraction of l/u) and back, X being the sum of
+the X_i; S-shaped traverses each of the I occupied aisles and, when I is odd,
+enters the last one only to its furthest item A and walks back out:
 
 * return: u = 1, X_i = A_i, the furthest item of every aisle;
 * midpoint: u = 2, X_i = A^f, the furthest item of an interior half-aisle
   from its own cross-aisle;
-* largest gap: u = 1, X_i = 1 - D_i, an interior aisle minus its largest gap.
+* largest gap: u = 1, X_i = 1 - D_i, an interior aisle minus its largest gap;
+* s-shaped: u = 2, X = I + [I odd](2A - 1).
 
 Midpoint and largest gap also traverse the first and last occupied aisles
 completely (2l, even when both coincide), and their X sums the interior units
-of each span d = kplus - kminus.  For all three, E[T] and E[T^2] follow from
-four sums, E[X], E[X^2], E[kplus X] and E[M X], through one assembler.
-S-shaped has its own occupancy terms.  Each second moment is an explicit
+of each span d = kplus - kminus.  For all four, E[T] and E[T^2] follow from
+four sums, E[X], E[X^2], E[kplus X] and E[M X], through one assembler, and
+every report names the same terms.  Each second moment is an explicit
 named-term sum (logged at DEBUG level), so that any discrepancy against the
 Monte Carlo oracle is attributable to a single term.  Speeds are in
 meters/second and times in seconds.
@@ -108,35 +111,13 @@ class MomentReport:
     terms: dict = field(default=None, repr=False, compare=False)
 
 
-def _report(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel,
-            e_tw: float, terms: dict, traverse: bool = False) -> MomentReport:
-    """Add the pick-time and cross-aisle terms every heuristic shares (and the
-    full traversal of the first and last occupied aisles, when the route makes
-    one) to the within-aisle ``terms``; E[T^2] is their sum."""
-    dist, l, wa, v = model.dist, cfg.l, cfg.wa, cfg.v
-    em, ep = dist.mean(), pick.mean
-    kp_mean, kp_sec, m_kp = prelim.kplus_moments(model)
-    e_ttr = e_tw + (2 * wa / v) * (kp_mean - 1)
-    e_t = em * ep + e_ttr
-    terms = {
-        "pick2": dist.factorial2() * ep * ep + em * pick.second_moment,
-        **terms,
-        "cross2": (4 * wa * wa / v ** 2) * (kp_sec - 2 * kp_mean + 1),
-        "pick_cross": (4 * wa / v) * ep * (m_kp - em),
-    }
-    if traverse:
-        terms["traverse2"] = 4 * l * l / v ** 2
-        terms["traverse_rest"] = (4 * l / v) * (e_t - 2 * l / v)
-    e_t2 = math.fsum(terms.values())
-    var = e_t2 - e_t * e_t
-    if var < 0:
-        if var < -1e-9 * max(e_t2, 1.0):
-            raise ArithmeticError(f"{heuristic}: negative variance {var} beyond tolerance")
-        var = 0.0
-    if log.isEnabledFor(logging.DEBUG):
-        for name, value in terms.items():
-            log.debug("%s term %s = %.12g", heuristic, name, value)
-    return MomentReport(e_t, e_t2, var, math.sqrt(var), e_tw, e_ttr, terms)
+def _return_sums(model: AisleModel) -> tuple[float, float, float, float]:
+    """The four aisle sums of X = A_1 + ... + A_k, every aisle one unit and
+    A_i its furthest item."""
+    k = model.k
+    a_mean, a_sec, a_cross = prelim.far_item_moments(model)
+    return (k * a_mean, k * a_sec + (k * (k - 1) * a_cross if k >= 2 else 0.0),
+            prelim.sum_far_item_kplus_cross(model), k * prelim.m_far_cross(model))
 
 
 def _span_sums(model: AisleModel, u: int, block) -> tuple[float, float, float, float]:
@@ -159,68 +140,77 @@ def _span_sums(model: AisleModel, u: int, block) -> tuple[float, float, float, f
             math.fsum(0.5 * (k + d + 1) * weight * c.mean), math.fsum(weight * mx))
 
 
-def _aisle_sum_report(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel,
-                      sums: tuple[float, float, float, float], u: int, traverse: bool) -> MomentReport:
-    """Report for a route whose within-aisle travel is (2l/u) X, plus 2l when it
-    traverses the first and last occupied aisles.  ``sums`` are E[X], E[X^2],
-    E[kplus X] and E[M X]."""
-    ex, ex2, ekx, emx = sums
-    l, wa, v = cfg.l, cfg.wa, cfg.v
-    unit = 2 * l / (u * v)   # walking time per unit of X
-    terms = {
-        "within2": unit * unit * ex2,
-        "pick_within": 2 * unit * pick.mean * emx,
-        "within_cross": 2 * unit * (2 * wa / v) * (ekx - ex),
-    }
-    e_tw = unit * ex + (2 * l / v if traverse else 0.0)
-    return _report(heuristic, cfg, model, pick, e_tw, terms, traverse)
-
-
-def _sshaped(cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel) -> MomentReport:
-    """Traverse every occupied aisle, entering the last one from the front
-    (and walking back out) only when the occupied-aisle count is odd."""
-    k, l, wa, v = cfg.k, cfg.l, cfg.wa, cfg.v
+def _sshaped_sums(model: AisleModel) -> tuple[float, float, float, float]:
+    """The four aisle sums of X = I + [I odd](2A - 1), I the occupied-aisle
+    count and A the furthest item of the last occupied aisle.  p_odd, the
+    e_*_odd and the e_*a* below are taken on the event that I is odd."""
+    k = model.k
     P, Pp = model.dist.pgf, model.dist.pgf_prime
-    em, ep = model.dist.mean(), pick.mean
+    em = model.dist.mean()
 
     # the blocks are C(k, j) times the same moments on the occupied set {1..j}
     pmf, ei, ei2 = prelim.occupancy_law(model)
     odd = range(1, k + 1, 2)
-    e_iodd = math.fsum(pmf[j - 1] for j in odd)
-    e_iodd_i = math.fsum(j * pmf[j - 1] for j in odd)
+    p_odd = math.fsum(pmf[j - 1] for j in odd)
+    e_i_odd = math.fsum(j * pmf[j - 1] for j in odd)
     e_mi = k * em - (k - 1) * Pp((k - 1) / k)
     e_ki = k * k - k * (k + 1) * P((k - 1) / k) + math.fsum(P(np.arange(k) / k))
     # kplus and an odd occupied count: a set of odd size j has maximum m in
     # C(m-1, j-1) ways, and sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1),
     # with C(k+1, j+1) / C(k, j) = (k+1)/(j+1)
-    e_iodd_k = math.fsum(j * (k + 1) / (j + 1) * pmf[j - 1] for j in odd)
+    e_k_odd = math.fsum(j * (k + 1) / (j + 1) * pmf[j - 1] for j in odd)
     # N_1 needs aisle 1 occupied: C(k-1, j-1) / C(k, j) = j/k
     w = prelim.contiguous_count_prime(model)
-    e_m_iodd = math.fsum(j / k * w[j] for j in odd)
+    e_m_odd = math.fsum(j / k * w[j] for j in odd)
 
     far, far2, mfar = prelim.contiguous_far_moments(model)
-    e_iodd_a = math.fsum(far[j] for j in odd)
-    e_iodd_a2 = math.fsum(far2[j] for j in odd)
-    e_iodd_a_i = math.fsum(j * far[j] for j in odd)
-    e_iodd_a_k = math.fsum(j * (k + 1) / (j + 1) * far[j] for j in odd)
-    e_m_iodd_a = math.fsum(mfar[j] for j in odd)
+    e_a = math.fsum(far[j] for j in odd)
+    e_a2 = math.fsum(far2[j] for j in odd)
+    e_ia = math.fsum(j * far[j] for j in odd)
+    e_ka = math.fsum(j * (k + 1) / (j + 1) * far[j] for j in odd)
+    e_ma = math.fsum(mfar[j] for j in odd)
 
-    e_tw = (l / v) * ei + (2 * l / v) * e_iodd_a - (l / v) * e_iodd
+    return (math.fsum((ei, 2 * e_a, -p_odd)),
+            math.fsum((ei2, 4 * e_ia, -2 * e_i_odd, 4 * e_a2, -4 * e_a, p_odd)),
+            math.fsum((e_ki, 2 * e_ka, -e_k_odd)),
+            math.fsum((e_mi, 2 * e_ma, -e_m_odd)))
+
+
+def _assemble(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel,
+              sums: tuple[float, float, float, float], u: int, traverse: bool) -> MomentReport:
+    """Report for a route whose within-aisle travel is (2l/u) X, plus 2l when it
+    traverses the first and last occupied aisles.  ``sums`` are E[X], E[X^2],
+    E[kplus X] and E[M X]; the pick-time and cross-aisle terms are common to
+    every heuristic, and E[T^2] is the sum of the named terms."""
+    ex, ex2, ekx, emx = sums
+    dist, l, wa, v = model.dist, cfg.l, cfg.wa, cfg.v
+    em, ep = dist.mean(), pick.mean
+    kp_mean, kp_sec, m_kp = prelim.kplus_moments(model)
+    unit = 2 * l / (u * v)   # walking time per unit of X
+    e_tw = unit * ex + (2 * l / v if traverse else 0.0)
+    e_ttr = e_tw + (2 * wa / v) * (kp_mean - 1)
+    e_t = em * ep + e_ttr
     terms = {
-        "occupied2": (l * l / v ** 2) * ei2,
-        "last_aisle2": (4 * l * l / v ** 2) * e_iodd_a2,
-        "odd2": (l * l / v ** 2) * e_iodd,
-        "pick_occupied": (2 * l / v) * ep * e_mi,
-        "pick_last": (4 * l / v) * ep * e_m_iodd_a,
-        "pick_odd": -(2 * l / v) * ep * e_m_iodd,
-        "last_occupied": (4 * l * l / v ** 2) * e_iodd_a_i,
-        "odd_occupied": -(2 * l * l / v ** 2) * e_iodd_i,
-        "occupied_cross": (4 * l * wa / v ** 2) * (e_ki - ei),
-        "last_odd": -(4 * l * l / v ** 2) * e_iodd_a,
-        "last_cross": (8 * l * wa / v ** 2) * (e_iodd_a_k - e_iodd_a),
-        "odd_cross": -(4 * l * wa / v ** 2) * (e_iodd_k - e_iodd),
+        "pick2": dist.factorial2() * ep * ep + em * pick.second_moment,
+        "within2": unit * unit * ex2,
+        "pick_within": 2 * unit * ep * emx,
+        "within_cross": 2 * unit * (2 * wa / v) * (ekx - ex),
+        "cross2": (4 * wa * wa / v ** 2) * (kp_sec - 2 * kp_mean + 1),
+        "pick_cross": (4 * wa / v) * ep * (m_kp - em),
     }
-    return _report("s-shaped", cfg, model, pick, e_tw, terms)
+    if traverse:
+        terms["traverse2"] = 4 * l * l / v ** 2
+        terms["traverse_rest"] = (4 * l / v) * (e_t - 2 * l / v)
+    e_t2 = math.fsum(terms.values())
+    var = e_t2 - e_t * e_t
+    if var < 0:
+        if var < -1e-9 * max(e_t2, 1.0):
+            raise ArithmeticError(f"{heuristic}: negative variance {var} beyond tolerance")
+        var = 0.0
+    if log.isEnabledFor(logging.DEBUG):
+        for name, value in terms.items():
+            log.debug("%s term %s = %.12g", heuristic, name, value)
+    return MomentReport(e_t, e_t2, var, math.sqrt(var), e_tw, e_ttr, terms)
 
 
 def compute_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
@@ -228,17 +218,13 @@ def compute_moments(cfg: WarehouseConfig, dist: OrderSizeDistribution,
     """Moment report for the named heuristic."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
-    k, model = cfg.k, AisleModel(cfg.k, dist)
-    if heuristic == "s-shaped":
-        return _sshaped(cfg, model, pick)
+    model = AisleModel(cfg.k, dist)
     if heuristic == "return":
-        # every aisle is one unit, X_i = A_i its furthest item
-        a_mean, a_sec, a_cross = prelim.far_item_moments(model)
-        sums = (k * a_mean, k * a_sec + (k * (k - 1) * a_cross if k >= 2 else 0.0),
-                prelim.sum_far_item_kplus_cross(model), k * prelim.m_far_cross(model))
-        return _aisle_sum_report(heuristic, cfg, model, pick, sums, 1, traverse=False)
-    if heuristic == "midpoint":
-        u, block = 2, prelim.far_half_cond_moments
+        sums, u, traverse = _return_sums(model), 1, False
+    elif heuristic == "midpoint":
+        sums, u, traverse = _span_sums(model, 2, prelim.far_half_cond_moments), 2, True
+    elif heuristic == "largest-gap":
+        sums, u, traverse = _span_sums(model, 1, prelim.gap_cond_moments), 1, True
     else:
-        u, block = 1, prelim.gap_cond_moments
-    return _aisle_sum_report(heuristic, cfg, model, pick, _span_sums(model, u, block), u, traverse=True)
+        sums, u, traverse = _sshaped_sums(model), 2, False
+    return _assemble(heuristic, cfg, model, pick, sums, u, traverse)

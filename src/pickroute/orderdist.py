@@ -343,7 +343,7 @@ def parse_dist_spec(text: str) -> OrderSizeDistribution:
     try:
         if kind == "det" and len(parts) == 2:
             raw = float(parts[1])
-            if raw != int(raw):
+            if not raw.is_integer():   # False for inf and NaN too
                 raise ValueError("deterministic size must be an integer")
             return Deterministic(int(raw))
         if kind == "spois" and len(parts) == 2:
@@ -358,7 +358,7 @@ def parse_dist_spec(text: str) -> OrderSizeDistribution:
             return Geometric(1.0 / mean)
         if kind == "snbin" and len(parts) == 3:
             r = float(parts[1])
-            if r != int(r) or r < 1:
+            if not r.is_integer() or r < 1:
                 raise ValueError("number of successes must be an integer >= 1")
             mean = float(parts[2])
             if mean < r:

@@ -11,6 +11,7 @@ c = 1 this reduces to the exact M/G/1 mean sojourn time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .heuristics import MomentReport
@@ -33,8 +34,8 @@ class QueueScenario:
     def __post_init__(self):
         if not (isinstance(self.c, int) and self.c >= 1):
             raise ValueError(f"picker count must be an integer >= 1, got {self.c!r}")
-        if not self.lam > 0:
-            raise ValueError(f"arrival rate must be positive, got {self.lam!r}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"arrival rate must be finite and positive, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ def erlang_c_wait_prob(c: int, rho: float) -> float:
     """P(wait) in an M/M/c queue, by the Erlang-B recurrence (no factorials)."""
     if not (isinstance(c, int) and c >= 1):
         raise ValueError(f"server count must be an integer >= 1, got {c!r}")
-    if rho < 0:
-        raise ValueError(f"utilization must be >= 0, got {rho!r}")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"utilization must be finite and >= 0, got {rho!r}")
     if rho >= 1:
         raise UnstableQueueError(f"utilization must be < 1, got {rho!r}")
     a = c * rho

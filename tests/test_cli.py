@@ -283,6 +283,16 @@ def test_unknown_dist_flag_exits_2(capsys):
     assert "weird" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dist,lam,message", [("det:inf", "51", "det:inf"), ("geom:32", "inf", "finite")],
+                         ids=["dist", "lambda"])
+def test_non_finite_flag_exits_2(dist, lam, message, capsys):
+    # an infinite order size used to escape as OverflowError, an infinite rate as an unstable queue
+    status = main(["leadtime", "--k", "5", "--l", "20", "--wa", "2.5", "--v", "3 km/h",
+                   "--dist", dist, "--pickers", "5", "--lambda", lam])
+    assert status == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", [ArithmeticError("s-shaped: negative variance -3.2 beyond tolerance"),
                                    IntegrationError("integration failed: roundoff", 1.0, 0.5)],
                          ids=["arithmetic", "integration"])

@@ -163,6 +163,16 @@ def test_report_invariants():
             assert 0 <= rep.e_tw <= rep.e_ttr <= rep.e_t + 1e-12
 
 
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_terms_share_names_across_heuristics(heuristic):
+    # one assembly for all four: E[T^2] rows line up term by term
+    shared = ["pick2", "within2", "pick_within", "within_cross", "cross2", "pick_cross"]
+    traverse = ["traverse2", "traverse_rest"] if heuristic in ("midpoint", "largest-gap") else []
+    rep = compute_moments(STANDARD, Geometric(1 / 8), PickTimeModel.from_scv(5.0, 1.0), heuristic)
+    assert list(rep.terms) == shared + traverse
+    assert math.fsum(rep.terms.values()) == rep.e_t2
+
+
 def test_pick_time_separability():
     # travel terms are unchanged when the pick time is removed
     for h in HEURISTICS:

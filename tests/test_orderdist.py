@@ -239,7 +239,7 @@ def test_parse_dist_spec_round_trips():
 
 def test_parse_dist_spec_rejects_invalid():
     for bad in ("geom:0.5", "det:0", "det:2.5", "spois:0.5", "snbin:7:5",
-                "snbin:7", "unknown:3", "geom", ""):
+                "snbin:7", "unknown:3", "geom", "", "det:inf", "det:1e400", "snbin:inf:5"):
         with pytest.raises(ValueError):
             parse_dist_spec(bad)
 

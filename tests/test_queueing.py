@@ -59,6 +59,9 @@ def test_erlang_c_domain():
         erlang_c_wait_prob(0, 0.5)
     with pytest.raises(ValueError):
         erlang_c_wait_prob(2, -0.1)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            erlang_c_wait_prob(5, rho)
 
 
 def test_lead_time_single_server_examples():
@@ -117,3 +120,6 @@ def test_scenario_validation():
         QueueScenario(0, 1.0)
     with pytest.raises(ValueError):
         QueueScenario(2, 0.0)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QueueScenario(5, lam)
