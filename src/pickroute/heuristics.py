@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import prelim
-from .orderdist import OrderSizeDistribution
+from .orderdist import OrderSizeDistribution, as_count
 from .prelim import AisleModel
 
 __all__ = [
@@ -61,8 +61,7 @@ class WarehouseConfig:
     v: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"aisle count must be an integer >= 1, got {self.k!r}")
+        object.__setattr__(self, "k", as_count(self.k, "aisle count"))
         if not (math.isfinite(self.l) and self.l > 0):
             raise ValueError(f"aisle length must be finite and positive, got {self.l!r}")
         if not (math.isfinite(self.wa) and self.wa >= 0):

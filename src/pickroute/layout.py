@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
-from .orderdist import OrderSizeDistribution
+from .orderdist import OrderSizeDistribution, as_count
 from .queueing import QueueScenario, lead_time_estimate
 
 __all__ = ["LayoutCell", "LayoutRow", "NoFeasibleLayoutError", "layout_sweep", "recommend"]
@@ -46,8 +46,8 @@ def layout_sweep(total_length: float, k_range, wa: float, v: float,
     """One row per k in ``k_range``, with l = total_length / k."""
     if not total_length > 0:
         raise ValueError(f"total aisle length must be positive, got {total_length!r}")
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 1:
+    ks = sorted({as_count(k, "aisle count in k_range") for k in k_range})
+    if not ks:
         raise ValueError("k_range must contain integers >= 1")
     for h in heuristics:
         if h not in HEURISTICS:

@@ -29,6 +29,7 @@ binomial probabilities", 2000), within 2e-13 of 40-digit mpmath there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,14 @@ def _xlog(n: np.ndarray, log_y: float) -> np.ndarray:
     if log_y == -math.inf:
         return np.where(n == 0, 0.0, -math.inf)
     return n * log_y
+
+
+def as_count(value, what: str) -> int:
+    """``value`` as an ``int``, for a count that must be an integer >= 1: any
+    integral value but a bool, numpy integers included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _exp(x):
@@ -184,8 +193,7 @@ class Deterministic(OrderSizeDistribution):
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValueError(f"deterministic order size must be an integer >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", as_count(self.m, "deterministic order size"))
         self._check_factorial2()
 
     def pgf(self, x):
@@ -207,7 +215,7 @@ class Deterministic(OrderSizeDistribution):
         return f"det:{self.m}"
 
     def _support_start(self):
-        return int(self.m)
+        return self.m
 
     def _logpmf(self, m):
         return np.where(m == self.m, 0.0, -np.inf)
@@ -296,8 +304,7 @@ class ShiftedNegBinomial(OrderSizeDistribution):
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.r, (int, np.integer)) and self.r >= 1):
-            raise ValueError(f"number of successes must be an integer >= 1, got {self.r!r}")
+        object.__setattr__(self, "r", as_count(self.r, "number of successes"))
         if not 0 < self.p <= 1:
             raise ValueError(f"success probability must be in (0, 1], got {self.p!r}")
         self._check_factorial2()
@@ -325,7 +332,7 @@ class ShiftedNegBinomial(OrderSizeDistribution):
         return f"snbin:{self.r}:{self.r / self.p:g}"
 
     def _support_start(self):
-        return int(self.r)
+        return self.r
 
     def _logpmf(self, m):
         # log C(n+r-1, r-1) as a sum of r-1 logs: the gammaln difference

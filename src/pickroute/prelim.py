@@ -18,13 +18,15 @@ gap need the PGF on one lattice per unit count u (u = 1 whole aisles, u = 2
 half-aisles), h = u k: the values P(j/h) and P'(j/h) for j = 0..h, and the
 rows P((j + x)/h) for j < h on the nodes of the rule in
 :mod:`pickroute.quadrature`, each evaluated once per model and unit count
-and kept.  A span-d term is a second difference of rows in
-j, taken node by node for all spans 2..k-1 at once and then integrated
-against a fixed weight column: differencing first keeps the digits that
-cancel between neighbouring rows, which integrating each row first loses
-(the largest-gap cross term at k = 64, d = 3, geom:18 went from 7e-14 to
-5e-10 relative).  A two-unit cross term, an integral in s = x + y, is the
-same second difference one lattice row lower (s < 1) and where it is
+and kept.  Every integral below is of rows on those nodes, taken by
+:func:`~pickroute.quadrature.integrate_1d` or
+:func:`~pickroute.quadrature.integrate_2d`.  A span-d term is a second
+difference of rows in j, taken node by node for all spans 2..k-1 at once
+and then integrated against a fixed weight column: differencing first keeps
+the digits that cancel between neighbouring rows, which integrating each row
+first loses (the largest-gap cross term at k = 64, d = 3, geom:18 went from
+7e-14 to 5e-10 relative).  A two-unit cross term, an integral in s = x + y,
+is the same second difference one lattice row lower (s < 1) and where it is
 (s = 1 + x), against the two halves of its kernel.
 
 The occupancy quantities are PGF sums with alternating signs, which cancel
@@ -92,8 +94,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orderdist import PMF_TAIL, OrderSizeDistribution
-from .quadrature import NODES, far_half, gap_kernel, integrate_1d, integrate_2d, integrate_rows, log_kernel
+from .orderdist import PMF_TAIL, OrderSizeDistribution, as_count
+from .quadrature import NODES, box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
 
 __all__ = [
     "AisleModel",
@@ -119,8 +121,7 @@ class AisleModel:
     dist: OrderSizeDistribution
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"aisle count must be an integer >= 1, got {self.k!r}")
+        object.__setattr__(self, "k", as_count(self.k, "aisle count"))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +181,6 @@ def _x(x):
     return x
 
 
-def _one_minus(x):
-    return 1 - x
-
-
 def _log1m(x):
     return np.log1p(-x)
 
@@ -208,13 +205,13 @@ def far_item_moments(model: AisleModel) -> tuple[float, float, float]:
     """
     rows = _pgf_table(model, 1)
     last = rows[-1]   # P((k - 1 + x)/k)
-    int_p = integrate_rows((last, np.ones_like))[0]
+    int_p = integrate_1d(last)[0]
     mean = 1.0 - int_p
-    second = 1.0 - 2.0 * integrate_rows((last, _x))[0]
+    second = 1.0 - 2.0 * integrate_1d(last, _x)[0]
     if model.k >= 2:
-        # the box kernel min(s, 2 - s) of the pair's sum s: row k - 2 for
-        # s < 1, row k - 1 for s = 1 + x
-        cross = 1.0 - 2.0 * int_p + integrate_rows((rows[-2], _x), (last, _one_minus))[0]
+        # the box kernel of the pair's sum s: row k - 2 for s < 1, row k - 1
+        # for s = 1 + x
+        cross = 1.0 - 2.0 * int_p + integrate_2d(rows[-2], last, box_kernel)[0]
     else:
         cross = math.nan
     return mean, second, cross
@@ -229,7 +226,7 @@ def sum_far_item_kplus_cross(model: AisleModel) -> float:
     """
     k = model.k
     grid, rows = _pgf_lattice(model, 1)[0], _pgf_table(model, 1)
-    ints = integrate_rows((rows, np.ones_like))[0]
+    ints = integrate_1d(rows)[0]
     j = np.arange(1, k)
     return k * k * (1.0 - float(ints[-1])) - math.fsum(j * (grid[1:k] - ints[:-1]))
 
@@ -238,7 +235,7 @@ def m_far_cross(model: AisleModel) -> float:
     """E[M * A_i], the order size against the furthest item in one aisle."""
     k = model.k
     p = float(_pgf_lattice(model, 1)[0][k - 1])
-    return model.dist.mean() - k + (k - 1) * p + integrate_rows((_pgf_table(model, 1)[-1], np.ones_like))[0]
+    return model.dist.mean() - k + (k - 1) * p + integrate_1d(_pgf_table(model, 1)[-1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +249,15 @@ def gap_moments(model: AisleModel) -> tuple[float, float, float]:
     an empty aisle has D = 1 so 1 - D contributes nothing).  The cross moment
     needs two distinct aisles and is NaN for k = 1.
     """
-    k, P = model.k, model.dist.pgf
-    pn = lambda x: P(1 - 1 / k + x / k)
-    int_log = integrate_1d(lambda x: pn(x) * np.log1p(-x))[0]
+    rows = _pgf_table(model, 1)
+    last = rows[-1]   # P((k - 1 + x)/k)
+    int_log = integrate_1d(last, _log1m)[0]
     mean = 1.0 + int_log
-    second = 1.0 + 2.0 * int_log + integrate_1d(lambda x: x * pn(x) * gap_kernel(x))[0]
-    if k >= 2:
-        cross = (1.0 + 2.0 * int_log
-                 + integrate_2d(lambda s: P(1 - 2 / k + s / k), log_kernel)[0])
+    second = 1.0 + 2.0 * int_log + integrate_1d(last, _x_gap_kernel)[0]
+    if model.k >= 2:
+        # the log kernel of the pair's sum s: row k - 2 for s < 1, row k - 1
+        # for s = 1 + x
+        cross = 1.0 + 2.0 * int_log + integrate_2d(rows[-2], last, log_kernel)[0]
     else:
         cross = math.nan
     return mean, second, cross
@@ -306,11 +304,11 @@ def gap_cond_moments(model: AisleModel) -> SpanCond:
     end1 = grid[3:] - grid[2:-1]
     dlam1 = (slope[3:] - slope[2:-1]) / k
 
-    int_gam = integrate_rows((gam, np.ones_like))[0]
-    int_gam_log = integrate_rows((gam, _log1m))[0]
-    int_gam_kernel = integrate_rows((gam, _x_gap_kernel))[0]
-    r = integrate_rows((prob[:, None] - gam, _slope))[0]
-    r_end = integrate_rows((end1[:, None] - step[1:], _slope))[0]
+    int_gam = integrate_1d(gam)[0]
+    int_gam_log = integrate_1d(gam, _log1m)[0]
+    int_gam_kernel = integrate_1d(gam, _x_gap_kernel)[0]
+    r = integrate_1d(prob[:, None] - gam, _slope)[0]
+    r_end = integrate_1d(end1[:, None] - step[1:], _slope)[0]
 
     mean = prob + int_gam_log
     second = prob + 2 * int_gam_log + int_gam_kernel
@@ -319,8 +317,7 @@ def gap_cond_moments(model: AisleModel) -> SpanCond:
     # arguments only through their sum s, which the log kernel weighs: the
     # rows of s < 1 are gam one span down, those of s = 1 + x gam itself
     cross = np.full(prob.shape, math.nan)
-    cross[1:] = (prob + 2 * int_gam_log)[1:] + integrate_rows((gam[:-1], log_kernel),
-                                                              (gam[1:], far_half(log_kernel)))[0]
+    cross[1:] = (prob + 2 * int_gam_log)[1:] + integrate_2d(gam[:-1], gam[1:], log_kernel)[0]
     n_other = dgam1 - r
     n_other[:1] = math.nan
     n_endpoint = dlam1 - r_end
@@ -341,14 +338,14 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
     prob = np.diff(even, 2)[1:]
     dphi1 = (even_slope[3:] - 2 * even_slope[2:-1] + even_slope[1:-2]) / h
 
-    int_phi = integrate_rows((phi, np.ones_like))[0]
-    int_zphi = integrate_rows((phi, _x))[0]
+    int_phi = integrate_1d(phi)[0]
+    int_zphi = integrate_1d(phi, _x)[0]
 
     mean = prob - int_phi
     second = prob - 2 * int_zphi
     # the box kernel of the pair's sum s: even rows 2d-4, 2d-2, 2d for s < 1,
     # phi for s = 1 + x
-    cross = prob - 2 * int_phi + integrate_rows((np.diff(rows[::2], 2, axis=0), _x), (phi, _one_minus))[0]
+    cross = prob - 2 * int_phi + integrate_2d(np.diff(rows[::2], 2, axis=0), phi, box_kernel)[0]
     n_same = dphi1 - prob + int_phi
     n_other = dphi1 - prob + np.diff(odd, 2)
 
@@ -392,11 +389,8 @@ def _saturation_rows(k: int) -> int:
 def _pgf_integrals(dist: OrderSizeDistribution) -> tuple[float, float]:
     """(int_0^1 P, int_0^1 (1 - x) P) = (E[1/(M+1)], E[1/((M+1)(M+2))]);
     cached, as they depend on the law alone."""
-    def rows(x):
-        p = dist.pgf(x)
-        return np.stack([p, (1 - x) * p])
-
-    int_p, int_q = integrate_1d(rows)[0]
+    p = dist.pgf(NODES)
+    int_p, int_q = integrate_1d(np.stack([p, (1 - NODES) * p]))[0]
     return float(int_p), float(int_q)
 
 

@@ -12,19 +12,21 @@ so it costs no evaluation.
 
 Every integrand of the moment formulas is rows of values on the nodes, with
 any leading shape (one row per aisle span, say), times a fixed weight
-function f of x (1, log(1-x), 1/(1-x), a kernel).  There is one weighted
-sum, :func:`integrate_rows`: it dots the rows with two fixed columns, the
-value column w f and the error column (w - w_2h) f, built on first use of f
-and kept.  :func:`integrate_1d` (f = 1) and :func:`integrate_2d` (f a
-kernel) are front ends that evaluate an integrand on the nodes for it.
+function f of x (1, log(1-x), 1/(1-x), a kernel); the callers evaluate the
+rows, mostly by reading a table of PGF values.  There are two entry points,
+and both dot the rows with two fixed columns, the value column w f and the
+error column (w - w_2h) f, built on first use of f and kept:
+:func:`integrate_1d` takes one weight, and :func:`integrate_2d` the two halves
+of a kernel.
 
 Every double integral of the moment formulas is ``∬ w(x) w(y) g(x+y)`` over
 the unit square with w = 1 or w = log(1-x), so it is taken as one integral in
-s = x + y against the kernel ``∫ w(x) w(s-x) dx``, split at the kink s = 1
-into two terms, s = x against the kernel and s = 1 + x against its far half
-:func:`far_half`.  :func:`integrate_2d` evaluates g on both; a caller that
-holds a lattice of PGF rows P((j + x)/h) passes them to
-:func:`integrate_rows` as they are, g at s = 1 + x being the row one step up.
+s = x + y against the kernel ``∫ w(x) w(s-x) dx`` (:func:`box_kernel` or
+:func:`log_kernel`), split at the kink s = 1 into two terms, s = x against
+the kernel and s = 1 + x against its far half :func:`far_half`.
+:func:`integrate_2d` takes g on both; a caller that holds a lattice of PGF
+rows P((j + x)/h) passes two of them as they are, g at s = 1 + x being the
+row one step above g at s = x.
 
 The kernels need the dilogarithm, here :func:`spence` (Li2(1 - z), as in
 scipy.special): the Bernoulli series of Li2 in u = -log(1 - x) for
@@ -38,8 +40,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["IntegrationError", "integrate_rows", "integrate_1d", "far_half", "integrate_2d", "gap_kernel",
-           "box_kernel", "log_kernel"]
+__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel", "box_kernel", "log_kernel"]
 
 # |I_h - I_2h| is the error of the coarser rule; where the rule has converged
 # the error of I_h is about its square.  On integrands the panels resolve it
@@ -134,41 +135,36 @@ def _columns(f):
     return columns
 
 
-def integrate_rows(*terms):
-    """The sum over ``terms`` = (rows, f) of ∫_0^1 rows(x) f(x) dx, ``rows``
-    already evaluated on :data:`NODES` (last axis) and ``f`` a weight
-    function that lives as long as the module (``np.ones_like`` for 1).
-    The rows of all terms broadcast together, and so do the value and the
-    error estimate, which is checked on the sum: raises
-    :class:`IntegrationError` where it is above tolerance or not finite."""
-    value = err = 0.0
-    for rows, f in terms:
-        column, err_column = _columns(f)
-        value = value + np.vecdot(rows, column)
-        err = err + np.vecdot(rows, err_column)
-    return _checked(value, np.abs(err))
-
-
-def integrate_1d(f):
-    """∫_0^1 f from one evaluation of ``f`` on :data:`NODES`; integrable
-    endpoint singularities allowed.  ``f`` returns an array whose last axis
-    runs over the nodes, and the result has its leading shape."""
-    return integrate_rows((f(NODES), np.ones_like))
+def integrate_1d(rows, weight=np.ones_like):
+    """∫_0^1 rows(x) weight(x) dx, ``rows`` already evaluated on :data:`NODES`
+    (last axis, any leading shape) and ``weight`` a function that lives as
+    long as the module; integrable endpoint singularities allowed.  Raises
+    :class:`IntegrationError` where the error estimate is above tolerance or
+    not finite."""
+    column, err_column = _columns(weight)
+    return _checked(np.vecdot(rows, column), np.abs(np.vecdot(rows, err_column)))
 
 
 @cache
 def far_half(kernel):
     """x -> kernel(1 + x), the half s = 1 + x of a kernel on [0, 2]; one
-    function per kernel, so that :func:`integrate_rows` keeps its columns."""
+    function per kernel, so that :func:`_columns` keeps its columns.  The box
+    kernel is even about s = 1, so its far half is taken at s = 1 - x, which
+    is exact for x >= 1/2, where 2 - (1 + x) would keep the rounding of 1 + x."""
+    if kernel is box_kernel:
+        return lambda x: kernel(1 - x)
     return lambda x: kernel(1 + x)
 
 
-def integrate_2d(g, kernel):
-    """∬_{[0,1]^2} w(x) w(y) g(x+y) dx dy as ∫_0^2 kernel(s) g(s) ds, taken as
-    the rule on [0, 1] and on [1, 2] (s = 1 + x, nodes clustering at s = 2),
-    split at the kink s = 1 of the kernel of w (:func:`box_kernel` or
-    :func:`log_kernel`)."""
-    return integrate_rows((g(NODES), kernel), (g(1 + NODES), far_half(kernel)))
+def integrate_2d(below, above, kernel):
+    """∬_{[0,1]^2} w(x) w(y) g(x+y) dx dy as ∫_0^2 kernel(s) g(s) ds, split at
+    the kink s = 1 of the kernel of w (:func:`box_kernel` or
+    :func:`log_kernel`): ``below`` is g on s = :data:`NODES`, ``above`` g on
+    s = 1 + NODES (nodes clustering at s = 2), broadcasting together.  The
+    error estimate is checked on the sum of the two halves."""
+    (column, err_column), (far, far_err) = _columns(kernel), _columns(far_half(kernel))
+    return _checked(np.vecdot(below, column) + np.vecdot(above, far),
+                    np.abs(np.vecdot(below, err_column) + np.vecdot(above, far_err)))
 
 
 def _li2_series(u):

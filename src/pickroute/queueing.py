@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .heuristics import MomentReport
+from .orderdist import as_count
 
 __all__ = ["QueueScenario", "LeadTimeReport", "UnstableQueueError",
            "erlang_c_wait_prob", "lead_time_estimate"]
@@ -32,8 +33,7 @@ class QueueScenario:
     lam: float
 
     def __post_init__(self):
-        if not (isinstance(self.c, int) and self.c >= 1):
-            raise ValueError(f"picker count must be an integer >= 1, got {self.c!r}")
+        object.__setattr__(self, "c", as_count(self.c, "picker count"))
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"arrival rate must be finite and positive, got {self.lam!r}")
 
@@ -51,8 +51,7 @@ class LeadTimeReport:
 
 def erlang_c_wait_prob(c: int, rho: float) -> float:
     """P(wait) in an M/M/c queue, by the Erlang-B recurrence (no factorials)."""
-    if not (isinstance(c, int) and c >= 1):
-        raise ValueError(f"server count must be an integer >= 1, got {c!r}")
+    c = as_count(c, "server count")
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"utilization must be finite and >= 0, got {rho!r}")
     if rho >= 1:

@@ -10,7 +10,8 @@ sizes, with exact rational conditional factors for the continuous parts:
 These share no code with the package: every expectation is a direct sum over
 k^m (or (2k)^m) equally likely assignments.  ``sshaped_det_moments`` sums
 over (occupied count, furthest aisle, items in it) instead, which reaches
-k = 512.  Two exceptions use the PGF: ``far_item_kplus_cross`` is the
+k = 512, and ``det_gap_moments`` over the binomial count of one aisle and
+the multinomial counts of two.  Two exceptions use the PGF: ``far_item_kplus_cross`` is the
 per-aisle formula that the package only uses summed over aisles, and
 ``occupancy_blocks_mp`` is the alternating-sum form of the package's
 occupancy blocks, evaluated in mpmath at 40 + 0.6k digits.
@@ -64,6 +65,23 @@ def e_gap(n: int) -> Fraction:
 
 def e_gap2(n: int) -> Fraction:
     return (harmonic(n + 1) ** 2 + harmonic2(n + 1)) / ((n + 1) * (n + 2))
+
+
+def det_gap_moments(k: int, m: int) -> tuple[Fraction, Fraction, Fraction | None]:
+    """E[1 - D], E[(1 - D)^2] of one aisle and E[(1 - D_1)(1 - D_2)] of two
+    (None for k = 1), D an aisle's largest spacing (1 if empty), for det(m)
+    orders: one aisle's count is Bin(m, 1/k), and two aisles' counts are
+    multinomial, their spacings independent given the counts."""
+    p = Fraction(1, k)
+    one = [math.comb(m, n) * p ** n * (1 - p) ** (m - n) for n in range(m + 1)]
+    mean = sum(q * (1 - e_gap(n)) for n, q in enumerate(one))
+    second = sum(q * (1 - 2 * e_gap(n) + e_gap2(n)) for n, q in enumerate(one))
+    if k == 1:
+        return mean, second, None
+    cross = sum(math.comb(m, a) * math.comb(m - a, b) * p ** (a + b) * (1 - 2 * p) ** (m - a - b)
+                * (1 - e_gap(a)) * (1 - e_gap(b))
+                for a in range(m + 1) for b in range(m + 1 - a))
+    return mean, second, cross
 
 
 def iter_half_assignments(k: int, m: int):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +11,13 @@ from pickroute import (
     Geometric,
     HEURISTICS,
     PickTimeModel,
+    QueueScenario,
+    ShiftedNegBinomial,
     ShiftedPoisson,
     WarehouseConfig,
     compute_moments,
+    erlang_c_wait_prob,
+    layout_sweep,
     parse_dist_spec,
     prelim,
     run_replications_all,
@@ -286,6 +291,28 @@ def test_warehouse_config_validation():
         WarehouseConfig(5, 20.0, -2.5, 1.0)
     with pytest.raises(ValueError):
         WarehouseConfig(5, 20.0, 2.5, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: WarehouseConfig(n, 20.0, 2.5, 1.0).k,
+    lambda n: AisleModel(n, Deterministic(2)).k,
+    lambda n: QueueScenario(n, 0.01).c,
+    lambda n: erlang_c_wait_prob(n, 0.5),
+    lambda n: Deterministic(n).m,
+    lambda n: ShiftedNegBinomial(n, 0.5).r,
+    lambda n: layout_sweep(100.0, [n], 2.5, 1.0, Deterministic(2), PickTimeModel(0.0, 0.0),
+                           heuristics=("return",))[0].k,
+], ids=["warehouse-k", "aisle-model-k", "scenario-c", "erlang-c", "det-m", "snbin-r", "layout-k"])
+def test_integer_fields_take_any_integral_value_but_bool(build):
+    # one rule for every count: numpy integers are stored as int, bools and
+    # integral floats are refused
+    want = build(5)
+    for value in (np.int64(5), np.uint8(5)):
+        got = build(value)
+        assert got == want and type(got) is type(want)
+    for bad in (True, np.bool_(True), 5.0, 0, np.int64(0), "5"):
+        with pytest.raises(ValueError, match=r"must be an integer >= 1, got"):
+            build(bad)
 
 
 @pytest.mark.parametrize("build", [

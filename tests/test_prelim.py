@@ -10,7 +10,7 @@ from pickroute import PickTimeModel, WarehouseConfig, compute_moments, prelim
 from pickroute.orderdist import Deterministic, Geometric, ShiftedPoisson, parse_dist_spec
 from pickroute.prelim import AisleModel
 
-from oracles import (DECADES, _mp_law, contiguous_probs, e_gap, enum_conditional, enum_discrete,
+from oracles import (DECADES, _mp_law, contiguous_probs, det_gap_moments, e_gap, enum_conditional, enum_discrete,
                      far_item_kplus_cross, far_item_moments_mp, iodd_mean, iter_aisle_assignments, occupied,
                      pair_event_prob, span_blocks_mp)
 from test_orderdist import PMF_LAWS
@@ -121,6 +121,47 @@ def test_gap_moments_single_point():
     assert mean_1md == pytest.approx(0.25, abs=1e-8)
     # E[D^2 | N=1] = 7/12, so E[(1-D)^2] = 1 - 2*(3/4) + 7/12
     assert second_1md == pytest.approx(1 - 1.5 + 7 / 12, abs=1e-8)
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in range(1, 6) for m in range(1, 6)])
+def test_gap_moments_match_exact_sums(k, m):
+    mean, second, cross = det_gap_moments(k, m)
+    got = prelim.gap_moments(AisleModel(k, Deterministic(m)))
+    assert got[:2] == pytest.approx((float(mean), float(second)), rel=1e-12, abs=0.0)
+    if k == 1:
+        assert math.isnan(got[2])
+    else:   # exactly 0 for m = 1, formed from terms of order 1
+        assert got[2] == pytest.approx(float(cross), rel=1e-12, abs=1e-15)
+
+
+def test_gap_moments_cross_cancellation_at_k64():
+    # det:3, k = 64: the cross moment is 1 + 2 int P log(1-x) + a double
+    # integral, terms of order 1 that cancel to 9.1e-5, so each of their ulps
+    # (2.2e-16) is 2.4e-12 of it.  It is held to 1e-15 absolute, four such
+    # ulps or 1.1e-11 relative; mean and second moment keep 1e-12
+    mean, second, cross = det_gap_moments(64, 3)
+    assert float(cross) == pytest.approx(9.09e-5, rel=1e-3)
+    got = prelim.gap_moments(AisleModel(64, Deterministic(3)))
+    assert got[:2] == pytest.approx((float(mean), float(second)), rel=1e-12, abs=0.0)
+    assert got[2] == pytest.approx(float(cross), rel=0.0, abs=1e-15)
+
+
+def test_gap_moments_reads_the_table_far_item_moments_built():
+    # both read rows k-1 and k-2 of the same PGF table, so the second block
+    # evaluates the PGF nowhere
+    calls = []
+
+    class CountedGeometric(Geometric):
+        def pgf(self, x):
+            calls.append(np.size(x))
+            return super().pgf(x)
+
+    model = AisleModel(7, CountedGeometric(1 / 9))
+    prelim.far_item_moments(model)
+    assert calls
+    calls.clear()
+    prelim.gap_moments(model)
+    assert calls == []
 
 
 def test_gap_moments_variance_nonnegative():

@@ -31,18 +31,18 @@ def gauss_legendre_gap_kernel(x: float, n: int = 200) -> float:
 
 
 def test_integrate_1d_polynomial():
-    value, err = integrate_1d(lambda x: x * x)
+    value, err = integrate_1d(NODES * NODES)
     assert value == pytest.approx(1 / 3, abs=1e-12)
     assert err < 1e-10
 
 
 def test_integrate_1d_log_square_singularity():
-    value, _ = integrate_1d(lambda x: np.log1p(-x) ** 2)
+    value, _ = integrate_1d(np.log1p(-NODES) ** 2)
     assert value == pytest.approx(2.0, rel=1e-9)
 
 
 def test_integrate_1d_x_log():
-    value, _ = integrate_1d(lambda x: -np.log1p(-x) * x)
+    value, _ = integrate_1d(-np.log1p(-NODES) * NODES)
     assert value == pytest.approx(0.75, rel=1e-10)
 
 
@@ -52,22 +52,23 @@ def test_integrate_1d_x_log():
     (lambda x: x * np.log1p(-x), -0.75),
 ])
 def test_integrate_1d_error_estimate_bounds_error(f, exact):
-    value, err = integrate_1d(f)
+    value, err = integrate_1d(f(NODES))
     assert abs(value - exact) <= err
 
 
 def test_integrate_1d_failure_carries_partial_value():
     # 1/x diverges at 0; the rule never evaluates the endpoint itself
     with pytest.raises(IntegrationError) as info:
-        integrate_1d(lambda x: 1.0 / x)
+        integrate_1d(1.0 / NODES)
     assert math.isfinite(info.value.partial_value)
 
 
 def test_integrate_2d_examples():
-    assert integrate_2d(np.ones_like, box_kernel)[0] == pytest.approx(1.0, abs=1e-10)
+    one = np.ones_like(NODES)
+    assert integrate_2d(one, one, box_kernel)[0] == pytest.approx(1.0, abs=1e-10)
     # (x + y)^2 over the unit square: 2/3 + 2 * 1/4 = 7/6
-    assert integrate_2d(lambda s: s * s, box_kernel)[0] == pytest.approx(7 / 6, abs=1e-10)
-    value, _ = integrate_2d(np.ones_like, log_kernel)
+    assert integrate_2d(NODES ** 2, (1 + NODES) ** 2, box_kernel)[0] == pytest.approx(7 / 6, abs=1e-10)
+    value, _ = integrate_2d(one, one, log_kernel)
     assert value == pytest.approx(1.0, rel=1e-8)
 
 
@@ -117,17 +118,18 @@ def test_integrate_2d_against_dblquad():
     for kernel, w in ((box_kernel, lambda x: 1.0), (log_kernel, lambda x: math.log1p(-x))):
         ref, _ = integrate.dblquad(lambda y, x: w(x) * w(y) * math.exp(x + y), 0.0, 1.0, 0.0, 1.0,
                                    epsabs=1e-13, epsrel=1e-13)
-        value, err = integrate_2d(np.exp, kernel)
+        value, err = integrate_2d(np.exp(NODES), np.exp(1 + NODES), kernel)
         assert value == pytest.approx(ref, rel=1e-9)
         assert err < 1e-9
-    assert integrate_2d(np.exp, box_kernel)[0] == pytest.approx((math.e - 1) ** 2, rel=1e-12)
+    value, _ = integrate_2d(np.exp(NODES), np.exp(1 + NODES), box_kernel)
+    assert value == pytest.approx((math.e - 1) ** 2, rel=1e-12)
 
 
 def test_integrate_2d_error_estimate_bounds_error():
     # e^(x+y) against w(x) w(y): the square of int_0^1 w(x) e^x dx, which is
     # e - 1 for w = 1 and -e (gamma + E1(1)) for w = log(1-x)
     for kernel, one in ((box_kernel, math.e - 1), (log_kernel, -math.e * (np.euler_gamma + exp1(1.0)))):
-        value, err = integrate_2d(np.exp, kernel)
+        value, err = integrate_2d(np.exp(NODES), np.exp(1 + NODES), kernel)
         assert abs(value - one ** 2) <= err
 
 
@@ -159,7 +161,7 @@ def test_gap_kernel_bounded_near_zero():
 
 def test_gap_kernel_weighted_integral():
     # E[D^2] for a single uniform point: int_0^1 x^2 g(x) dx = 7/12
-    value, _ = integrate_1d(lambda x: x * x * gap_kernel(x))
+    value, _ = integrate_1d(NODES * NODES * gap_kernel(NODES))
     assert value == pytest.approx(7 / 12, rel=1e-9)
 
 

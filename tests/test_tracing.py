@@ -39,3 +39,17 @@ def test_tracer_sees_every_block_a_heuristic_reads(heuristic, monkeypatch):
         heuristics.compute_moments(cfg, Geometric(1 / 8), PickTimeModel(5.0, 37.5), heuristic)
     names = {span[0] for span in tracer.spans}
     assert {"prelim." + b for b in BLOCKS_USED[heuristic] | {"kplus_moments"}} <= names
+
+
+@pytest.mark.parametrize("heuristic", ["return", "midpoint", "largest-gap"])
+def test_tracer_sees_both_integration_entry_points(heuristic, monkeypatch):
+    # every integral of these blocks goes through prelim.integrate_1d or
+    # prelim.integrate_2d, the names the tracer binds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    cfg = WarehouseConfig(5, 20.0, 2.5, 3000.0 / 3600.0)
+    with Tracer().installed() as tracer:
+        heuristics.compute_moments(cfg, Geometric(1 / 8), PickTimeModel(5.0, 37.5), heuristic)
+    names = {span[0] for span in tracer.spans}
+    assert {"quadrature.integrate_1d", "quadrature.integrate_2d"} <= names
