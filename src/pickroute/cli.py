@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -64,50 +65,42 @@ class RunConfig:
     total_length: float | None = None      # meters
     k_min: int | None = None
     k_max: int | None = None
+    allow_unstable: bool = False           # leadtime flag only; no config key
 
 
-_LENGTH_UNITS = {"": 1.0, "m": 1.0}
 _SPEED_UNITS = {"m/s": 1.0, "km/h": 1000.0 / 3600.0}
 _RATE_UNITS = {"": 1.0, "/h": 1.0, "per_hour": 1.0}
 
 
-def _number(token: str, units: dict, key: str, what: str) -> float:
-    parts = token.split()
-    if len(parts) == 1:
-        value, unit = parts[0], ""
-    elif len(parts) == 2:
-        value, unit = parts
-    else:
-        raise ConfigError(f"key {key!r}: cannot parse {what} {token!r}")
-    if unit not in units:
-        raise ConfigError(f"key {key!r}: unknown unit {unit!r} (expected one of"
-                          f" {sorted(u for u in units if u)})")
-    try:
-        return float(value) * units[unit]
-    except ValueError:
-        raise ConfigError(f"key {key!r}: invalid number {value!r}") from None
+def _number(units: dict, what: str):
+    """Parser of ``value [unit]`` text, scaled to SI by ``units``; a unit is
+    required when ``units`` has no ``""`` entry."""
+    def parse(token: str, key: str) -> float:
+        parts = token.split()
+        if "" not in units and (len(parts) != 2 or parts[1] not in units):
+            raise ConfigError(f"key {key!r}: {what} needs a unit,"
+                              f" {' or '.join(map(repr, units))}, got {token!r}")
+        if len(parts) not in (1, 2):
+            raise ConfigError(f"key {key!r}: cannot parse {what} {token!r}")
+        value, unit = parts[0], parts[1] if len(parts) == 2 else ""
+        if unit not in units:
+            raise ConfigError(f"key {key!r}: unknown unit {unit!r} (expected one of"
+                              f" {sorted(u for u in units if u)})")
+        try:
+            return float(value) * units[unit]
+        except ValueError:
+            raise ConfigError(f"key {key!r}: invalid number {value!r}") from None
+    return parse
+
+
+_length = _number({"": 1.0, "m": 1.0}, "length")
 
 
 def _integer(token: str, key: str) -> int:
     try:
-        value = int(token)
+        return int(token)
     except ValueError:
         raise ConfigError(f"key {key!r}: invalid integer {token!r}") from None
-    return value
-
-
-def _speed(token: str, key: str) -> float:
-    parts = token.split()
-    if len(parts) != 2 or parts[1] not in _SPEED_UNITS:
-        raise ConfigError(f"key {key!r}: speed needs a unit, 'm/s' or 'km/h', got {token!r}")
-    try:
-        return float(parts[0]) * _SPEED_UNITS[parts[1]]
-    except ValueError:
-        raise ConfigError(f"key {key!r}: invalid number {parts[0]!r}") from None
-
-
-def _length(token: str, key: str) -> float:
-    return _number(token, _LENGTH_UNITS, key, "length")
 
 
 def _dist(token: str, key: str) -> str:
@@ -125,30 +118,30 @@ def _heuristics(token: str, key: str) -> tuple:
     return names
 
 
-# config key -> (RunConfig field, parser of the value text)
+# config key -> (RunConfig field, parser of the value text, flag help)
 _KEYS = {
-    "k": ("k", _integer),
-    "l": ("l", _length),
-    "wa": ("wa", _length),
-    "v": ("v", _speed),
-    "dist": ("dist", _dist),
-    "pick_mean": ("pick_mean", lambda token, key: _number(token, {"": 1.0, "s": 1.0}, key, "duration")),
-    "pick_scv": ("pick_scv", lambda token, key: _number(token, {"": 1.0}, key, "ratio")),
-    "heuristics": ("heuristics", _heuristics),
-    "pickers": ("pickers", _integer),
-    "lambda": ("lam", lambda token, key: _number(token, _RATE_UNITS, key, "rate")),
-    "samples": ("samples", _integer),
-    "seed": ("seed", _integer),
-    "out": ("out", lambda token, key: token.strip()),
-    "total_length": ("total_length", _length),
-    "k_min": ("k_min", _integer),
-    "k_max": ("k_max", _integer),
+    "k": ("k", _integer, None),
+    "l": ("l", _length, "aisle length in meters"),
+    "wa": ("wa", _length, "aisle spacing in meters"),
+    "v": ("v", _number(_SPEED_UNITS, "speed"), "walking speed, e.g. '3 km/h' or '0.8 m/s'"),
+    "dist": ("dist", _dist, "order-size spec, e.g. det:3, spois:4, geom:32, snbin:7:31"),
+    "pick_mean": ("pick_mean", _number({"": 1.0, "s": 1.0}, "duration"), None),
+    "pick_scv": ("pick_scv", _number({"": 1.0}, "ratio"), None),
+    "heuristics": ("heuristics", _heuristics, "restrict to one heuristic (repeatable)"),
+    "pickers": ("pickers", _integer, None),
+    "lambda": ("lam", _number(_RATE_UNITS, "rate"), "orders per hour"),
+    "samples": ("samples", _integer, None),
+    "seed": ("seed", _integer, None),
+    "out": ("out", lambda token, key: token.strip(), "output CSV path (default: stdout)"),
+    "total_length": ("total_length", _length, None),
+    "k_min": ("k_min", _integer, None),
+    "k_max": ("k_max", _integer, None),
 }
 
 
 def _apply_key(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
     try:
-        field, parse = _KEYS[key]
+        field, parse, _ = _KEYS[key]
     except KeyError:
         raise ConfigError(f"{where}: unknown key {key!r}") from None
     try:
@@ -180,13 +173,9 @@ def _require(cfg: RunConfig, *keys: str) -> None:
 
 
 def _fmt(value) -> str:
-    if value is None:
+    if value is None or value != value:  # NaN
         return "NA"
-    if isinstance(value, float):
-        if value != value:
-            return "NA"
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_csv(rows, schema, path: str | None) -> None:
@@ -204,11 +193,6 @@ def emit_csv(rows, schema, path: str | None) -> None:
             fh.write(data)
 
 
-def _warehouse(cfg: RunConfig) -> WarehouseConfig:
-    _require(cfg, "k", "l", "wa", "v", "dist")
-    return WarehouseConfig(k=cfg.k, l=cfg.l, wa=cfg.wa, v=cfg.v)
-
-
 def _pick(cfg: RunConfig) -> PickTimeModel:
     return PickTimeModel.from_scv(cfg.pick_mean, cfg.pick_scv)
 
@@ -220,7 +204,8 @@ def _scenario(cfg: RunConfig) -> QueueScenario:
 
 def _model(cfg: RunConfig):
     """Warehouse, order-size law and pick-time model of a run."""
-    return _warehouse(cfg), parse_dist_spec(cfg.dist), _pick(cfg)
+    _require(cfg, "k", "l", "wa", "v", "dist")
+    return WarehouseConfig(k=cfg.k, l=cfg.l, wa=cfg.wa, v=cfg.v), parse_dist_spec(cfg.dist), _pick(cfg)
 
 
 def _moment_rows(cfg: RunConfig, model):
@@ -249,9 +234,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_leadtime(cfg: RunConfig, allow_unstable: bool) -> int:
-    model = _model(cfg)
-    scenario = _scenario(cfg)
+def _cmd_leadtime(cfg: RunConfig) -> int:
+    model, scenario = _model(cfg), _scenario(cfg)
     rows = []
     unstable = False
     for rep, row in _moment_rows(cfg, model):
@@ -259,34 +243,26 @@ def _cmd_leadtime(cfg: RunConfig, allow_unstable: bool) -> int:
         unstable |= not lead.stable
         rows.append(row + [scenario.c, cfg.lam, lead.rho, lead.q_wait, lead.e_r])
     emit_csv(rows, LEADTIME_SCHEMA, cfg.out)
-    if unstable and not allow_unstable:
-        print("unstable queue (rho >= 1); pass --allow-unstable to emit NA rows",
-              file=sys.stderr)
+    if unstable and not cfg.allow_unstable:
+        print("unstable queue (rho >= 1); pass --allow-unstable to emit NA rows", file=sys.stderr)
         return EXIT_UNSTABLE
     return EXIT_OK
 
 
 def _cmd_layout(cfg: RunConfig) -> int:
     _require(cfg, "wa", "v", "dist", "k_min", "k_max")
-    if cfg.total_length is None:
+    total = cfg.total_length
+    if total is None:
         _require(cfg, "k", "l")
         total = cfg.k * cfg.l
-    else:
-        total = cfg.total_length
     if cfg.k_min > cfg.k_max:
         raise ConfigError("k_min must be <= k_max")
-    dist = parse_dist_spec(cfg.dist)
-    pick = _pick(cfg)
-    scenario = None
-    if cfg.pickers is not None and cfg.lam is not None:
-        scenario = _scenario(cfg)
-    rows_out = []
-    for row in layout_sweep(total, range(cfg.k_min, cfg.k_max + 1), cfg.wa, cfg.v,
-                            dist, pick, scenario, cfg.heuristics):
-        for h in cfg.heuristics:
-            cell = row.cells[h]
-            rows_out.append([row.k, row.l, h, cell.e_t, cell.e_r])
-    emit_csv(rows_out, LAYOUT_SCHEMA, cfg.out)
+    dist, pick = parse_dist_spec(cfg.dist), _pick(cfg)
+    scenario = _scenario(cfg) if cfg.pickers is not None and cfg.lam is not None else None
+    rows = layout_sweep(total, range(cfg.k_min, cfg.k_max + 1), cfg.wa, cfg.v, dist, pick,
+                        scenario, cfg.heuristics)
+    emit_csv([[row.k, row.l, h, row.cells[h].e_t, row.cells[h].e_r] for row in rows for h in cfg.heuristics],
+             LAYOUT_SCHEMA, cfg.out)
     return EXIT_OK
 
 
@@ -301,8 +277,12 @@ def _cmd_validate(cfg: RunConfig) -> int:
         for quantity, analytic, mc, se in (
                 ("E_T", rep.e_t, est.mean_t, est.se_mean),
                 ("E_T2", rep.e_t2, est.mean_t2, est.se_t2)):
-            z = (analytic - mc) / se if se > 0 else 0.0
-            worst = max(worst, abs(z))
+            if se > 0:
+                z = (analytic - mc) / se
+            else:  # a constant T: MC differs from the truth by rounding only
+                agree = math.isclose(analytic, mc, rel_tol=1e-12)
+                z = 0.0 if agree else math.copysign(math.inf, analytic - mc)
+            worst = max(worst, abs(z) if z == z else math.inf)  # a NaN z fails too
             rows.append([h, wh.k, cfg.dist, est.n, cfg.seed, quantity, analytic, mc, se, z])
     emit_csv(rows, VALIDATE_SCHEMA, cfg.out)
     if worst > 4.0:
@@ -311,13 +291,13 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_FLAG_HELP = {
-    "l": "aisle length in meters",
-    "wa": "aisle spacing in meters",
-    "v": "walking speed, e.g. '3 km/h' or '0.8 m/s'",
-    "dist": "order-size spec, e.g. det:3, spois:4, geom:32, snbin:7:31",
-    "lambda": "orders per hour",
-    "out": "output CSV path (default: stdout)",
+# subcommand -> (help, command of the RunConfig returning the exit status)
+_COMMANDS = {
+    "moments": ("analytic picking-time moments per heuristic", _cmd_moments),
+    "simulate": ("Monte Carlo moment estimates with standard errors", _cmd_simulate),
+    "leadtime": ("moments plus M/G/c mean lead-time approximation", _cmd_leadtime),
+    "layout": ("sweep warehouse shapes at fixed total aisle length", _cmd_layout),
+    "validate": ("analytic vs Monte Carlo z-score harness", _cmd_validate),
 }
 
 
@@ -329,21 +309,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact order-picking time moments, Monte Carlo validation, "
                     "lead-time estimates and layout sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("moments", "analytic picking-time moments per heuristic"),
-            ("simulate", "Monte Carlo moment estimates with standard errors"),
-            ("leadtime", "moments plus M/G/c mean lead-time approximation"),
-            ("layout", "sweep warehouse shapes at fixed total aisle length"),
-            ("validate", "analytic vs Monte Carlo z-score harness")):
+    for name, (help_text, _) in _COMMANDS.items():
         # every flag stores its text under its config key; _KEYS parses it
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", nargs="?", help="path to a key = value config file")
-        for key in _KEYS:
+        for key, (_, _, flag_help) in _KEYS.items():
             if key == "heuristics":
-                p.add_argument("--heuristic", action="append", dest="heuristics", metavar="HEURISTIC",
-                               help="restrict to one heuristic (repeatable)")
+                p.add_argument("--heuristic", action="append", dest=key, metavar="HEURISTIC", help=flag_help)
             else:
-                p.add_argument("--" + key.replace("_", "-"), help=_FLAG_HELP.get(key))
+                p.add_argument("--" + key.replace("_", "-"), help=flag_help)
         if name == "leadtime":
             p.add_argument("--allow-unstable", action="store_true",
                            help="emit NA rows instead of failing when rho >= 1")
@@ -368,22 +342,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if flags[key] is not None:
             flag = "--heuristic" if key == "heuristics" else "--" + key.replace("_", "-")
             cfg = _apply_key(cfg, key, flags[key], flag)
-    return cfg
+    return replace(cfg, allow_unstable=flags.get("allow_unstable", False))
 
 
-def run_command(command: str, cfg: RunConfig, allow_unstable: bool = False) -> int:
+def run_command(command: str, cfg: RunConfig) -> int:
     """Dispatch a subcommand; returns the process exit status."""
-    commands = {
-        "moments": _cmd_moments,
-        "simulate": _cmd_simulate,
-        "leadtime": lambda c: _cmd_leadtime(c, allow_unstable),
-        "layout": _cmd_layout,
-        "validate": _cmd_validate,
-    }
-    if command not in commands:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     try:
-        return commands[command](cfg)
+        return _COMMANDS[command][1](cfg)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -396,13 +363,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = args.out
     try:
-        cfg = _config_from_args(args)
-        out = cfg.out
-        return run_command(args.command, cfg, allow_unstable=getattr(args, "allow_unstable", False))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if out:
-            emit_csv([[EXIT_CONFIG, str(exc)]], ["error_code", "message"], out)
+        try:
+            cfg = _config_from_args(args)
+            out = cfg.out
+            return run_command(args.command, cfg)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if out:
+                emit_csv([[EXIT_CONFIG, str(exc)]], ["error_code", "message"], out)
+            return EXIT_CONFIG
+    except OSError as exc:  # the CSV, or the error CSV, could not be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

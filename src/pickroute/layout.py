@@ -2,9 +2,11 @@
 
 Varying the aisle count k while holding k*l fixed trades a long narrow
 warehouse against a short wide one.  Each (k, heuristic) cell carries the
-picking-time mean and, when a queue scenario is given, the mean lead time;
-cells whose queue is unstable (or whose computation fails) render as NA
-without aborting the sweep.
+picking-time mean and, when a queue scenario is given, the mean lead time.
+A cell whose queue is unstable has no lead time, and a cell whose moments
+fail numerically (``ArithmeticError``, such as a negative variance from lost
+precision, or ``IntegrationError``) has NaN E[T]; both render as NA without
+aborting the sweep.  Any other error, such as an invalid argument, raises.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
 from .orderdist import OrderSizeDistribution, as_count
+from .quadrature import IntegrationError
 from .queueing import QueueScenario, lead_time_estimate
 
 __all__ = ["LayoutCell", "LayoutRow", "NoFeasibleLayoutError", "layout_sweep", "recommend"]
@@ -61,7 +64,7 @@ def layout_sweep(total_length: float, k_range, wa: float, v: float,
         for h in heuristics:
             try:
                 report = compute_moments(cfg, dist, pick, h)
-            except Exception:
+            except (ArithmeticError, IntegrationError):
                 log.exception("layout cell k=%d heuristic=%s failed", k, h)
                 cells[h] = LayoutCell(float("nan"), None)
                 continue

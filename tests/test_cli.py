@@ -332,3 +332,83 @@ def test_bad_flag_value_named(capsys):
                    "--dist", "det:2"])
     assert status == EXIT_CONFIG
     assert "--k" in capsys.readouterr().err
+
+
+def test_validate_zero_se_needs_exact_agreement(tmp_path, monkeypatch):
+    # at k = 1, det:2 and no pick time, midpoint and largest gap walk a constant
+    # route, so the MC standard error is 0 and z cannot be a ratio
+    import pickroute.cli as cli_mod
+
+    args = ["validate", "--k", "1", "--l", "20", "--wa", "2.5", "--v", "1 m/s", "--dist", "det:2",
+            "--heuristic", "midpoint", "--heuristic", "largest-gap", "--samples", "20000", "--seed", "3"]
+    out = tmp_path / "v.csv"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    rows = read_csv(out)[1:]
+    assert [(row[8], row[9]) for row in rows] == [("0.0", "0.0")] * 4
+
+    real = cli_mod.compute_moments
+
+    def broken(cfg, dist, pick, heuristic):
+        rep = real(cfg, dist, pick, heuristic)
+        return type(rep)(rep.e_t * 1.5, rep.e_t2 * 2, rep.var_t, rep.sd_t,
+                         rep.e_tw, rep.e_ttr, rep.terms)
+
+    monkeypatch.setattr(cli_mod, "compute_moments", broken)
+    assert main(args + ["--out", str(out)]) == EXIT_VALIDATION
+    rows = read_csv(out)[1:]
+    assert [(row[8], row[9]) for row in rows] == [("0.0", "inf")] * 4
+
+
+def test_validate_fails_a_nan_analytic_value(tmp_path, monkeypatch):
+    import pickroute.cli as cli_mod
+
+    real = cli_mod.compute_moments
+
+    def nan_mean(cfg, dist, pick, heuristic):
+        rep = real(cfg, dist, pick, heuristic)
+        return type(rep)(float("nan"), rep.e_t2, rep.var_t, rep.sd_t,
+                         rep.e_tw, rep.e_ttr, rep.terms)
+
+    monkeypatch.setattr(cli_mod, "compute_moments", nan_mean)
+    out = tmp_path / "v.csv"
+    status = main(["validate", "--k", "2", "--l", "20", "--wa", "2.5", "--v", "1 m/s",
+                   "--dist", "det:2", "--heuristic", "return", "--samples", "2000",
+                   "--out", str(out)])
+    assert status == EXIT_VALIDATION
+    assert read_csv(out)[1][9] == "NA"  # E_T of return
+
+
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
+    import pickroute.cli as cli_mod
+
+    written = []
+
+    def recording_emit_csv(rows, schema, path):
+        written.append(path)
+        emit_csv(rows, schema, path)
+
+    monkeypatch.setattr(cli_mod, "emit_csv", recording_emit_csv)
+    out = str(tmp_path / "missing" / "m.csv")
+    args = ["moments", "--k", "2", "--l", "10", "--wa", "1.0", "--dist", "det:2", "--out", out]
+    # the run succeeds, but its CSV cannot be written: no error CSV on the same path
+    assert main(args + ["--v", "1 m/s"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output:")
+    assert written == [out]
+    # the run fails ('v' is missing), and so does its error CSV
+    written.clear()
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: missing required key(s): v"
+    assert len(err) == 2 and err[1].startswith("error: cannot write output:")
+    assert written == [out]
+
+
+def test_allow_unstable_is_a_leadtime_flag_only(capsys):
+    with pytest.raises(ConfigError, match="unknown key 'allow_unstable'"):
+        parse_config("allow_unstable = 1")
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--k", "1", "--l", "20", "--wa", "1", "--v", "1 m/s",
+              "--dist", "det:1", "--allow-unstable"])
+    assert exc.value.code == 2
+    assert "--allow-unstable" in capsys.readouterr().err

@@ -113,3 +113,29 @@ def test_layout_sweep_validation():
         layout_sweep(100.0, [0, 2], 2.5, V, DIST, PICK)
     with pytest.raises(ValueError):
         layout_sweep(100.0, [2], 2.5, V, DIST, PICK, heuristics=("bogus",))
+
+
+def test_numerical_failure_is_one_na_cell(monkeypatch):
+    import pickroute.layout as layout_mod
+    from pickroute.quadrature import IntegrationError
+
+    real = layout_mod.compute_moments
+
+    def failing_at_k3_midpoint(cfg, dist, pick, heuristic):
+        if cfg.k == 3 and heuristic == "midpoint":
+            raise IntegrationError("integration failed: roundoff", 1.0, 0.5)
+        return real(cfg, dist, pick, heuristic)
+
+    monkeypatch.setattr(layout_mod, "compute_moments", failing_at_k3_midpoint)
+    rows = layout_sweep(100.0, [2, 3, 4], 2.5, V, DIST, PICK, QueueScenario(5, 51 / 3600))
+    failed = [(row.k, h) for row in rows for h, cell in row.cells.items() if cell.e_t != cell.e_t]
+    assert failed == [(3, "midpoint")]
+    assert rows[1].cells["midpoint"].e_r is None
+    assert all(cell.e_r is not None for row in rows for h, cell in row.cells.items()
+               if (row.k, h) != (3, "midpoint"))
+
+
+def test_invalid_law_raises_instead_of_na_cells():
+    # a spec string is not a law: an error in the call, not a numerical failure of a cell
+    with pytest.raises(AttributeError):
+        layout_sweep(100.0, [2, 3], 2.5, 1.0, "geom:18", PICK)
