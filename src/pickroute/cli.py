@@ -20,7 +20,6 @@ from functools import cache
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
 from .layout import layout_sweep
 from .orderdist import parse_dist_spec
-from .quadrature import IntegrationError
 from .queueing import QueueScenario, lead_time_estimate
 from .simulate import run_replications_all
 
@@ -355,7 +354,7 @@ def run_command(command: str, cfg: RunConfig) -> int:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    except (ArithmeticError, IntegrationError) as exc:
+    except ArithmeticError as exc:
         raise ConfigError(f"numerical failure: {exc}") from None
 
 

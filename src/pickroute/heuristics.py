@@ -140,39 +140,25 @@ def _span_sums(model: AisleModel, u: int, block) -> tuple[float, float, float, f
 
 
 def _sshaped_sums(model: AisleModel) -> tuple[float, float, float, float]:
-    """The four aisle sums of X = I + [I odd](2A - 1), I the occupied-aisle
-    count and A the furthest item of the last occupied aisle.  p_odd, the
-    e_*_odd and the e_*a* below are taken on the event that I is odd."""
+    """The four aisle sums of X = b_I + 2[I odd] A, b_j = j - [j odd], I the
+    occupied-aisle count and A the furthest item of the last occupied aisle:
+    sums over j of non-negative parts on the event I = j.  Given I = j, the
+    occupied set is any j-set alike and independent of A; kplus averages
+    j (k+1)/(j+1) over them (sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1)),
+    and E[M 1{I = j}] = (j/k) w[j], as aisle 1 is in j/k of them."""
     k = model.k
-    P, Pp = model.dist.pgf, model.dist.pgf_prime
-    em = model.dist.mean()
-
-    # the blocks are C(k, j) times the same moments on the occupied set {1..j}
-    pmf, ei, ei2 = prelim.occupancy_law(model)
-    odd = range(1, k + 1, 2)
-    p_odd = math.fsum(pmf[j - 1] for j in odd)
-    e_i_odd = math.fsum(j * pmf[j - 1] for j in odd)
-    e_mi = k * em - (k - 1) * Pp((k - 1) / k)
-    e_ki = k * k - k * (k + 1) * P((k - 1) / k) + math.fsum(P(np.arange(k) / k))
-    # kplus and an odd occupied count: a set of odd size j has maximum m in
-    # C(m-1, j-1) ways, and sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1),
-    # with C(k+1, j+1) / C(k, j) = (k+1)/(j+1)
-    e_k_odd = math.fsum(j * (k + 1) / (j + 1) * pmf[j - 1] for j in odd)
-    # N_1 needs aisle 1 occupied: C(k-1, j-1) / C(k, j) = j/k
+    cp = prelim.occupancy_law(model)[0]
     w = prelim.contiguous_count_prime(model)
-    e_m_odd = math.fsum(j / k * w[j] for j in odd)
-
     far, far2, mfar = prelim.contiguous_far_moments(model)
-    e_a = math.fsum(far[j] for j in odd)
-    e_a2 = math.fsum(far2[j] for j in odd)
-    e_ia = math.fsum(j * far[j] for j in odd)
-    e_ka = math.fsum(j * (k + 1) / (j + 1) * far[j] for j in odd)
-    e_ma = math.fsum(mfar[j] for j in odd)
-
-    return (math.fsum((ei, 2 * e_a, -p_odd)),
-            math.fsum((ei2, 4 * e_ia, -2 * e_i_odd, 4 * e_a2, -4 * e_a, p_odd)),
-            math.fsum((e_ki, 2 * e_ka, -e_k_odd)),
-            math.fsum((e_mi, 2 * e_ma, -e_m_odd)))
+    x, x2, kx, mx = [], [], [], []
+    for j, c, wj, a, a2, ma in zip(range(1, k + 1), cp, w[1:], far[1:], far2[1:], mfar[1:]):
+        odd = j % 2
+        b = j - odd
+        x.append(b * c + 2 * odd * a)
+        x2.append(b * b * c + 4 * odd * (b * a + a2))
+        kx.append(j * (k + 1) / (j + 1) * x[-1])
+        mx.append(b * (j / k * wj) + 2 * odd * ma)
+    return math.fsum(x), math.fsum(x2), math.fsum(kx), math.fsum(mx)
 
 
 def _assemble(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel,

@@ -5,7 +5,7 @@ warehouse against a short wide one.  Each (k, heuristic) cell carries the
 picking-time mean and, when a queue scenario is given, the mean lead time.
 A cell whose queue is unstable has no lead time, and a cell whose moments
 fail numerically (``ArithmeticError``, such as a negative variance from lost
-precision, or ``IntegrationError``) has NaN E[T]; both render as NA without
+precision or an ``IntegrationError``) has NaN E[T]; both render as NA without
 aborting the sweep.  Any other error, such as an invalid argument, raises.
 """
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
 from .orderdist import OrderSizeDistribution, as_count
-from .quadrature import IntegrationError
 from .queueing import QueueScenario, lead_time_estimate
 
 __all__ = ["LayoutCell", "LayoutRow", "NoFeasibleLayoutError", "layout_sweep", "recommend"]
@@ -64,7 +63,7 @@ def layout_sweep(total_length: float, k_range, wa: float, v: float,
         for h in heuristics:
             try:
                 report = compute_moments(cfg, dist, pick, h)
-            except (ArithmeticError, IntegrationError):
+            except ArithmeticError:
                 log.exception("layout cell k=%d heuristic=%s failed", k, h)
                 cells[h] = LayoutCell(float("nan"), None)
                 continue

@@ -98,19 +98,14 @@ def _xlog(n: np.ndarray, log_y: float) -> np.ndarray:
     return n * log_y
 
 
-def as_count(value, what: str) -> int:
-    """``value`` as an ``int``, for a count that must be an integer >= 1: any
-    integral value but a bool, numpy integers included."""
+def as_count(value, what: str, most: int | None = None) -> int:
+    """``value`` as an ``int``, for a count that must be an integer >= 1, and at
+    most ``most`` if given: any integral value but a bool, numpy integers included."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be at most {most}, got {value!r}")
     return int(value)
-
-
-def _exp(x):
-    """exp() that follows the numeric type of its argument."""
-    if isinstance(x, np.ndarray):
-        return np.exp(x)
-    return math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -233,10 +228,10 @@ class ShiftedPoisson(OrderSizeDistribution):
         self._check_factorial2()
 
     def pgf(self, x):
-        return x * _exp(-self.lam * (1 - x))
+        return x * np.exp(-self.lam * (1 - x))
 
     def pgf_prime(self, x):
-        return _exp(-self.lam * (1 - x)) * (1 + self.lam * x)
+        return np.exp(-self.lam * (1 - x)) * (1 + self.lam * x)
 
     def mean(self):
         return 1.0 + self.lam

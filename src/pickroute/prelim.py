@@ -509,14 +509,11 @@ def _occupancy(model: AisleModel):
 
 
 def occupancy_law(model: AisleModel):
-    """(pmf over j=1..k of the occupied-aisle count, its mean and second moment)."""
-    k, P = model.k, model.dist.pgf
-    pmf = _occupancy(model)[0][1:].tolist()
-    mean = k - k * P(1 - 1 / k)
-    second = k * k + k * (1 - 2 * k) * P(1 - 1 / k)
-    if k >= 2:
-        second += k * (k - 1) * P(1 - 2 / k)
-    return pmf, mean, second
+    """(pmf over j=1..k of the occupied-aisle count, its mean and second
+    moment), all from the table: the moments are sums of non-negative terms."""
+    cp = _occupancy(model)[0]
+    j = np.arange(model.k + 1)
+    return cp[1:].tolist(), math.fsum((j * cp).tolist()), math.fsum((j * j * cp).tolist())
 
 
 def contiguous_far_moments(model: AisleModel):

@@ -105,7 +105,7 @@ NODES, WEIGHTS, _WEIGHTS_2H = _rule()
 _ERR_WEIGHTS = WEIGHTS - _WEIGHTS_2H
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ArithmeticError):
     """Raised when the rule's error estimate is above tolerance; carries the
     partial result and the estimate (arrays for several integrands)."""
 

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from .heuristics import MomentReport
 from .orderdist import as_count
 
-__all__ = ["QueueScenario", "LeadTimeReport", "UnstableQueueError",
+__all__ = ["MAX_PICKERS", "QueueScenario", "LeadTimeReport", "UnstableQueueError",
            "erlang_c_wait_prob", "lead_time_estimate"]
+
+# The Erlang-B recurrence takes one Python step per picker: 0.1-0.2 s at this bound.
+MAX_PICKERS = 10 ** 6
 
 
 class UnstableQueueError(ValueError):
@@ -33,7 +36,7 @@ class QueueScenario:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", as_count(self.c, "picker count"))
+        object.__setattr__(self, "c", as_count(self.c, "picker count", MAX_PICKERS))
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"arrival rate must be finite and positive, got {self.lam!r}")
 
@@ -51,7 +54,7 @@ class LeadTimeReport:
 
 def erlang_c_wait_prob(c: int, rho: float) -> float:
     """P(wait) in an M/M/c queue, by the Erlang-B recurrence (no factorials)."""
-    c = as_count(c, "server count")
+    c = as_count(c, "server count", MAX_PICKERS)
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"utilization must be finite and >= 0, got {rho!r}")
     if rho >= 1:

@@ -390,6 +390,35 @@ def occupancy_blocks_mp(model) -> dict:
     }
 
 
+def sshaped_sums_mp(model, dps: int = 40) -> tuple[float, float, float, float]:
+    """S-shaped's four aisle sums E[X], E[X^2], E[kplus X] and E[M X] at ``dps``
+    digits, by the PGF closed forms for E[I], E[I^2], E[kplus I] and E[M I]
+    and sums over odd j of the blocks of :func:`occupancy_blocks_mp`, with
+    X = I + [I odd](2A - 1)."""
+    k = model.k
+    blocks = occupancy_blocks_mp(model)
+    with mpmath.workdps(dps):
+        P, Pp, _, _ = _mp_law(model.dist)
+        cp = [mpmath.mpf(0)] + [mpmath.mpf(v) for v in blocks["occupancy_law"][0]]
+        w = [mpmath.mpf(v) for v in blocks["contiguous_count_prime"]]
+        far, far2, mfar = ([mpmath.mpf(v) for v in b] for b in blocks["contiguous_far_moments"])
+        x1, x2 = 1 - mpmath.mpf(1) / k, 1 - mpmath.mpf(2) / k
+        e_i = k - k * P(x1)
+        e_i2 = k * k + k * (1 - 2 * k) * P(x1) + k * (k - 1) * P(x2)
+        e_ki = k * k - k * (k + 1) * P(x1) + mpmath.fsum(P(mpmath.mpf(i) / k) for i in range(k))
+        e_mi = k * Pp(mpmath.mpf(1)) - (k - 1) * Pp(x1)
+
+        def odd_sum(f):
+            return mpmath.fsum(f(j) for j in range(1, k + 1, 2))
+
+        kplus = lambda j: mpmath.mpf(j * (k + 1)) / (j + 1)  # noqa: E731  E[kplus | I = j]
+        sums = (e_i + odd_sum(lambda j: 2 * far[j] - cp[j]),
+                e_i2 + odd_sum(lambda j: 4 * j * far[j] - 2 * j * cp[j] + 4 * far2[j] - 4 * far[j] + cp[j]),
+                e_ki + odd_sum(lambda j: kplus(j) * (2 * far[j] - cp[j])),
+                e_mi + odd_sum(lambda j: 2 * mfar[j] - mpmath.mpf(j) / k * w[j]))
+        return tuple(float(v) for v in sums)
+
+
 # ---------------------------------------------------------------------------
 # span blocks and furthest-item moments, integrated in mpmath
 # ---------------------------------------------------------------------------

@@ -404,6 +404,78 @@ def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
     assert written == [out]
 
 
+@pytest.mark.parametrize("command", ["leadtime", "layout"])
+def test_picker_count_beyond_bound_exits_2_at_once(command, monkeypatch, capsys):
+    # 10^9 pickers ran the Erlang-C recurrence for minutes; the bound is
+    # checked as the queue scenario is built, before any moment
+    import time
+
+    import pickroute.cli as cli_mod
+
+    def not_called(*args):
+        raise AssertionError("moments computed before the picker count was checked")
+
+    monkeypatch.setattr(cli_mod, "compute_moments", not_called)
+    monkeypatch.setattr(cli_mod, "layout_sweep", not_called)
+    start = time.perf_counter()
+    status = main([command, "--k", "5", "--l", "20", "--wa", "2.5", "--v", "3 km/h", "--dist", "geom:32",
+                   "--k-min", "2", "--k-max", "3", "--pickers", "1000000000", "--lambda", "51"])
+    assert time.perf_counter() - start < 1.0
+    assert status == EXIT_CONFIG
+    assert "picker count must be at most 1000000, got 1000000000" in capsys.readouterr().err
+
+
+def test_picker_count_at_bound_answers(tmp_path):
+    out = tmp_path / "lt.csv"
+    status = main(["leadtime", "--k", "5", "--l", "20", "--wa", "2.5", "--v", "3 km/h", "--dist", "geom:32",
+                   "--heuristic", "return", "--pickers", "1000000", "--lambda", "51", "--out", str(out)])
+    assert status == EXIT_OK
+    row = read_csv(out)[1]
+    assert row[-5] == "1000000" and float(row[-1]) == pytest.approx(float(row[6]), rel=1e-12)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("l = 1 2 3", "cannot parse length '1 2 3'"),
+    ("l = 20 ft", "unknown unit 'ft'"),
+    ("l = abc m", "invalid number 'abc'"),
+    ("heuristics = foo", "unknown heuristic 'foo'"),
+    ("heuristics = ,", "empty list"),
+])
+def test_config_value_errors_named(text, message):
+    with pytest.raises(ConfigError, match=f"line 1: key '{text.split()[0]}': {message}"):
+        parse_config(text)
+
+
+def test_layout_k_min_above_k_max_exits_2(capsys):
+    status = main(["layout", "--total-length", "100", "--k-min", "4", "--k-max", "3",
+                   "--wa", "2.5", "--v", "3 km/h", "--dist", "geom:18"])
+    assert status == EXIT_CONFIG
+    assert "k_min must be <= k_max" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    assert main(["moments", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: cannot read config file:")
+
+
+def test_bare_speed_flag_is_meters_per_second(tmp_path):
+    out = tmp_path / "m.csv"
+    status = main(["moments", "--k", "2", "--l", "10", "--wa", "1.0", "--v", "0.8",
+                   "--dist", "det:2", "--heuristic", "return", "--out", str(out)])
+    assert status == EXIT_OK
+    assert read_csv(out)[1][4] == "0.8"
+
+
+def test_layout_total_length_defaults_to_k_times_l(tmp_path):
+    out = tmp_path / "layout.csv"
+    status = main(["layout", "--k", "4", "--l", "25", "--k-min", "2", "--k-max", "5",
+                   "--wa", "2.5", "--v", "3 km/h", "--dist", "geom:18", "--heuristic", "return",
+                   "--out", str(out)])
+    assert status == EXIT_OK
+    assert [row[:2] for row in read_csv(out)[1:]] == [["2", "50.0"], ["3", repr(100 / 3)],
+                                                      ["4", "25.0"], ["5", "20.0"]]
+
+
 def test_allow_unstable_is_a_leadtime_flag_only(capsys):
     with pytest.raises(ConfigError, match="unknown key 'allow_unstable'"):
         parse_config("allow_unstable = 1")

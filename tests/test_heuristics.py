@@ -17,6 +17,7 @@ from pickroute import (
     WarehouseConfig,
     compute_moments,
     erlang_c_wait_prob,
+    heuristics,
     layout_sweep,
     parse_dist_spec,
     prelim,
@@ -24,7 +25,7 @@ from pickroute import (
 )
 from pickroute.prelim import AisleModel, kplus_moments
 
-from oracles import enum_moment_report, occupancy_blocks_mp, sshaped_det_moments
+from oracles import enum_moment_report, occupancy_blocks_mp, sshaped_det_moments, sshaped_sums_mp
 
 STANDARD = WarehouseConfig(5, 20.0, 2.5, 3000.0 / 3600.0)
 
@@ -120,6 +121,41 @@ def test_sshaped_matches_high_precision_oracle_at_k256(spec, monkeypatch):
         monkeypatch.setattr(prelim, name, lambda model, value=value: value)
     want = compute_moments(cfg, dist, LARGE_K_PICK, "s-shaped")
     assert _fields(got) == pytest.approx(_fields(want), rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", ["spois:4", "snbin:3:9"])
+def test_sshaped_sums_match_high_precision_oracle_at_k128(spec):
+    # the PGF closed forms for E[I^2] and the like lost up to 1.3e-13 of
+    # E[X^2] here; the sums over the table lose nothing that cancels
+    model = AisleModel(128, parse_dist_spec(spec))
+    got = heuristics._sshaped_sums(model)
+    assert got == pytest.approx(sshaped_sums_mp(model), rel=1e-14, abs=0.0)
+
+
+def test_sshaped_reads_only_the_occupancy_table():
+    # once the table and the PGF lattice of kplus are built, S-shaped's sums
+    # and the occupancy law evaluate neither the PGF nor its derivative
+    calls = []
+
+    class CountedPoisson(ShiftedPoisson):
+        def pgf(self, x):
+            calls.append("pgf")
+            return super().pgf(x)
+
+        def pgf_prime(self, x):
+            calls.append("pgf_prime")
+            return super().pgf_prime(x)
+
+    for k in (1, 2, 7, 64):
+        model = AisleModel(k, CountedPoisson(3.0))
+        prelim._occupancy(model)
+        prelim._pgf_lattice(model, 1)
+        calls.clear()
+        heuristics._sshaped_sums(model)
+        prelim.occupancy_law(model)
+        assert calls == [], k
+        compute_moments(WarehouseConfig(k, 20.0, 2.5, 1.0), model.dist, PickTimeModel(5.0, 50.0), "s-shaped")
+        assert calls == [], k
 
 
 def test_sshaped_det3_at_k512_regression():
@@ -264,6 +300,32 @@ def test_pgf_table_built_once_per_unit_count():
     for heuristic in ("return", "midpoint", "largest-gap"):
         compute_moments(cfg, dist, pick, heuristic)
     assert prelim._pgf_table.cache_info().misses - before == 2
+
+
+def test_negative_variance_guard(monkeypatch, capsys):
+    # with no pick time and no cross-aisle walk, T = (2l/v) X: a variance of X
+    # a hair below 0 is rounding and reads 0, one far below it fails
+    from pickroute.cli import EXIT_CONFIG, main
+
+    cfg, dist, pick = WarehouseConfig(5, 20.0, 0.0, 1.0), Geometric(1 / 8), PickTimeModel(0.0, 0.0)
+    ex, _, ekx, emx = heuristics._return_sums(AisleModel(5, dist))
+
+    def shrink_second_moment(by):
+        monkeypatch.setattr(heuristics, "_return_sums", lambda model: (ex, ex * ex * (1 - by), ekx, emx))
+
+    shrink_second_moment(1e-12)
+    rep = compute_moments(cfg, dist, pick, "return")
+    assert rep.e_t2 < rep.e_t ** 2
+    assert (rep.var_t, rep.sd_t) == (0.0, 0.0)
+    assert (rep.e_t, rep.e_t2) == pytest.approx((40 * ex, 1600 * ex * ex * (1 - 1e-12)), rel=1e-15)
+
+    shrink_second_moment(0.5)
+    with pytest.raises(ArithmeticError, match="return: negative variance .* beyond tolerance"):
+        compute_moments(cfg, dist, pick, "return")
+    status = main(["moments", "--k", "5", "--l", "20", "--wa", "0", "--v", "1 m/s",
+                   "--dist", "geom:8", "--heuristic", "return"])
+    assert status == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: numerical failure: return: negative variance")
 
 
 def test_unknown_heuristic_rejected():

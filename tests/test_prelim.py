@@ -349,6 +349,16 @@ def test_iodd_matches_printed_alternating_sum_small_k():
             assert iodd_mean(model) == pytest.approx(printed, abs=1e-9)
 
 
+def occupancy_moments_pgf(k, P):
+    """(E[I], E[I^2]) of the occupied-aisle count by the PGF closed forms:
+    aisle i is empty with probability P(1 - 1/k), two aisles with P(1 - 2/k)."""
+    mean = k - k * P(1 - 1 / k)
+    second = k * k + k * (1 - 2 * k) * P(1 - 1 / k)
+    if k >= 2:
+        second += k * (k - 1) * P(1 - 2 / k)
+    return mean, second
+
+
 def test_occupancy_stable_at_large_k():
     # the pmf stays a probability vector with the PGF's moments up to k = 4096;
     # the alternating sums lost this past k ~ 96 (entries of -1.4e-8 at k = 128),
@@ -357,7 +367,8 @@ def test_occupancy_stable_at_large_k():
                  "geom:1000", "spois:1e5"):
         dist = parse_dist_spec(spec)
         for k in (1, 2, 5, 64, 96, 128, 256, 512, 1024, 2048, 4096):
-            pmf, mean, second = prelim.occupancy_law(AisleModel(k, dist))
+            pmf, _, _ = prelim.occupancy_law(AisleModel(k, dist))
+            mean, second = occupancy_moments_pgf(k, dist.pgf)
             contiguous = contiguous_probs(pmf)
             assert all(0.0 <= p <= 1 + 1e-12 for p in pmf), (spec, k)
             assert all(c >= 0.0 for c in contiguous), (spec, k)
@@ -366,6 +377,18 @@ def test_occupancy_stable_at_large_k():
             assert math.fsum(j * j * p for j, p in enumerate(pmf, start=1)) == pytest.approx(second, rel=1e-10)
             assert second - mean ** 2 >= -1e-9
             assert 0.0 <= iodd_mean(AisleModel(k, dist)) <= 1.0
+
+
+@pytest.mark.parametrize("k", [128, 256])
+@pytest.mark.parametrize("spec", ["spois:4", "geom:8"])
+def test_occupancy_moments_match_high_precision_closed_forms(spec, k):
+    # the closed forms in doubles lost up to 6.5e-13 of E[I^2] here; the
+    # table's sums over j lose nothing that cancels
+    dist = parse_dist_spec(spec)
+    _, mean, second = prelim.occupancy_law(AisleModel(k, dist))
+    with mpmath.workdps(50):   # _mp_law takes its parameters at the precision in force
+        want = occupancy_moments_pgf(mpmath.mpf(k), _mp_law(dist)[0])
+    assert (mean, second) == pytest.approx([float(v) for v in want], rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [2, 5, 12, 64, 96, 128])

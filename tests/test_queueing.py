@@ -14,6 +14,7 @@ from pickroute import (
     lead_time_estimate,
 )
 from pickroute.heuristics import MomentReport
+from pickroute.queueing import MAX_PICKERS
 
 
 def make_report(e_t: float, scv: float) -> MomentReport:
@@ -40,6 +41,20 @@ def test_erlang_c_against_direct_formula():
 def test_erlang_c_large_c_stable():
     q = erlang_c_wait_prob(2000, 0.95)
     assert 0.0 <= q <= 1.0 and math.isfinite(q)
+
+
+def test_picker_count_bound():
+    # the recurrence takes one step per server: 10^9 of them ran for minutes
+    assert MAX_PICKERS == 10 ** 6
+    for build in (lambda c: QueueScenario(c, 1.0), lambda c: erlang_c_wait_prob(c, 0.5)):
+        with pytest.raises(ValueError, match="at most 1000000, got 1000001"):
+            build(MAX_PICKERS + 1)
+        with pytest.raises(ValueError, match="at most 1000000"):
+            build(10 ** 9)
+    # the bound itself still answers: the Halfin-Whitt limit at beta = 1,
+    # sqrt(c) (1 - rho), is 1 / (1 + Phi(1)/phi(1)) = 0.22336
+    assert QueueScenario(MAX_PICKERS, 1.0).c == MAX_PICKERS
+    assert erlang_c_wait_prob(MAX_PICKERS, 0.999) == pytest.approx(0.22336, abs=1e-3)
 
 
 def test_erlang_c_monotonicity():

@@ -10,6 +10,7 @@ from pickroute import (
     HEURISTICS,
     PickTimeModel,
     WarehouseConfig,
+    compute_moments,
     parse_dist_spec,
     run_replications_all,
 )
@@ -253,6 +254,39 @@ def test_batch_memory_is_linear_in_items():
     finally:
         tracemalloc.stop()
     assert peak <= 160 * 2 ** 20
+
+
+def test_deterministic_pick_time_matches_scalar_reference():
+    # a pick time with SCV 0 is m times its mean and draws nothing: replay the
+    # sizes, aisles and positions, and give every item 5 s
+    pick = PickTimeModel(5.0, 25.0)
+    assert pick.scv == 0.0
+    cfg, dist, n = WarehouseConfig(4, 17.0, 2.0, 1.3), Geometric(1 / 5), 300
+    ests = run_replications_all(cfg, dist, pick, n, seed=11)
+    rng = _rng_for_batch(11, 0)
+    m = dist.sample(rng, size=n)
+    oid = np.repeat(np.arange(n), m)
+    aisle = rng.integers(0, cfg.k, size=int(m.sum()))
+    pos = rng.random(int(m.sum()))
+    orders = [SampledOrder(int(m[i]), tuple((int(a) + 1, float(p)) for a, p in zip(aisle[oid == i], pos[oid == i])))
+              for i in range(n)]
+    for h in HEURISTICS:
+        times = np.array([route_time(cfg, h, order, [5.0] * order.m) for order in orders])
+        assert ests[h].mean_t == pytest.approx(times.mean(), rel=1e-12), h
+        assert ests[h].mean_t2 == pytest.approx((times * times).mean(), rel=1e-12), h
+
+
+def test_deterministic_pick_time_constant_route():
+    # at k = 1 with det:2, midpoint and largest gap walk the aisle and back and
+    # pick two items at 5 s each: T = 10 + 2 l/v = 50 s for every order
+    cfg, dist, pick = WarehouseConfig(1, 20.0, 2.5, 1.0), Deterministic(2), PickTimeModel(5.0, 25.0)
+    ests = run_replications_all(cfg, dist, pick, 2000, seed=4)
+    for h in ("midpoint", "largest-gap"):
+        est = ests[h]
+        assert (est.mean_t, est.se_mean, est.mean_t2, est.se_t2) == (50.0, 0.0, 2500.0, 0.0), h
+        rep = compute_moments(cfg, dist, pick, h)
+        assert rep.e_t == pytest.approx(50.0, rel=1e-14), h
+        assert rep.var_t == pytest.approx(0.0, abs=1e-9), h
 
 
 def test_run_replications_deterministic():
