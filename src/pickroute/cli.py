@@ -3,9 +3,9 @@
 Subcommands: ``moments``, ``simulate``, ``leadtime``, ``layout``, ``validate``.
 Configuration is a line-oriented ``key = value`` file (``#`` comments);
 command-line flags override config keys and are parsed by the same table.
-Exit codes: 0 success, 2 parse, validation or numerical error, 3 unstable
-queue without ``--allow-unstable``, 4 Monte Carlo validation failure (some
-|z| > 4).
+Exit codes: 0 success, 2 parse, validation, numerical or out-of-memory
+error, 3 unstable queue without ``--allow-unstable``, 4 Monte Carlo
+validation failure (some |z| > 4).
 """
 from __future__ import annotations
 
@@ -166,7 +166,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
-    missing = [key for key in keys if getattr(cfg, key) is None]
+    missing = [key for key in keys if getattr(cfg, _KEYS[key][0]) is None]
     if missing:
         raise ConfigError("missing required key(s): " + ", ".join(missing))
 
@@ -197,7 +197,7 @@ def _pick(cfg: RunConfig) -> PickTimeModel:
 
 
 def _scenario(cfg: RunConfig) -> QueueScenario:
-    _require(cfg, "pickers", "lam")
+    _require(cfg, "pickers", "lambda")
     return QueueScenario(c=cfg.pickers, lam=cfg.lam / 3600.0)
 
 
@@ -257,7 +257,7 @@ def _cmd_layout(cfg: RunConfig) -> int:
     if cfg.k_min > cfg.k_max:
         raise ConfigError("k_min must be <= k_max")
     dist, pick = parse_dist_spec(cfg.dist), _pick(cfg)
-    scenario = _scenario(cfg) if cfg.pickers is not None and cfg.lam is not None else None
+    scenario = _scenario(cfg) if cfg.pickers is not None or cfg.lam is not None else None
     rows = layout_sweep(total, range(cfg.k_min, cfg.k_max + 1), cfg.wa, cfg.v, dist, pick,
                         scenario, cfg.heuristics)
     emit_csv([[row.k, row.l, h, row.cells[h].e_t, row.cells[h].e_r] for row in rows for h in cfg.heuristics],
@@ -356,6 +356,8 @@ def run_command(command: str, cfg: RunConfig) -> int:
         raise ConfigError(str(exc)) from None
     except ArithmeticError as exc:
         raise ConfigError(f"numerical failure: {exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"not enough memory: {exc}") from None
 
 
 def main(argv=None) -> int:

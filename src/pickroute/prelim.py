@@ -62,29 +62,22 @@ latest at the n past which all k aisles are occupied but for probability
 1e-18.  Beyond n only column k gains mass, through the tail sums
 sum_{m>n} p_m {1, m, 1/(m+1), 1/((m+1)(m+2))}; they are totals minus head
 sums, the totals being 1, E[M], int_0^1 P and int_0^1 (1-x) P.  The rows are
-built in blocks: a block's first row is one chain step past the row before
-it, and the block doubles from there, rows m+h..m+2h-1 = rows m..m+h-1 times
-T^h, with T the bidiagonal chain matrix and T^2, T^4, ... squared once per
-table.  A doubled row costs (k+1)^2 multiply-adds against a few numpy calls
-for a chain step, so blocks are 512 rows long below k = 64, 64 rows below
-k = 128 and one row (the chain alone) from there.  At most 514 rows are held
-at a time, 130 for the chain alone.
+built in blocks of order sizes, in one of two regimes.
 
-Late rows are mostly zeros and subnormals: q_m(j) falls like (j/k)^m in the
-low columns, and at large k also near column m while m < k.  Entries under
-a floor of 1e-280, far below anything the sums can see, become exact zeros
-as the rows are built.  The chain alone keeps each row on the band [lo, hi)
-of columns still above the floor, steps it there and sums 128 rows at a
-time over the columns their bands span, so a row costs O(band) instead of
-O(k): S-shaped at k = 4096 on geom:1e6, spois:1e5 and snbin:50:1e4 went
-from 40-51, 13-18 and 5-6 s to 1.2-1.4, 0.45-0.7 and 0.5 s (one thread of
-a shared 2-vCPU VM).  The doubled blocks keep their products at full
-width, so that BLAS adds in the same order: from the row where
-q_m(1) = k^(1-m) falls under the floor, the powers of T and the rows each
-doubling stage adds are zeroed under it in place, and the elementwise sums
-skip the columns still all zero.  Subnormals thereby stay out of the
-products, which x86 multiplies slowly; on the laws the tests cover, the
-sums are bit for bit those of the table without a floor.
+Below k = 128 a block is 512 rows long and is doubled from its first row
+alone: rows m+h..m+2h-1 = rows m..m+h-1 times T^h for h = 1, 2, 4, ..., with
+T the bidiagonal chain matrix and T^2, T^4, ... squared once per table.  A
+doubled row costs (k+1)^2 multiply-adds in one BLAS call, less than the few
+numpy calls of a chain step while k is small.  At most 514 rows are held at
+a time.
+
+From k = 128 the chain alone builds the rows, 128 at a time.  Late rows are
+mostly zeros and subnormals: q_m(j) falls like (j/k)^m in the low columns,
+and at large k also near column m while m < k.  So each row is kept on the
+band [lo, hi) of columns above a floor of 1e-280, far below anything the
+sums can see; entries under it become exact zeros, the chain steps each row
+on its band, and a block is summed over the columns its bands span.  A row
+then costs O(band) instead of O(k).
 """
 from __future__ import annotations
 
@@ -366,15 +359,11 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
 # block of rows spans stay close to one row's band.
 _ROWS = 512
 _CHAIN_ROWS = 128
-# Entries of the occupancy table under this become exact zeros as rows are
-# built (see the module docstring).
+# From this aisle count the table is built by the chain alone (see the module
+# docstring).
+_CHAIN_FROM = 128
+# Entries of the chain's rows under this become exact zeros as rows are built.
 _FLOOR = 1e-280
-
-
-def _block_rows(k: int) -> int:
-    """Rows of the occupancy table per block, each block doubled from one
-    chain step (see the module docstring for the rule)."""
-    return _ROWS if k < 64 else 64 if k < 128 else 1
 
 
 def _saturation_rows(k: int) -> int:
@@ -426,13 +415,12 @@ def _occupancy(model: AisleModel):
     p = dist.pmf(n)
     j = np.arange(k + 1)
     stay, move = j / k, (k + 1 - j[1:]) / k
-    block = _block_rows(k)
-    rows = _ROWS if block > 1 else _CHAIN_ROWS
+    chain = k >= _CHAIN_FROM
+    rows = _CHAIN_ROWS if chain else _ROWS
     # T^h for h = 1, 2, 4, ... below the rows one block fills: q_{m+h} = q_m T^h
     powers = []
-    for _ in range((min(block, len(p) + 1) - 1).bit_length()):
+    for _ in range(0 if chain else (min(rows, len(p)) + 1).bit_length()):
         powers.append(powers[-1] @ powers[-1] if powers else np.diag(stay) + np.diag(move, 1))
-    floored = False
     cp, mw, far, mfar, far2 = np.zeros((5, k + 1))
     q = np.zeros((rows + 2, k + 1))   # q[i] = q_{start+i}
     q[0, 0] = 1.0
@@ -441,36 +429,21 @@ def _occupancy(model: AisleModel):
         b = len(pm)
         # the chain moves mass to higher columns only: every row is zero below q[0]'s first entry
         nz = np.flatnonzero(q[0])
-        if block == 1:
-            full = band = slice(nz[0], _chain(q, b, nz[0], nz[-1] + 1, stay, move))
+        if chain:
+            band = slice(nz[0], _chain(q, b, nz[0], nz[-1] + 1, stay, move))
         else:
-            for s in range(1, b + 2, block):   # one chain step, then doubling
-                np.multiply(q[s - 1], stay, out=q[s])
-                q[s, 1:] += q[s - 1, :-1] * move
-                for i, power in enumerate(powers):
-                    h = 1 << i
-                    end = min(s + 2 * h, b + 2)
-                    if end <= s + h:
-                        break
-                    # once q_m(1) = k^(1-m) is under the floor, the entries of
-                    # the powers and of the rows each stage adds that are under
-                    # it become zeros in place: the product keeps its shape,
-                    # and so its order of sums
-                    if q[end - h - 1, 1] < _FLOOR:
-                        if not floored:
-                            for power_ in powers:
-                                np.putmask(power_, power_ < _FLOOR, 0.0)
-                            floored = True
-                        fresh = q[s + (h >> 1):end - h]   # the seed, or the rows of the stage before
-                        np.putmask(fresh, fresh < _FLOOR, 0.0)
-                    np.matmul(q[s:end - h], power, out=q[s + h:end])
-            # products at full width, bit for bit those of the plain table
-            full, band = slice(None), slice(nz[0], None)
+            # rows h..2h-1 from rows 0..h-1, up to row b + 1
+            for i, power in enumerate(powers):
+                h = 1 << i
+                if h >= b + 2:
+                    break
+                np.matmul(q[:min(h, b + 2 - h)], power, out=q[h:min(2 * h, b + 2)])
+            band = slice(nz[0], None)
         if pm.any():
             m = np.arange(start, start + b, dtype=float)[:, None]
             jb, q1, q2 = j[band], q[1:b + 1, band], q[2:b + 2, band]
-            cp[full] += pm @ q[:b, full]
-            mw[full] += (m[:, 0] * pm) @ q[:b, full]
+            cp[band] += pm @ q[:b, band]
+            mw[band] += (m[:, 0] * pm) @ q[:b, band]
             # the sums of the module docstring, each step in place: a third
             # faster at large k than fresh temporaries, and the same bits
             fw = np.divide(jb, m + 1)
@@ -488,7 +461,7 @@ def _occupancy(model: AisleModel):
             bracket *= pm[:, None]
             far2[band] += bracket.sum(axis=0)
         q[0] = q[b]
-        if block == 1:
+        if chain:
             q[1:, band] = 0.0
     if len(p) == n + 1:
         # order sizes beyond n occupy every aisle: only column k gains

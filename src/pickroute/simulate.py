@@ -262,6 +262,8 @@ def run_replications_all(cfg: WarehouseConfig, dist: OrderSizeDistribution,
     """Moment estimates for every heuristic from one shared set of samples."""
     if n < 2:
         raise ValueError(f"need at least 2 replications, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     sums = {h: [0.0, 0.0, 0.0] for h in HEURISTICS}  # sum t, t^2, t^4
     for times in _batches(cfg, dist, pick, n, seed):
         for h in HEURISTICS:

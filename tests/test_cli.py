@@ -189,6 +189,24 @@ def test_layout_command(tmp_path):
     assert all(row[4] == "NA" for row in rows[1:])  # no scenario given
 
 
+@pytest.mark.parametrize("given,missing", [(["--pickers", "5"], "lambda"), (["--lambda", "51"], "pickers")],
+                         ids=["pickers", "lambda"])
+def test_layout_with_one_queue_key_exits_2(given, missing, capsys):
+    # one of the two used to drop E_R to NA without a word
+    status = main(["layout", "--total-length", "100", "--k-min", "2", "--k-max", "3",
+                   "--wa", "2.5", "--v", "3 km/h", "--dist", "geom:18"] + given)
+    assert status == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: missing required key(s): {missing}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_negative_seed_exits_2_naming_it(command, capsys):
+    status = main([command, "--k", "2", "--l", "20", "--wa", "2.5", "--v", "3 km/h",
+                   "--dist", "det:3", "--samples", "10", "--seed", "-1"])
+    assert status == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_validate_command_passes_and_is_deterministic(tmp_path):
     out1 = tmp_path / "v1.csv"
     out2 = tmp_path / "v2.csv"
@@ -313,6 +331,23 @@ def test_numerical_failure_exits_2_with_error_csv(tmp_path, monkeypatch, capsys,
     rows = read_csv(out)
     assert rows[0] == ["error_code", "message"]
     assert rows[1][0] == str(EXIT_CONFIG) and str(error) in rows[1][1]
+
+
+def test_out_of_memory_exits_2_with_error_csv(tmp_path, monkeypatch, capsys):
+    # stands in for a table too large to allocate (return at k = 10^7); no
+    # test allocates one
+    import pickroute.cli as cli_mod
+
+    def failing(cfg, dist, pick, heuristic):
+        raise MemoryError("Unable to allocate 55.2 GiB for an array")
+
+    monkeypatch.setattr(cli_mod, "compute_moments", failing)
+    out = tmp_path / "m.csv"
+    status = main(["moments", "--k", "5", "--l", "20", "--wa", "2.5", "--v", "3 km/h",
+                   "--dist", "geom:18", "--heuristic", "return", "--out", str(out)])
+    assert status == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: not enough memory: Unable to allocate 55.2 GiB for an array\n"
+    assert read_csv(out)[1] == [str(EXIT_CONFIG), "not enough memory: Unable to allocate 55.2 GiB for an array"]
 
 
 def test_error_csv_goes_to_config_out(tmp_path, capsys):

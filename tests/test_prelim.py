@@ -391,36 +391,25 @@ def test_occupancy_moments_match_high_precision_closed_forms(spec, k):
     assert (mean, second) == pytest.approx([float(v) for v in want], rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("k", [2, 5, 12, 64, 96, 128])
+@pytest.mark.parametrize("k", [2, 5, 12, 32, 48, 64, 96, 127, 128])
 def test_occupancy_blocks_match_chain(k, monkeypatch):
     # rows doubled from a block's first row by the powers of the chain matrix
-    # against the plain chain, one row per block
+    # against the banded chain, one row at a time, both forced through
+    # _CHAIN_FROM whichever of them builds the table at this k
     cfg, pick = WarehouseConfig(k, 20.0, 2.5, 3000.0 / 3600.0), PickTimeModel.from_scv(5.0, 1.0)
-    for dist in PMF_LAWS:
-        prelim._occupancy.cache_clear()
-        want = compute_moments(cfg, dist, pick, "s-shaped")
-        with monkeypatch.context() as patch:
-            patch.setattr(prelim, "_block_rows", lambda k: 1)
-            prelim._occupancy.cache_clear()
-            got = compute_moments(cfg, dist, pick, "s-shaped")
+    laws = PMF_LAWS + [Geometric(1 / 1000)]
+    laws += [parse_dist_spec(spec) for spec in ("spois:1000", "det:500", "snbin:50:1e4") if k == 127]
+    # order sizes on either side of the 512-row block edge
+    laws += [Deterministic(m) for m in (511, 512, 513, 514) if k in (12, 64, 127)]
+    for dist in laws:
+        reports = []
+        for chain_from in (k + 1, k):   # doubled rows, then the chain
+            with monkeypatch.context() as patch:
+                patch.setattr(prelim, "_CHAIN_FROM", chain_from)
+                prelim._occupancy.cache_clear()
+                reports.append(compute_moments(cfg, dist, pick, "s-shaped"))
+        got, want = reports
         assert (got.e_t, got.e_t2) == pytest.approx((want.e_t, want.e_t2), rel=1e-13, abs=0.0), dist
-    prelim._occupancy.cache_clear()
-
-
-@pytest.mark.parametrize("k", [2, 5, 12, 32, 48, 64, 96, 127])
-def test_occupancy_floor_keeps_doubled_table(k, monkeypatch):
-    # below k = 128 the floor zeroes entries in place and every product keeps
-    # its full width: the sums are those of the table without a floor, bit
-    # for bit
-    for dist in PMF_LAWS + [Geometric(1 / 1000)]:
-        prelim._occupancy.cache_clear()
-        got = prelim._occupancy(AisleModel(k, dist))
-        with monkeypatch.context() as patch:
-            patch.setattr(prelim, "_FLOOR", 0.0)
-            prelim._occupancy.cache_clear()
-            want = prelim._occupancy(AisleModel(k, dist))
-        for name, g, w in zip(("cp", "w", "far", "mfar", "far2"), got, want):
-            np.testing.assert_array_equal(g, w, err_msg=f"{dist} {name}")
     prelim._occupancy.cache_clear()
 
 

@@ -289,6 +289,12 @@ def test_deterministic_pick_time_constant_route():
         assert rep.var_t == pytest.approx(0.0, abs=1e-9), h
 
 
+def test_negative_seed_is_rejected_by_name():
+    # numpy's own message named no input
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        run_replications_all(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0), 10, seed=-1)
+
+
 def test_run_replications_deterministic():
     est1 = run_replications_all(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0),
                                 5000, seed=42)["return"]
