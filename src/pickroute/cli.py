@@ -86,9 +86,12 @@ def _number(units: dict, what: str):
             raise ConfigError(f"key {key!r}: unknown unit {unit!r} (expected one of"
                               f" {sorted(u for u in units if u)})")
         try:
-            return float(value) * units[unit]
+            number = float(value)
         except ValueError:
             raise ConfigError(f"key {key!r}: invalid number {value!r}") from None
+        if not 0.0 <= number < math.inf:   # every key parsed here is >= 0
+            raise ConfigError(f"key {key!r}: {what} must be finite and >= 0, got {token!r}")
+        return number * units[unit]
     return parse
 
 

@@ -73,11 +73,11 @@ a time.
 
 From k = 128 the chain alone builds the rows, 128 at a time.  Late rows are
 mostly zeros and subnormals: q_m(j) falls like (j/k)^m in the low columns,
-and at large k also near column m while m < k.  So each row is kept on the
-band [lo, hi) of columns above a floor of 1e-280, far below anything the
-sums can see; entries under it become exact zeros, the chain steps each row
-on its band, and a block is summed over the columns its bands span.  A row
-then costs O(band) instead of O(k).
+and at large k also near column m while m < k.  So a built block's entries
+not above a floor of 1e-280, far below anything the sums can see, become
+exact zeros in one pass.  A step moves mass at most one column up, so if the
+next block's first row is zero outside [lo, hi), that block is stepped and
+summed on the columns [lo, hi + 129) alone: O(hi - lo + 128) a row, not O(k).
 """
 from __future__ import annotations
 
@@ -356,13 +356,13 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
 
 # Order sizes whose rows of the occupancy table are held at a time; bounds
 # its memory at large k.  The chain alone holds fewer, so that the columns a
-# block of rows spans stay close to one row's band.
+# block is stepped on stay close to the band of its first row.
 _ROWS = 512
 _CHAIN_ROWS = 128
 # From this aisle count the table is built by the chain alone (see the module
 # docstring).
 _CHAIN_FROM = 128
-# Entries of the chain's rows under this become exact zeros as rows are built.
+# Entries of the chain's rows under this become exact zeros, once per block.
 _FLOOR = 1e-280
 
 
@@ -384,25 +384,19 @@ def _pgf_integrals(dist: OrderSizeDistribution) -> tuple[float, float]:
 
 
 def _chain(q: np.ndarray, b: int, lo: int, hi: int, stay, move) -> int:
-    """Rows q[1..b+1] from q[0] by the chain alone, each on its band of
-    columns: q[0] is zero outside [lo, hi), and a row's band is the one
-    before it and one column more, less the entries at its edges that are
-    not above the floor, which become zeros.  The rows are zero on entry;
-    returns the end of all of their bands."""
-    top = hi
+    """Rows q[1..b+1] from q[0] by the chain alone, all on the columns
+    [lo, end) that they can reach: q[0] is zero outside [lo, hi), and a step
+    moves mass at most one column up, so the entries past a row's reach stay
+    exact zeros.  The block's entries that are not above the floor then
+    become zeros, in one pass; returns ``end``."""
+    end = min(hi + b + 1, q.shape[1])
+    rows, step_stay, step_move = q[:b + 2, lo:end], stay[lo:end], move[lo:end - 1]
     for s in range(1, b + 2):
-        prev, row = q[s - 1], q[s]
-        end = min(hi + 1, row.size)
-        np.multiply(prev[lo:hi], stay[lo:hi], out=row[lo:hi])
-        row[lo + 1:end] += prev[lo:end - 1] * move[lo:end - 1]
-        while row[lo] <= _FLOOR:
-            row[lo] = 0.0
-            lo += 1
-        while row[end - 1] <= _FLOOR:
-            row[end - 1] = 0.0
-            end -= 1
-        hi, top = end, max(top, end)
-    return top
+        np.multiply(rows[s - 1], step_stay, out=rows[s])
+        rows[s, 1:] += rows[s - 1, :-1] * step_move
+    new = rows[1:]
+    new[new <= _FLOOR] = 0.0
+    return end
 
 
 @lru_cache(maxsize=1)

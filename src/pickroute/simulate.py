@@ -180,14 +180,11 @@ def _sorted_chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray
     if inner.size:
         i_start, i_end, i_oid = starts[inner], ends[inner], oid[inner]
         # largest gap: max of (first position, inner spacings, trailing
-        # space); the last cell of a chunk is never interior, so i_end < size
+        # space); reduceat's segments are the cells [starts[i], ends[i])
         gap_before = np.empty_like(sp)
-        gap_before[0] = sp[0]
         np.subtract(sp[1:], sp[:-1], out=gap_before[1:])
-        gap_before[i_start] = sp[i_start]
-        bounds = np.empty(2 * inner.size, dtype=np.intp)
-        bounds[0::2], bounds[1::2] = i_start, i_end
-        d = np.maximum(np.maximum.reduceat(gap_before, bounds)[0::2], 1.0 - a[inner])
+        gap_before[starts] = sp[starts]
+        d = np.maximum(np.maximum.reduceat(gap_before, starts)[inner], 1.0 - a[inner])
         # half-aisle maxima, as fractions of the half length: front-half
         # items come first in a cell, so its back half starts at `split`
         n_front = np.empty(sc.size + 1, dtype=np.intp)

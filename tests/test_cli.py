@@ -311,6 +311,28 @@ def test_non_finite_flag_exits_2(dist, lam, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,token,message", [
+    ("--v", "-3 km/h", "--v: key 'v': speed must be finite and >= 0, got '-3 km/h'"),
+    ("--lambda", "-1", "--lambda: key 'lambda': rate must be finite and >= 0, got '-1'"),
+    ("--pick-mean", "nan", "--pick-mean: key 'pick_mean': duration must be finite and >= 0, got 'nan'"),
+], ids=["speed", "rate", "pick-mean"])
+def test_negative_or_nan_flag_names_flag_and_token(flag, token, message, capsys):
+    # these used to be reported by the library in SI units, without the key
+    args = {"--k": "5", "--l": "20", "--wa": "2.5", "--v": "3 km/h", "--dist": "geom:32",
+            "--pickers": "5", "--lambda": "51", flag: token}
+    status = main(["leadtime"] + [part for item in args.items() for part in item])
+    assert status == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_speed_config_line_names_line_and_token(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text(BASELINE.replace("v = 3 km/h", "v = -3 km/h"))
+    assert main(["moments", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: line 6: key 'v': speed must be finite and >= 0,"
+                                       " got '-3 km/h'\n")
+
+
 @pytest.mark.parametrize("error", [ArithmeticError("s-shaped: negative variance -3.2 beyond tolerance"),
                                    IntegrationError("integration failed: roundoff", 1.0, 0.5)],
                          ids=["arithmetic", "integration"])
