@@ -1,4 +1,4 @@
-"""One fixed quadrature rule on a node array, plus closed-form kernels.
+"""One fixed quadrature rule on a node array, plus the kernels it integrates.
 
 Every integral of the moment formulas runs over [0, 1] against an order-size
 PGF, which climbs to 1 within about 1/mean of x = 1.  The rule is tanh-sinh
@@ -28,10 +28,9 @@ the kernel and s = 1 + x against its far half :func:`far_half`.
 rows P((j + x)/h) passes two of them as they are, g at s = 1 + x being the
 row one step above g at s = x.
 
-The kernels need the dilogarithm, here :func:`spence` (Li2(1 - z), as in
-scipy.special): the Bernoulli series of Li2 in u = -log(1 - x) for
-x = 1 - z <= 1/2, and Euler's reflection for x > 1/2.  It is within 6e-16
-relative of 30-digit mpmath on [0, 1].
+The kernels :func:`gap_kernel` and :func:`log_kernel` (for s < 1) are taken
+by the rule itself, one inner integral of a positive function per argument,
+where a closed form in the dilogarithm would cancel.
 """
 from __future__ import annotations
 
@@ -50,32 +49,11 @@ __all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel", "bo
 ABS_TOL = 1e-10
 REL_TOL = 1e-4
 
-_PI2_3 = math.pi ** 2 / 3
-_PI2_6 = math.pi ** 2 / 6
 _BELOW_1 = np.nextafter(1.0, 0.0)
-# B_2k / (2k+1)! for k = 1..11: Li2(x) = u - u^2/4 + sum_k c_k u^(2k+1), u = -log(1-x)
-_LI2_SERIES = (1 / 36, -1 / 3600, 4.72411186696901e-06, -9.185773074661964e-08, 1.8978869988971e-09,
-               -4.0647616451442256e-11, 8.921691020456452e-13, -1.9939295860721074e-14,
-               4.518980029619918e-16, -1.0356517612181247e-17, 2.395218621026187e-19)
-
-
-def _log_kernel_series():
-    """c_2..c_50 of log_kernel(s) = sum_{n>=2} c_n s^(n+1), used for s < 1/2.
-
-    From log(1-x) = -sum x^a/a and ∫_0^s x^a (s-x)^b dx = s^(a+b+1) a! b! / (a+b+1)!,
-    c_n = sum_{a+b=n, a,b>=1} (a-1)! (b-1)! / (n+1)! = S_{n-2} / ((n+1) n (n-1)),
-    where S_m = sum_j 1/C(m, j) = 1 + (m+1)/(2m) S_{m-1}, S_0 = 1.  Terms to
-    n = 50 leave less than 1e-18 relative out at s = 1/2.
-    """
-    coef, s_m = [], 1.0
-    for m in range(49):  # n = m + 2
-        if m:
-            s_m = 1.0 + (m + 1) / (2 * m) * s_m
-        coef.append(s_m / ((m + 3) * (m + 2) * (m + 1)))
-    return tuple(coef)
-
-
-_LOG_KERNEL_SERIES = _log_kernel_series()
+# The kernels take their inner integrals this many outer values at a time: all
+# nodes x nodes at once made 4.4 MB temporaries (+40% peak RSS on a layout
+# sweep); blocks of 12 keep it flat and ran fastest (from 16 on, 2-3x slower).
+_BLOCK = 12
 
 
 def _rule(h: float = 1 / 8, n: int = 28, decades: int = 12):
@@ -167,79 +145,70 @@ def integrate_2d(below, above, kernel):
                     np.abs(np.vecdot(below, err_column) + np.vecdot(above, far_err)))
 
 
-def _li2_series(u):
-    """Li2(x) from u = -log(1 - x) >= 0, for x <= 1/2 (u <= log 2)."""
-    w = u * u
-    acc = _LI2_SERIES[-1]
-    for c in _LI2_SERIES[-2::-1]:
-        acc = acc * w + c
-    return u - 0.25 * w + u * w * acc
-
-
-def spence(z):
-    """Li2(1 - z) = ∫_1^z log(t) / (1 - t) dt for z in [0, 1]: pi^2/6 at 0, 0 at 1,
-    NaN outside [0, 1].  For z >= 1/2 the series takes u = -log z; for z < 1/2,
-    Li2(1 - z) = pi^2/6 - log(z) log(1 - z) - Li2(z)."""
-    z = np.asarray(z, dtype=float)
-    out = np.full(z.shape, np.nan)
-    high = (z >= 0.5) & (z <= 1.0)
-    out[high] = _li2_series(0.0 - np.log(z[high]))
-    low = (z >= 0.0) & (z < 0.5)
-    zl = z[low]
-    log1m = np.log1p(-zl)
-    with np.errstate(divide="ignore", invalid="ignore"):   # log(0) * 0 at z = 0
-        cross = np.where(zl > 0.0, np.log(zl) * log1m, 0.0)
-    out[low] = _PI2_6 - cross - _li2_series(-log1m)
-    return out[()]
-
-
 def box_kernel(s):
     """Length of the overlap of [0, 1] and [s-1, s]: min(s, 2-s), 0 outside [0, 2]."""
     s = np.asarray(s, dtype=float)
     return np.maximum(0.0, np.minimum(s, 2.0 - s))[()]
 
 
-def log_kernel(s):
-    """c(s) = ∫ log(1-x) log(1-s+x) dx over the overlap of [0, 1] and [s-1, s].
+def _inner(f, x):
+    """∫_0^1 f(x, y) dy for each x of a 1-d array, by the rule in y, _BLOCK
+    values of x at a time; the error estimate is checked as for any row."""
+    out = np.empty(x.shape)
+    for i in range(0, x.size, _BLOCK):
+        out[i:i + _BLOCK] = integrate_1d(f(x[i:i + _BLOCK, None], NODES))[0]
+    return out
 
-    In u = 1-x the integrand is log(u) log(t-u) with t = 2-s.  For s >= 1 u runs
-    over [0, t], giving F(t) = t (log^2 t - 2 log t + 2 - pi^2/6).  For s < 1 it
-    runs over [t-1, 1], which leaves out two mirror-image end pieces of [0, t],
-    each t * ∫_0^b (L + log a)(L + log(1-a)) da with b = (t-1)/t and L = log t;
-    the bracket below is that integral in closed form, Li2(1-b) = spence(b)
-    (NaN for s >= 1, where the bracket is discarded).
-    c vanishes at s = 0 and s = 2.  Below s = 1/2 those closed-form terms of
-    order 1 cancel to c ~ s^3/6 (all digits lost by s = 1e-6), so c is taken
-    from its power series there.
+
+def _log_product(s, t):
+    """log(1 - s a) log(1 - s b), a, b = (1 ± t)/2.  Where log1p(-s a) keeps only
+    absolute digits (s a near 1), the other factor is about -s b, near 0."""
+    return np.log1p(-s * ((1.0 + t) / 2)) * np.log1p(-s * ((1.0 - t) / 2))
+
+
+def log_kernel(s):
+    """c(s) = ∫ log(1-x) log(1-s+x) dx over the overlap of [0, 1] and [s-1, s],
+    0 outside (0, 2); NaN raises ValueError.
+
+    For s >= 1, in u = 1-x the integrand is log(u) log(t-u) with t = 2-s over
+    u in [0, t], giving t (log^2 t - 2 log t + 2 - pi^2/6).  For s < 1, in
+    x = s y the integrand is positive and symmetric about y = 1/2: c(s) is 2s
+    times its integral over y in [1/2, 1], taken by the rule in t = 2y - 1 so
+    that the near-singularity at y = 1/s lies next to t = 1, where the rule's
+    panels cluster (:func:`_log_product`).  c ~ s^3/6 near 0.
     """
     s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = 2.0 - s
-        lt = np.log(t)
-        c = t * (lt * lt - 2.0 * lt + 2.0 - _PI2_6)
-        b = (1.0 - s) / t
-        blb = b * np.log(b)
-        l1b = np.log1p(-b)
-        bracket = (lt * lt * b + lt * (blb - b) - lt * ((1.0 - b) * l1b + b)
-                   + (blb - b + 1.0) * l1b - blb + 2.0 * b + spence(b) - _PI2_6)
-        c = np.where(s >= 1.0, c, c - 2.0 * t * bracket)
-    series = _LOG_KERNEL_SERIES[-1]
-    for coef in _LOG_KERNEL_SERIES[-2::-1]:
-        series = series * s + coef
-    c = np.where(s < 0.5, s * s * s * series, c)
-    return np.where((s > 0.0) & (s < 2.0), c, 0.0)[()]
+    if np.isnan(s).any():
+        raise ValueError(f"log kernel requires s to be a number, got {s!r}")
+    far = (s >= 1.0) & (s < 2.0)
+    t = np.where(far, 2.0 - s, 1.0)
+    lt = np.log(t)
+    c = np.where(far, t * (lt * lt - 2.0 * lt + 2.0 - math.pi ** 2 / 6), 0.0)
+    near = (s > 0.0) & (s < 1.0)
+    c[near] = s[near] * _inner(_log_product, s[near])
+    return c[()]
+
+
+def _gap_integrand(x, y):
+    """log^2(1-y') (1-y')(1+y') / y'^2 at y' = x + (1-x) y, 1 - y' = (1-x)(1-y)."""
+    above, below = x + (1.0 - x) * y, (1.0 - x) * (1.0 - y)
+    log_below = np.log1p(-x) + np.log1p(-y)
+    return log_below * log_below * below * (1.0 + above) / (above * above)
 
 
 def gap_kernel(x):
-    """g(x) = integral over [x, 1] of log^2(1-y) / y^2 dy, for x in (0, 1].
+    """g(x) = ∫_x^1 log^2(1-y) / y^2 dy for x in (0, 1]; ValueError outside.
 
-    Evaluated in closed form via the dilogarithm:
-        g(x) = pi^2/3 + (1-x) * log^2(1-x) / x - 2 * Li2(x),
-    with Li2(x) = spence(1-x).  g(1) = 0 and g decreases to pi^2/3 at 0+.
+    As 1/y^2 = 1 + (1-y)(1+y)/y^2, g(x) = u (log^2 u - 2 log u + 2), u = 1-x,
+    plus u ∫_0^1 :func:`_gap_integrand` dy, which has the log^2 singularity
+    split off.  Every term is positive, so nothing cancels next to x = 1.
+    g(1) = 0 and g decreases to pi^2/3 at 0+.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError(f"gap kernel requires x > 0, got {x!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = _PI2_3 + (1.0 - x) * np.log1p(-x) ** 2 / x - 2.0 * spence(1.0 - x)
-    return np.where(x < 1.0, g, 0.0)[()]
+    if not ((x > 0.0) & (x <= 1.0)).all():
+        raise ValueError(f"gap kernel requires x in (0, 1], got {x!r}")
+    g = np.zeros(x.shape)
+    below = x < 1.0
+    log_u = np.log1p(-x[below])
+    g[below] = (1.0 - x[below]) * (log_u * log_u - 2.0 * log_u + 2.0 + _inner(_gap_integrand, x[below]))
+    return g[()]

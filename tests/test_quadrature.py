@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,8 +15,9 @@ from pickroute.quadrature import (
     integrate_1d,
     integrate_2d,
     log_kernel,
-    spence,
 )
+
+from oracles import _mp_gap_kernel, _mp_log_kernel
 
 
 def gauss_legendre_gap_kernel(x: float, n: int = 200) -> float:
@@ -94,23 +94,27 @@ def test_kernels_against_direct_convolution(kernel, w):
     assert kernel(2.0) == 0.0
 
 
-@pytest.mark.parametrize("s", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.49, 0.5, 0.7])
+@pytest.mark.parametrize("s", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.49, 0.5, 0.7,
+                               0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 2.0 ** -53])
 def test_log_kernel_small_s_against_mpmath(s):
-    # c(s) ~ s^3/6 near 0, where the closed form's terms of order 1 cancel;
-    # for s < 1 the overlap is [0, s], on which the integrand is smooth
-    with mpmath.workdps(30):
-        s_mp = mpmath.mpf(s)
-        direct = mpmath.quad(lambda x: mpmath.log(1 - x) * mpmath.log(1 - s_mp + x), [0, s_mp])
+    # c(s) ~ s^3/6 near 0; for s < 1 the overlap is [0, s].  Below s = 1/2 the
+    # integrand is smooth there; from s = 1/2 log(1 - s + x) nears its
+    # singularity at x = s, so the reference is the closed form at 40 digits
+    if s < 0.5:
+        with mpmath.workdps(30):
+            s_mp = mpmath.mpf(s)
+            direct = mpmath.quad(lambda x: mpmath.log(1 - x) * mpmath.log(1 - s_mp + x), [0, s_mp])
+    else:
+        with mpmath.workdps(40):
+            direct = _mp_log_kernel(mpmath.mpf(s))
     assert log_kernel(s) == pytest.approx(float(direct), rel=1e-13, abs=0.0)
 
 
-def test_log_kernel_series_coefficients():
-    # the recurrence against the defining sum sum_{a+b=n} (a-1)! (b-1)! / (n+1)!
-    from pickroute.quadrature import _LOG_KERNEL_SERIES
-    for n, coef in enumerate(_LOG_KERNEL_SERIES, start=2):
-        exact = Fraction(sum(math.factorial(a - 1) * math.factorial(n - a - 1) for a in range(1, n)),
-                         math.factorial(n + 1))
-        assert coef == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+def test_log_kernel_domain():
+    assert log_kernel(-1.0) == 0.0
+    assert log_kernel(np.inf) == 0.0
+    with pytest.raises(ValueError):
+        log_kernel(np.nan)
 
 
 def test_integrate_2d_against_dblquad():
@@ -137,14 +141,27 @@ def test_gap_kernel_endpoints_and_domain():
     assert gap_kernel(1.0) == 0.0
     with pytest.raises(ValueError):
         gap_kernel(0.0)
+    for x in (-0.5, 1.5, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            gap_kernel(x)
     with pytest.raises(ValueError):
-        gap_kernel(-0.5)
+        gap_kernel(np.array([0.5, np.nan]))
 
 
 def test_gap_kernel_against_independent_quadrature():
     for x in (1e-4, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
         assert gap_kernel(x) == pytest.approx(gauss_legendre_gap_kernel(x), rel=1e-9)
     assert gap_kernel(0.5) == pytest.approx(2.605840094684627, rel=1e-12)
+
+
+def test_gap_kernel_near_one_against_mpmath():
+    # g is tiny next to x = 1, where a closed form in Li2 cancels to nothing;
+    # every 4th node from 0.9 and the last 8 (all at the largest float below 1)
+    near = NODES[NODES >= 0.9]
+    x = np.concatenate([near[::4], NODES[-8:]])
+    with mpmath.workdps(40):
+        want = np.array([float(_mp_gap_kernel(mpmath.mpf(v))) for v in x])
+    assert np.max(np.abs(gap_kernel(x) / want - 1)) <= 1e-14
 
 
 def test_gap_kernel_monotone_decreasing():
@@ -163,29 +180,3 @@ def test_gap_kernel_weighted_integral():
     # E[D^2] for a single uniform point: int_0^1 x^2 g(x) dx = 7/12
     value, _ = integrate_1d(NODES * NODES * gap_kernel(NODES))
     assert value == pytest.approx(7 / 12, rel=1e-9)
-
-
-def _dilog_arguments():
-    """NODES, 1 - NODES, the arguments b = (1-s)/(2-s) that log_kernel keeps on
-    its node array (s < 1), and 2,000 seeded points of (0, 1)."""
-    s = NODES
-    rng = np.random.default_rng(20240)
-    return np.concatenate([NODES, 1.0 - NODES, (1.0 - s) / (2.0 - s), rng.random(2000)])
-
-
-def test_spence_matches_high_precision_dilogarithm():
-    z = _dilog_arguments()
-    with mpmath.workdps(30):
-        want = np.array([float(mpmath.polylog(2, 1 - mpmath.mpf(float(v)))) for v in z])
-    got = spence(z)
-    zero = want == 0.0   # z = 1, where 1 - NODES rounds up
-    assert np.all(got[zero] == 0.0)
-    assert np.max(np.abs(got - want)[~zero] / want[~zero]) <= 1e-15
-
-
-def test_spence_endpoints_and_domain():
-    assert spence(0.0) == math.pi ** 2 / 6
-    assert spence(1.0) == 0.0
-    # log_kernel discards the NaN it forms for s >= 1, where b <= 0
-    assert np.all(np.isnan(spence(np.array([-1e-300, -0.5, 1.0 + 2e-16, 2.0, np.inf, np.nan]))))
-    assert spence(np.array([0.0, 0.5, 1.0])).shape == (3,)
