@@ -52,7 +52,7 @@ REL_TOL = 1e-4
 _BELOW_1 = np.nextafter(1.0, 0.0)
 # The kernels take their inner integrals this many outer values at a time: all
 # nodes x nodes at once made 4.4 MB temporaries (+40% peak RSS on a layout
-# sweep); blocks of 12 keep it flat and ran fastest (from 16 on, 2-3x slower).
+# sweep); blocks of 12 keep it flat and ran fastest (gap kernel 2.4x slower at 16).
 _BLOCK = 12
 
 
@@ -190,10 +190,10 @@ def log_kernel(s):
 
 
 def _gap_integrand(x, y):
-    """log^2(1-y') (1-y')(1+y') / y'^2 at y' = x + (1-x) y, 1 - y' = (1-x)(1-y)."""
-    above, below = x + (1.0 - x) * y, (1.0 - x) * (1.0 - y)
-    log_below = np.log1p(-x) + np.log1p(-y)
-    return log_below * log_below * below * (1.0 + above) / (above * above)
+    """log^2(w) w (1 + z) / z^2 at z = x + (1-x) y, w = 1 - z = (1-x)(1-y)."""
+    z, w = x + (1.0 - x) * y, (1.0 - x) * (1.0 - y)
+    log_w = np.log1p(-x) + np.log1p(-y)
+    return log_w * log_w * w * (1.0 + z) / (z * z)
 
 
 def gap_kernel(x):
