@@ -147,18 +147,17 @@ def _sshaped_sums(model: AisleModel) -> tuple[float, float, float, float]:
     j (k+1)/(j+1) over them (sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1)),
     and E[M 1{I = j}] = (j/k) w[j], as aisle 1 is in j/k of them."""
     k = model.k
-    cp = prelim.occupancy_law(model)[0]
-    w = prelim.contiguous_count_prime(model)
-    far, far2, mfar = prelim.contiguous_far_moments(model)
-    x, x2, kx, mx = [], [], [], []
-    for j, c, wj, a, a2, ma in zip(range(1, k + 1), cp, w[1:], far[1:], far2[1:], mfar[1:]):
-        odd = j % 2
-        b = j - odd
-        x.append(b * c + 2 * odd * a)
-        x2.append(b * b * c + 4 * odd * (b * a + a2))
-        kx.append(j * (k + 1) / (j + 1) * x[-1])
-        mx.append(b * (j / k * wj) + 2 * odd * ma)
-    return math.fsum(x), math.fsum(x2), math.fsum(kx), math.fsum(mx)
+    cp = np.array(prelim.occupancy_law(model)[0])
+    w = np.array(prelim.contiguous_count_prime(model))[1:]
+    far, far2, mfar = (np.array(v)[1:] for v in prelim.contiguous_far_moments(model))
+    j = np.arange(1, k + 1)
+    odd = j % 2
+    b = j - odd
+    x = b * cp + 2 * odd * far
+    x2 = b * b * cp + 4 * odd * (b * far + far2)
+    kx = j * (k + 1) / (j + 1) * x
+    mx = b * (j / k * w) + 2 * odd * mfar
+    return tuple(math.fsum(v.tolist()) for v in (x, x2, kx, mx))
 
 
 def _assemble(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: PickTimeModel,

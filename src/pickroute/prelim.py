@@ -88,7 +88,7 @@ from functools import lru_cache
 import numpy as np
 
 from .orderdist import PMF_TAIL, OrderSizeDistribution, as_count
-from .quadrature import NODES, box_kernel, gap_kernel, integrate_1d, integrate_2d, log_kernel
+from .quadrature import BOX_HALVES, LOG_HALVES, NODES, gap_kernel, integrate_1d, integrate_2d
 
 __all__ = [
     "AisleModel",
@@ -204,7 +204,7 @@ def far_item_moments(model: AisleModel) -> tuple[float, float, float]:
     if model.k >= 2:
         # the box kernel of the pair's sum s: row k - 2 for s < 1, row k - 1
         # for s = 1 + x
-        cross = 1.0 - 2.0 * int_p + integrate_2d(rows[-2], last, box_kernel)[0]
+        cross = 1.0 - 2.0 * int_p + integrate_2d(rows[-2], last, BOX_HALVES)[0]
     else:
         cross = math.nan
     return mean, second, cross
@@ -250,7 +250,7 @@ def gap_moments(model: AisleModel) -> tuple[float, float, float]:
     if model.k >= 2:
         # the log kernel of the pair's sum s: row k - 2 for s < 1, row k - 1
         # for s = 1 + x
-        cross = 1.0 + 2.0 * int_log + integrate_2d(rows[-2], last, log_kernel)[0]
+        cross = 1.0 + 2.0 * int_log + integrate_2d(rows[-2], last, LOG_HALVES)[0]
     else:
         cross = math.nan
     return mean, second, cross
@@ -310,7 +310,7 @@ def gap_cond_moments(model: AisleModel) -> SpanCond:
     # arguments only through their sum s, which the log kernel weighs: the
     # rows of s < 1 are gam one span down, those of s = 1 + x gam itself
     cross = np.full(prob.shape, math.nan)
-    cross[1:] = (prob + 2 * int_gam_log)[1:] + integrate_2d(gam[:-1], gam[1:], log_kernel)[0]
+    cross[1:] = (prob + 2 * int_gam_log)[1:] + integrate_2d(gam[:-1], gam[1:], LOG_HALVES)[0]
     n_other = dgam1 - r
     n_other[:1] = math.nan
     n_endpoint = dlam1 - r_end
@@ -338,7 +338,7 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
     second = prob - 2 * int_zphi
     # the box kernel of the pair's sum s: even rows 2d-4, 2d-2, 2d for s < 1,
     # phi for s = 1 + x
-    cross = prob - 2 * int_phi + integrate_2d(np.diff(rows[::2], 2, axis=0), phi, box_kernel)[0]
+    cross = prob - 2 * int_phi + integrate_2d(np.diff(rows[::2], 2, axis=0), phi, BOX_HALVES)[0]
     n_same = dphi1 - prob + int_phi
     n_other = dphi1 - prob + np.diff(odd, 2)
 

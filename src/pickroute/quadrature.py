@@ -21,14 +21,15 @@ of a kernel.
 
 Every double integral of the moment formulas is ``∬ w(x) w(y) g(x+y)`` over
 the unit square with w = 1 or w = log(1-x), so it is taken as one integral in
-s = x + y against the kernel ``∫ w(x) w(s-x) dx`` (:func:`box_kernel` or
-:func:`log_kernel`), split at the kink s = 1 into two terms, s = x against
-the kernel and s = 1 + x against its far half :func:`far_half`.
-:func:`integrate_2d` takes g on both; a caller that holds a lattice of PGF
-rows P((j + x)/h) passes two of them as they are, g at s = 1 + x being the
-row one step above g at s = x.
+s = x + y against the kernel ``∫ w(x) w(s-x) dx``, split at its kink s = 1.
+A kernel is held as the pair of weight functions the two halves integrate
+against (:data:`BOX_HALVES`, :data:`LOG_HALVES`): its near half at s = x and
+its far half at s = 1 + x, the latter written in t = 1 - x, which is exact
+for x >= 1/2.  :func:`integrate_2d` takes g on both; a caller that holds a
+lattice of PGF rows P((j + x)/h) passes two of them as they are, g at
+s = 1 + x being the row one step above g at s = x.
 
-The kernels :func:`gap_kernel` and :func:`log_kernel` (for s < 1) are taken
+The kernels :func:`gap_kernel` and the near half of the log kernel are taken
 by the rule itself, one inner integral of a positive function per argument,
 where a closed form in the dilogarithm would cancel.
 """
@@ -39,7 +40,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel", "box_kernel", "log_kernel"]
+__all__ = ["IntegrationError", "integrate_1d", "integrate_2d", "gap_kernel", "BOX_HALVES", "LOG_HALVES"]
 
 # |I_h - I_2h| is the error of the coarser rule; where the rule has converged
 # the error of I_h is about its square.  On integrands the panels resolve it
@@ -123,32 +124,17 @@ def integrate_1d(rows, weight=np.ones_like):
     return _checked(np.vecdot(rows, column), np.abs(np.vecdot(rows, err_column)))
 
 
-@cache
-def far_half(kernel):
-    """x -> kernel(1 + x), the half s = 1 + x of a kernel on [0, 2]; one
-    function per kernel, so that :func:`_columns` keeps its columns.  The box
-    kernel is even about s = 1, so its far half is taken at s = 1 - x, which
-    is exact for x >= 1/2, where 2 - (1 + x) would keep the rounding of 1 + x."""
-    if kernel is box_kernel:
-        return lambda x: kernel(1 - x)
-    return lambda x: kernel(1 + x)
-
-
 def integrate_2d(below, above, kernel):
-    """∬_{[0,1]^2} w(x) w(y) g(x+y) dx dy as ∫_0^2 kernel(s) g(s) ds, split at
-    the kink s = 1 of the kernel of w (:func:`box_kernel` or
-    :func:`log_kernel`): ``below`` is g on s = :data:`NODES`, ``above`` g on
-    s = 1 + NODES (nodes clustering at s = 2), broadcasting together.  The
-    error estimate is checked on the sum of the two halves."""
-    (column, err_column), (far, far_err) = _columns(kernel), _columns(far_half(kernel))
-    return _checked(np.vecdot(below, column) + np.vecdot(above, far),
+    """∬_{[0,1]^2} w(x) w(y) g(x+y) dx dy as ∫_0^2 c(s) g(s) ds, split at the
+    kink s = 1 of the kernel c of w, given as its pair of halves ``kernel``
+    (:data:`BOX_HALVES` or :data:`LOG_HALVES`): ``below`` is g on
+    s = :data:`NODES`, ``above`` g on s = 1 + NODES (nodes clustering at
+    s = 2), broadcasting together.  The error estimate is checked on the sum
+    of the two halves."""
+    near, far = kernel
+    (column, err_column), (far_column, far_err) = _columns(near), _columns(far)
+    return _checked(np.vecdot(below, column) + np.vecdot(above, far_column),
                     np.abs(np.vecdot(below, err_column) + np.vecdot(above, far_err)))
-
-
-def box_kernel(s):
-    """Length of the overlap of [0, 1] and [s-1, s]: min(s, 2-s), 0 outside [0, 2]."""
-    s = np.asarray(s, dtype=float)
-    return np.maximum(0.0, np.minimum(s, 2.0 - s))[()]
 
 
 def _inner(f, x):
@@ -166,27 +152,27 @@ def _log_product(s, t):
     return np.log1p(-s * ((1.0 + t) / 2)) * np.log1p(-s * ((1.0 - t) / 2))
 
 
-def log_kernel(s):
-    """c(s) = ∫ log(1-x) log(1-s+x) dx over the overlap of [0, 1] and [s-1, s],
-    0 outside (0, 2); NaN raises ValueError.
+def _log_near(x):
+    """c(x) = ∫_0^x log(1-y) log(1-x+y) dy, the log kernel at s = x < 1.  In
+    y = x u the integrand is positive and symmetric about u = 1/2: c(x) is 2x
+    times its integral over u in [1/2, 1], taken by the rule in t = 2u - 1 so
+    that the near-singularity at u = 1/x lies next to t = 1, where the rule's
+    panels cluster (:func:`_log_product`).  c ~ x^3/6 near 0."""
+    return x * _inner(_log_product, x)
 
-    For s >= 1, in u = 1-x the integrand is log(u) log(t-u) with t = 2-s over
-    u in [0, t], giving t (log^2 t - 2 log t + 2 - pi^2/6).  For s < 1, in
-    x = s y the integrand is positive and symmetric about y = 1/2: c(s) is 2s
-    times its integral over y in [1/2, 1], taken by the rule in t = 2y - 1 so
-    that the near-singularity at y = 1/s lies next to t = 1, where the rule's
-    panels cluster (:func:`_log_product`).  c ~ s^3/6 near 0.
-    """
-    s = np.asarray(s, dtype=float)
-    if np.isnan(s).any():
-        raise ValueError(f"log kernel requires s to be a number, got {s!r}")
-    far = (s >= 1.0) & (s < 2.0)
-    t = np.where(far, 2.0 - s, 1.0)
-    lt = np.log(t)
-    c = np.where(far, t * (lt * lt - 2.0 * lt + 2.0 - math.pi ** 2 / 6), 0.0)
-    near = (s > 0.0) & (s < 1.0)
-    c[near] = s[near] * _inner(_log_product, s[near])
-    return c[()]
+
+def _log_far(x):
+    """The log kernel at s = 1 + x: in u = 1-y the integrand is
+    log(u) log(t-u) over u in [0, t], t = 2 - s = 1 - x, giving
+    t (log^2 t - 2 log t + 2 - pi^2/6)."""
+    log_t = np.log1p(-x)
+    return (1 - x) * (log_t * log_t - 2.0 * log_t + 2.0 - math.pi ** 2 / 6)
+
+
+# (near half, far half) of the kernels of w = 1, min(s, 2 - s), and of
+# w = log(1-x), as weight functions on the nodes.
+BOX_HALVES = (lambda x: x, lambda x: 1 - x)
+LOG_HALVES = (_log_near, _log_far)
 
 
 def _gap_integrand(x, y):

@@ -12,6 +12,7 @@ c = 1 this reduces to the exact M/G/1 mean sojourn time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .heuristics import MomentReport
@@ -53,7 +54,11 @@ class LeadTimeReport:
 
 
 def erlang_c_wait_prob(c: int, rho: float) -> float:
-    """P(wait) in an M/M/c queue, by the Erlang-B recurrence (no factorials)."""
+    """P(wait) in an M/M/c queue, by the Erlang-B recurrence (no factorials).
+
+    Returns 0.0 where the Erlang-B value ends below the smallest normal float:
+    once subnormal it stops shrinking, as a b / n rounds back up to b
+    whenever a / n > 1/2, so it would be left orders of magnitude too large."""
     c = as_count(c, "server count", MAX_PICKERS)
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"utilization must be finite and >= 0, got {rho!r}")
@@ -63,6 +68,8 @@ def erlang_c_wait_prob(c: int, rho: float) -> float:
     b = 1.0
     for n in range(1, c + 1):
         b = a * b / (n + a * b)
+    if b < sys.float_info.min:
+        return 0.0
     return b / (1.0 - rho * (1.0 - b))
 
 

@@ -275,7 +275,7 @@ def test_import_leaves_heavy_modules_unloaded():
     # scipy.integrate each longer still.  Nor does the import evaluate any
     # weight column, kernel half or PGF table: they are built on first use.
     heavy = ('mpmath', 'scipy.stats', 'scipy.signal', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse')
-    caches = "q._columns, q.far_half, p._pgf_lattice, p._pgf_table, p._pgf_integrals, p._occupancy"
+    caches = "q._columns, p._pgf_lattice, p._pgf_table, p._pgf_integrals, p._occupancy"
     code = ("import sys, pickroute; from pickroute import prelim as p, quadrature as q; print([m for m in sys.modules"
             f" if m in {heavy!r} or m == 'scipy' or m.startswith('scipy.')]);"
             f" print([f.__name__ for f in ({caches}) if f.cache_info().currsize])")

@@ -8,16 +8,23 @@ from scipy import integrate
 from scipy.special import exp1
 
 from pickroute.quadrature import (
+    BOX_HALVES,
+    LOG_HALVES,
     NODES,
     IntegrationError,
-    box_kernel,
     gap_kernel,
     integrate_1d,
     integrate_2d,
-    log_kernel,
 )
 
 from oracles import _mp_gap_kernel, _mp_log_kernel
+
+
+def kernel_at(halves, s: float) -> float:
+    """The kernel given by its ``halves`` at one s in [0, 2): the near half at
+    x = s below 1, the far half at x = s - 1 from 1."""
+    near, far = halves
+    return float(near(np.array([s]))[0] if s < 1 else far(np.array([s - 1]))[0])
 
 
 def gauss_legendre_gap_kernel(x: float, n: int = 200) -> float:
@@ -65,18 +72,18 @@ def test_integrate_1d_failure_carries_partial_value():
 
 def test_integrate_2d_examples():
     one = np.ones_like(NODES)
-    assert integrate_2d(one, one, box_kernel)[0] == pytest.approx(1.0, abs=1e-10)
+    assert integrate_2d(one, one, BOX_HALVES)[0] == pytest.approx(1.0, abs=1e-10)
     # (x + y)^2 over the unit square: 2/3 + 2 * 1/4 = 7/6
-    assert integrate_2d(NODES ** 2, (1 + NODES) ** 2, box_kernel)[0] == pytest.approx(7 / 6, abs=1e-10)
-    value, _ = integrate_2d(one, one, log_kernel)
+    assert integrate_2d(NODES ** 2, (1 + NODES) ** 2, BOX_HALVES)[0] == pytest.approx(7 / 6, abs=1e-10)
+    value, _ = integrate_2d(one, one, LOG_HALVES)
     assert value == pytest.approx(1.0, rel=1e-8)
 
 
-@pytest.mark.parametrize("kernel, w", [
-    (box_kernel, lambda u: mpmath.mpf(1)),
-    (log_kernel, lambda u: mpmath.log(u)),
-])
-def test_kernels_against_direct_convolution(kernel, w):
+@pytest.mark.parametrize("halves, w", [
+    (BOX_HALVES, lambda u: mpmath.mpf(1)),
+    (LOG_HALVES, lambda u: mpmath.log(u)),
+], ids=lambda v: {BOX_HALVES: "box_kernel", LOG_HALVES: "log_kernel"}.get(v))
+def test_kernels_against_direct_convolution(halves, w):
     # the reference is the convolution integral of w(1 - x) w(1 - (s - x)) over
     # the overlap [lo, hi] = [max(0, s-1), min(1, s)], taken by mpmath at 30
     # digits; w is the weight as a function of 1 - x.  Each half of [lo, hi]
@@ -89,9 +96,8 @@ def test_kernels_against_direct_convolution(kernel, w):
             mid = (lo + hi) / 2
             direct = float(mpmath.quad(lambda t: w(1 - lo - t) * w((1 - s_mp + lo) + t), [0, mid - lo])
                            + mpmath.quad(lambda t: w((1 - hi) + t) * w((1 - s_mp + hi) - t), [0, hi - mid]))
-        assert kernel(s) == pytest.approx(direct, rel=1e-9, abs=1e-13)
-    assert kernel(0.0) == 0.0
-    assert kernel(2.0) == 0.0
+        assert kernel_at(halves, s) == pytest.approx(direct, rel=1e-9, abs=1e-13)
+    assert kernel_at(halves, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("s", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.49, 0.5, 0.7,
@@ -107,33 +113,37 @@ def test_log_kernel_small_s_against_mpmath(s):
     else:
         with mpmath.workdps(40):
             direct = _mp_log_kernel(mpmath.mpf(s))
-    assert log_kernel(s) == pytest.approx(float(direct), rel=1e-13, abs=0.0)
+    assert kernel_at(LOG_HALVES, s) == pytest.approx(float(direct), rel=1e-13, abs=0.0)
 
 
-def test_log_kernel_domain():
-    assert log_kernel(-1.0) == 0.0
-    assert log_kernel(np.inf) == 0.0
-    with pytest.raises(ValueError):
-        log_kernel(np.nan)
+def test_log_kernel_far_half_near_two_against_mpmath():
+    # the far half at s = 1 + x is t (log^2 t - 2 log t + 2 - pi^2/6) in
+    # t = 1 - x, exact from x = 1/2, where 2 - (1 + x) would keep the rounding
+    # of 1 + x; every 4th node from 0.9 and the last 8
+    near = NODES[NODES >= 0.9]
+    x = np.concatenate([near[::4], NODES[-8:]])
+    with mpmath.workdps(40):
+        want = np.array([float(_mp_log_kernel(1 + mpmath.mpf(v))) for v in x])
+    assert np.max(np.abs(LOG_HALVES[1](x) / want - 1)) <= 1e-14
 
 
 def test_integrate_2d_against_dblquad():
     # the reference is the full 2-D integral of w(x) w(y) e^(x+y) by nested QUADPACK
-    for kernel, w in ((box_kernel, lambda x: 1.0), (log_kernel, lambda x: math.log1p(-x))):
+    for halves, w in ((BOX_HALVES, lambda x: 1.0), (LOG_HALVES, lambda x: math.log1p(-x))):
         ref, _ = integrate.dblquad(lambda y, x: w(x) * w(y) * math.exp(x + y), 0.0, 1.0, 0.0, 1.0,
                                    epsabs=1e-13, epsrel=1e-13)
-        value, err = integrate_2d(np.exp(NODES), np.exp(1 + NODES), kernel)
+        value, err = integrate_2d(np.exp(NODES), np.exp(1 + NODES), halves)
         assert value == pytest.approx(ref, rel=1e-9)
         assert err < 1e-9
-    value, _ = integrate_2d(np.exp(NODES), np.exp(1 + NODES), box_kernel)
+    value, _ = integrate_2d(np.exp(NODES), np.exp(1 + NODES), BOX_HALVES)
     assert value == pytest.approx((math.e - 1) ** 2, rel=1e-12)
 
 
 def test_integrate_2d_error_estimate_bounds_error():
     # e^(x+y) against w(x) w(y): the square of int_0^1 w(x) e^x dx, which is
     # e - 1 for w = 1 and -e (gamma + E1(1)) for w = log(1-x)
-    for kernel, one in ((box_kernel, math.e - 1), (log_kernel, -math.e * (np.euler_gamma + exp1(1.0)))):
-        value, err = integrate_2d(np.exp(NODES), np.exp(1 + NODES), kernel)
+    for halves, one in ((BOX_HALVES, math.e - 1), (LOG_HALVES, -math.e * (np.euler_gamma + exp1(1.0)))):
+        value, err = integrate_2d(np.exp(NODES), np.exp(1 + NODES), halves)
         assert abs(value - one ** 2) <= err
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,6 +42,22 @@ def test_erlang_c_against_direct_formula():
 def test_erlang_c_large_c_stable():
     q = erlang_c_wait_prob(2000, 0.95)
     assert 0.0 <= q <= 1.0 and math.isfinite(q)
+
+
+def test_erlang_c_below_normal_floats():
+    # exact values 1.8e-2464 and 1.7e-564: the subnormal recurrence stuck at
+    # 1.5e-323 and 9.9e-322
+    assert erlang_c_wait_prob(10 ** 5, 0.7) == 0.0
+    assert erlang_c_wait_prob(10 ** 6, 0.95) == 0.0
+    # a normal value next to the threshold keeps its digits
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(0.1)
+        a, b = 500 * rho, mpmath.mpf(1)
+        for n in range(1, 501):
+            b = a * b / (n + a * b)
+        expect = float(b / (1 - rho * (1 - b)))
+    assert expect == pytest.approx(5.3657e-307, rel=1e-4)
+    assert erlang_c_wait_prob(500, 0.1) == pytest.approx(expect, rel=1e-12)
 
 
 def test_picker_count_bound():
