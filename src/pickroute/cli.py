@@ -13,6 +13,8 @@ import argparse
 import csv
 import io
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -181,7 +183,11 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows, schema, path: str | None) -> None:
-    """RFC-4180-style CSV with the exact header; deterministic row order."""
+    """RFC-4180-style CSV with the exact header; deterministic row order.
+
+    Written to stdout when ``path`` is None; an existing file at ``path`` is
+    overwritten in place, keeping its inode, permissions and symlink target.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(schema)
@@ -190,9 +196,15 @@ def emit_csv(rows, schema, path: str | None) -> None:
     data = buf.getvalue()
     if path is None:
         sys.stdout.write(data)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+        return
+    payload = data.encode("utf-8")
+    # Overwrite in place, then cut any longer old tail: truncating a file to
+    # zero first can stall for tens of ms while the filesystem flushes it.
+    # Only a regular file is cut; a device or pipe cannot be truncated.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(payload)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(payload))
 
 
 def _pick(cfg: RunConfig) -> PickTimeModel:

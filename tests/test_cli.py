@@ -1,4 +1,6 @@
 import csv
+import os
+import stat
 import subprocess
 import sys
 
@@ -28,6 +30,7 @@ wa = 2.5 m
 v = 3 km/h
 dist = geom:32
 """
+SMALL_MOMENTS = ["moments", "--k", "2", "--l", "10", "--wa", "1.0", "--v", "1 m/s", "--dist", "det:2"]
 
 
 def read_csv(path):
@@ -258,6 +261,54 @@ def test_emit_csv_formats(tmp_path):
     assert rows == [["a", "b", "c", "d", "e"], ["1", "2.5", "NA", "NA", "text"]]
 
 
+def test_emit_csv_overwrites_a_longer_file_in_place(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"an older and longer file\n" * 100)
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    emit_csv([[1, 2]], ["a", "b"], str(path))
+    want = b"a,b\r\n1,2\r\n"
+    assert path.read_bytes() == want
+    assert os.path.getsize(path) == len(want)
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_error_csv_over_a_longer_run_csv(tmp_path):
+    out = tmp_path / "m.csv"
+    args = ["moments", "--k", "2", "--l", "10", "--wa", "1.0", "--dist", "det:2", "--out", str(out)]
+    assert main(args + ["--v", "1 m/s"]) == EXIT_OK
+    assert len(read_csv(out)) == 5
+    assert main(args) == EXIT_CONFIG  # 'v' is missing
+    assert out.read_bytes() == b"error_code,message\r\n2,missing required key(s): v\r\n"
+
+
+def test_out_symlink_stays_a_link(tmp_path):
+    plain = tmp_path / "plain.csv"
+    assert main(SMALL_MOMENTS + ["--out", str(plain)]) == EXIT_OK
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"x" * 10_000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(SMALL_MOMENTS + ["--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == plain.read_bytes()
+
+
+def test_out_to_devnull_exits_0(capsys):
+    assert main(SMALL_MOMENTS + ["--out", os.devnull]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_to_dev_stdout_into_a_pipe(tmp_path):
+    out = tmp_path / "m.csv"
+    assert main(SMALL_MOMENTS + ["--out", str(out)]) == EXIT_OK
+    proc = subprocess.run([sys.executable, "-m", "pickroute", *SMALL_MOMENTS, "--out", "/dev/stdout"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     out = tmp_path / "m.csv"
     proc = subprocess.run(
@@ -445,20 +496,22 @@ def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
         emit_csv(rows, schema, path)
 
     monkeypatch.setattr(cli_mod, "emit_csv", recording_emit_csv)
-    out = str(tmp_path / "missing" / "m.csv")
-    args = ["moments", "--k", "2", "--l", "10", "--wa", "1.0", "--dist", "det:2", "--out", out]
-    # the run succeeds, but its CSV cannot be written: no error CSV on the same path
-    assert main(args + ["--v", "1 m/s"]) == EXIT_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: cannot write output:")
-    assert written == [out]
-    # the run fails ('v' is missing), and so does its error CSV
-    written.clear()
-    assert main(args) == EXIT_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    assert err[0] == "error: missing required key(s): v"
-    assert len(err) == 2 and err[1].startswith("error: cannot write output:")
-    assert written == [out]
+    # a file in a missing directory, and a directory
+    for out in (str(tmp_path / "missing" / "m.csv"), str(tmp_path)):
+        args = ["moments", "--k", "2", "--l", "10", "--wa", "1.0", "--dist", "det:2", "--out", out]
+        # the run succeeds, but its CSV cannot be written: no error CSV on the same path
+        written.clear()
+        assert main(args + ["--v", "1 m/s"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output:")
+        assert written == [out]
+        # the run fails ('v' is missing), and so does its error CSV
+        written.clear()
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: missing required key(s): v"
+        assert len(err) == 2 and err[1].startswith("error: cannot write output:")
+        assert written == [out]
 
 
 @pytest.mark.parametrize("command", ["leadtime", "layout"])

@@ -89,10 +89,13 @@ def assert_matches_golden(name: str, out: Path):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_golden_csv(name, tmp_path):
+def test_golden_csv(name, tmp_path, capsysbinary):
     out = tmp_path / f"{name}.csv"
     assert run_case(name, out) == CASES[name][1]
     assert_matches_golden(name, out)
+    # the --out file holds exactly the bytes the same command prints to stdout
+    assert main(case_args(name, out)[:-2]) == CASES[name][1]
+    assert out.read_bytes() == capsysbinary.readouterr().out
 
 
 def mc_grid() -> dict:
