@@ -147,9 +147,9 @@ def _sshaped_sums(model: AisleModel) -> tuple[float, float, float, float]:
     j (k+1)/(j+1) over them (sum_{m=j}^{k} m C(m-1, j-1) = j C(k+1, j+1)),
     and E[M 1{I = j}] = (j/k) w[j], as aisle 1 is in j/k of them."""
     k = model.k
-    cp = np.array(prelim.occupancy_law(model)[0])
-    w = np.array(prelim.contiguous_count_prime(model))[1:]
-    far, far2, mfar = (np.array(v)[1:] for v in prelim.contiguous_far_moments(model))
+    cp = prelim.occupancy_law(model)[0]
+    w = prelim.contiguous_count_prime(model)[1:]
+    far, far2, mfar = (v[1:] for v in prelim.contiguous_far_moments(model))
     j = np.arange(1, k + 1)
     odd = j % 2
     b = j - odd

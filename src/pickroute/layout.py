@@ -51,6 +51,8 @@ def layout_sweep(total_length: float, k_range, wa: float, v: float,
     ks = sorted({as_count(k, "aisle count in k_range") for k in k_range})
     if not ks:
         raise ValueError("k_range must contain integers >= 1")
+    if isinstance(heuristics, str):
+        raise ValueError(f"heuristics must be a sequence of names, got the string {heuristics!r}")
     for h in heuristics:
         if h not in HEURISTICS:
             raise ValueError(f"unknown heuristic {h!r}")

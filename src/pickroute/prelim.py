@@ -401,9 +401,9 @@ def _chain(q: np.ndarray, b: int, lo: int, hi: int, stay, move) -> int:
 
 @lru_cache(maxsize=1)
 def _occupancy(model: AisleModel):
-    """(cp, w, far, mfar, far2) as arrays over j = 0..k (j = 0 unused), from the
-    table q_m(j) of the module docstring; cached because the three public
-    blocks below share it."""
+    """(cp, w, far, mfar, far2) as read-only arrays over j = 0..k (j = 0
+    unused), from the table q_m(j) of the module docstring; cached because the
+    three public blocks below share it and hand out views of it."""
     k, dist = model.k, model.dist
     n = _saturation_rows(k)
     p = dist.pmf(n)
@@ -472,32 +472,37 @@ def _occupancy(model: AisleModel):
         mfar[k] += t1 - k * (t0 - th)
         far2[k] += t0 - 2 * k * th + 2 * k * k * tq
     scale = np.divide(k, j, out=np.zeros(k + 1), where=j > 0)
-    return cp, scale * mw, scale * far, scale * mfar, scale * far2
+    blocks = cp, scale * mw, scale * far, scale * mfar, scale * far2
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def occupancy_law(model: AisleModel):
-    """(pmf over j=1..k of the occupied-aisle count, its mean and second
-    moment), all from the table: the moments are sums of non-negative terms."""
+    """(pmf over j=1..k of the occupied-aisle count, a read-only array, its
+    mean and second moment), all from the table: the moments are sums of
+    non-negative terms."""
     cp = _occupancy(model)[0]
     j = np.arange(model.k + 1)
-    return cp[1:].tolist(), math.fsum((j * cp).tolist()), math.fsum((j * j * cp).tolist())
+    return cp[1:], math.fsum((j * cp).tolist()), math.fsum((j * j * cp).tolist())
 
 
 def contiguous_far_moments(model: AisleModel):
     """The furthest item A of the last occupied aisle, joint with the occupied
     count I.
 
-    Returns lists indexed by j = 1..k (index 0 unused), each C(k, j) times the
-    same moment on the contiguous occupied set {1..j}:
+    Returns read-only arrays indexed by j = 1..k (index 0 unused), each
+    C(k, j) times the same moment on the contiguous occupied set {1..j}:
       far[j]   = E[A   1{I = j}]
       far2[j]  = E[A^2 1{I = j}]
       mfar[j]  = E[M A 1{I = j}]
     """
     _, _, far, mfar, far2 = _occupancy(model)
-    return far.tolist(), far2.tolist(), mfar.tolist()
+    return far, far2, mfar
 
 
 def contiguous_count_prime(model: AisleModel):
     """w[j] = C(k, j) k E[N_1 1{occupied set = {1..j}}] = (k/j) E[M 1{I = j}]
-    for j = 1..k (index 0 unused), I the occupied-aisle count."""
-    return _occupancy(model)[1].tolist()
+    for j = 1..k (index 0 unused), I the occupied-aisle count, as a read-only
+    array."""
+    return _occupancy(model)[1]

@@ -57,19 +57,26 @@ _BELOW_1 = np.nextafter(1.0, 0.0)
 _BLOCK = 12
 
 
-def _rule(h: float = 1 / 8, n: int = 28, decades: int = 12):
-    """(nodes, weights, weights of the step-2h rule) of the tanh-sinh rule with
-    nodes at t = -n h..n h on each decade panel.  Nodes within 2^-54 of 1 would
-    round to x = 1, where log(1-x) has no value; they are put on the largest
-    float below 1 instead, so that the mass of a bounded integrand there is
-    kept."""
+# The rule's step h, its nodes t = -n h..n h on each panel, and the decades
+# that the panels below [1 - 10^-_DECADES, 1] span
+_H = 1 / 8
+_N = 28
+_DECADES = 12
+
+
+def _rule():
+    """(nodes, weights, weights of the step-2h rule) of the tanh-sinh rule on
+    every panel.  Nodes within 2^-54 of 1 would round to x = 1, where log(1-x)
+    has no value; they are put on the largest float below 1 instead, so that
+    the mass of a bounded integrand there is kept."""
+    h, n = _H, _N
     t = np.arange(-n, n + 1) * h
     u = math.pi / 2 * np.sinh(t)
     to_top = 1 / (1 + np.exp(2 * u))        # (b - x) / (b - a) on a panel [a, b]
     to_bottom = 1 / (1 + np.exp(-2 * u))    # (x - a) / (b - a)
     weight = h * math.pi / 4 * np.cosh(t) / np.cosh(u) ** 2
     coarse = np.where(np.arange(-n, n + 1) % 2 == 0, 2 * weight, 0.0)
-    gaps = [1.0] + [10.0 ** -i for i in range(1, decades + 1)] + [0.0]   # 1 - panel edges
+    gaps = [1.0] + [10.0 ** -i for i in range(1, _DECADES + 1)] + [0.0]   # 1 - panel edges
     nodes, weights, weights_2h = [], [], []
     for top, bottom in zip(gaps[:-1], gaps[1:]):
         width = top - bottom

@@ -26,25 +26,17 @@ per-order sums come back in submission order and the route times are formed
 from them once per batch, so neither the worker count nor the order in which
 chunks finish can change a bit.
 
-A chunk takes one of two paths, chosen by k alone; both give the same
-per-order sums to the bit.
-
-- k >= 3, sorted: the chunk is sorted by (cell, position) with one in-place
-  value sort of a packed uint64 key: the cell in the high bits, the leading
-  bits of the position's integer ``pos * 2**53`` next, and the item's index in
-  the low bits, which reads the positions back with one gather.  If two
-  positions in one cell tied on their bits and came out swapped, the chunk is
-  sorted again with ``np.lexsort``.  Per-order sums are ``np.bincount`` sums
-  over occupied cells only, so memory is O(items) whatever k; the largest-gap
-  and half-aisle maxima are formed for interior cells only (neither the first
-  nor the last occupied cell of an order), the only ones that enter those
-  sums.  The sums equal a row sum over all k aisles to the bit for k < 8; from
-  k = 8 numpy's pairwise row sum differs by < 1e-15 relative.
-- k <= 2, dense: no aisle lies between two others, so no cell is interior
-  and the midpoint and largest-gap sums are zero.  Return and S-shaped use
-  only each cell's furthest item, a maximum that needs no sort: it comes from
-  ``np.maximum.at`` on the (order, aisle) cells, and occupancy from their
-  item counts (a position can be 0.0, so a maximum cannot tell it).
+A chunk is sorted by (cell, position) with one in-place value sort of a
+packed uint64 key: the cell in the high bits, the leading bits of the
+position's integer ``pos * 2**53`` next, and the item's index in the low bits,
+which reads the positions back with one gather.  If two positions in one cell
+tied on their bits and came out swapped, the chunk is sorted again with
+``np.lexsort``.  Per-order sums are ``np.bincount`` sums over occupied cells
+only, so memory is O(items) whatever k; the largest-gap and half-aisle maxima
+are kept for interior cells only (neither the first nor the last occupied
+cell of an order), the only ones that enter those sums.  The sums equal a row
+sum over all k aisles to the bit for k < 8; from k = 8 numpy's pairwise row
+sum differs by < 1e-15 relative.
 """
 from __future__ import annotations
 
@@ -57,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig
-from .orderdist import OrderSizeDistribution
+from .orderdist import OrderSizeDistribution, as_count
 
 __all__ = ["McEstimate", "run_replications_all"]
 
@@ -131,40 +123,17 @@ def _workers() -> int:
 
 
 def _chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray):
-    """Per-order sums of consecutive orders (sizes m, items in order).
+    """Per-order sums of consecutive orders (sizes m, items in order), over the
+    occupied cells of the chunk sorted by (cell, position).
 
     Returns kplus, the occupied-aisle count, the furthest item in aisle kplus
     and the return, midpoint and largest-gap within-aisle sums.
     """
-    return (_dense_chunk_sums if k <= 2 else _sorted_chunk_sums)(k, aisle, pos, m)
-
-
-def _dense_chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray):
-    """:func:`_chunk_sums` for k <= 2 from (orders x aisles) arrays, without a sort."""
     n = m.size
-    cell = aisle + np.repeat(np.arange(0, n * k, k), m)
-    count = np.bincount(cell, minlength=n * k).reshape(n, k)
-    far = np.zeros(n * k)
-    np.maximum.at(far, cell, pos)
-    far = far.reshape(n, k)
-    back = count[:, -1] > 0
-    kplus = np.where(back, k, 1)
-    # the return sum adds the cells in aisle order from 0.0, as the sorted
-    # path's bincount does; an empty cell adds +0.0, which is exact
-    s_ret = np.zeros(n)
-    for j in range(k):
-        s_ret += far[:, j]
-    return (kplus,
-            kplus - (count[:, 0] == 0),  # only aisle 1 can be empty below kplus
-            np.where(back, far[:, -1], far[:, 0]),
-            s_ret, *np.zeros((2, n)))
-
-
-def _sorted_chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray):
-    """:func:`_chunk_sums` over the occupied cells of the chunk sorted by (cell, position)."""
-    n = m.size
-    sc, sp = _sort_cells(aisle + np.repeat(np.arange(0, n * k, k), m), pos, n * k)
-    starts = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))
+    base = np.arange(0, n * k, k)  # each order's cell of aisle 1
+    sc, sp = _sort_cells(aisle + np.repeat(base, m), pos, n * k)
+    new_cell = np.concatenate(([True], sc[1:] != sc[:-1]))
+    starts = np.flatnonzero(new_cell)
     ends = np.append(starts[1:], sc.size)
     cells = sc[starts]
     oid = cells // k
@@ -174,17 +143,18 @@ def _sorted_chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray
     # every order has an item, so it owns a run of occupied cells: the first
     # and last are aisles kminus and kplus, the others are interior
     new_order = oid[1:] != oid[:-1]
-    o_last = np.concatenate((new_order, [True]))
+    last = np.append(np.flatnonzero(new_order), oid.size - 1)
     s_mid, s_gap = np.zeros((2, n))
     inner = np.flatnonzero(~(new_order[1:] | new_order[:-1])) + 1
     if inner.size:
         i_start, i_end, i_oid = starts[inner], ends[inner], oid[inner]
-        # largest gap: max of (first position, inner spacings, trailing
-        # space); reduceat's segments are the cells [starts[i], ends[i])
+        # largest gap: max of (first position, inner spacings, trailing space)
         gap_before = np.empty_like(sp)
         np.subtract(sp[1:], sp[:-1], out=gap_before[1:])
         gap_before[starts] = sp[starts]
-        d = np.maximum(np.maximum.reduceat(gap_before, starts)[inner], 1.0 - a[inner])
+        gap = np.zeros(starts.size)
+        np.maximum.at(gap, np.cumsum(new_cell) - 1, gap_before)
+        d = np.maximum(gap[inner], 1.0 - a[inner])
         # half-aisle maxima, as fractions of the half length: front-half
         # items come first in a cell, so its back half starts at `split`
         n_front = np.empty(sc.size + 1, dtype=np.intp)
@@ -195,9 +165,9 @@ def _sorted_chunk_sums(k: int, aisle: np.ndarray, pos: np.ndarray, m: np.ndarray
         ab = np.where(split < i_end, 1.0 - sp[split], 0.0) * 2.0
         s_mid = np.bincount(i_oid, weights=af + ab, minlength=n)
         s_gap = np.bincount(i_oid, weights=1.0 - d, minlength=n)
-    return (cells[o_last] % k + 1,
+    return (cells[last] - base + 1,
             np.bincount(oid, minlength=n),
-            a[o_last],
+            a[last],
             np.bincount(oid, weights=a, minlength=n),
             s_mid, s_gap)
 
@@ -257,10 +227,8 @@ def _batches(cfg: WarehouseConfig, dist: OrderSizeDistribution,
 def run_replications_all(cfg: WarehouseConfig, dist: OrderSizeDistribution,
                          pick: PickTimeModel, n: int, seed: int) -> dict[str, McEstimate]:
     """Moment estimates for every heuristic from one shared set of samples."""
-    if n < 2:
-        raise ValueError(f"need at least 2 replications, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    n = as_count(n, "replication count n", least=2)
+    seed = as_count(seed, "seed", least=0)
     sums = {h: [0.0, 0.0, 0.0] for h in HEURISTICS}  # sum t, t^2, t^4
     for times in _batches(cfg, dist, pick, n, seed):
         for h in HEURISTICS:

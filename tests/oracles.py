@@ -367,7 +367,7 @@ def occupancy_blocks_mp(model) -> dict:
             I.append(k * dphi)
             J.append(k * k * dpsi - l * k * dphi)
             K.append(k * (b * pv[l + 1] - a * pv[l] - dphi))
-        cp, w, far, far2, mfar = ([0.0] * (k + 1) for _ in range(5))
+        cp, w, far, far2, mfar = np.zeros((5, k + 1))
         for j in range(1, k + 1):
             cp[j] = float(math.comb(k, j) * mpmath.fsum((-1) ** (j - l) * math.comb(j, l) * pv[l]
                                                         for l in range(j + 1)))

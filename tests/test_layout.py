@@ -115,6 +115,13 @@ def test_layout_sweep_validation():
         layout_sweep(100.0, [2], 2.5, V, DIST, PICK, heuristics=("bogus",))
 
 
+def test_layout_sweep_refuses_one_name_as_a_string():
+    # the string was iterated by character: "unknown heuristic 'r'"
+    with pytest.raises(ValueError, match="sequence of names, got the string 'return'"):
+        layout_sweep(100.0, [2], 2.5, V, DIST, PICK, heuristics="return")
+    assert list(layout_sweep(100.0, [2], 2.5, V, DIST, PICK, heuristics=("return",))[0].cells) == ["return"]
+
+
 def test_numerical_failure_is_one_na_cell(monkeypatch):
     import pickroute.layout as layout_mod
     from pickroute.quadrature import IntegrationError

@@ -303,6 +303,23 @@ def test_occupancy_trivial_cases():
     assert mean == pytest.approx(1.5, abs=1e-12)
 
 
+def test_occupancy_blocks_are_read_only_arrays():
+    # views of the cached table: a write into one would change every later call
+    model = AisleModel(5, Geometric(1 / 8))
+
+    def blocks():
+        return (prelim.occupancy_law(model)[0], prelim.contiguous_count_prime(model),
+                *prelim.contiguous_far_moments(model))
+
+    before = [block.copy() for block in blocks()]
+    for block in blocks():
+        assert isinstance(block, np.ndarray) and not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[-1] = 1.0
+    for block, want in zip(blocks(), before):
+        assert np.array_equal(block, want)
+
+
 @pytest.mark.parametrize("k,m", SMALL_CASES)
 def test_occupancy_matches_enumeration(k, m):
     oracle = enum_discrete(k, m)

@@ -14,7 +14,7 @@ from pickroute import (
     parse_dist_spec,
     run_replications_all,
 )
-from pickroute.simulate import _aisles, _chunk_sums, _rng_for_batch, _sort_cells, _sorted_chunk_sums
+from pickroute.simulate import _aisles, _chunk_sums, _rng_for_batch, _sort_cells
 
 CFG = WarehouseConfig(3, 20.0, 2.5, 1.0)
 
@@ -83,7 +83,7 @@ def test_vectorized_engine_matches_scalar_reference(monkeypatch):
     # k = 9, 3, 2 and 1 with 300-item chunks: the batch spans at least three
     # chunks; a non-zero pick time pins the gamma draw after every chunk's
     # positions.  At k = 3 only aisle 2 can be interior, and only when aisles
-    # 1 and 3 are occupied as well; k = 2 and k = 1 take the dense path.
+    # 1 and 3 are occupied as well; at k = 2 and k = 1 no aisle is.
     for k, chunk, pick in ((4, sim._CHUNK, PickTimeModel(0.0, 0.0)),
                            (9, 300, PickTimeModel(0.0, 0.0)),
                            (9, 300, PickTimeModel.from_scv(4.0, 0.7)),
@@ -135,42 +135,21 @@ def test_chunk_sums_without_interior_cells_are_zero(k):
         assert s.dtype == np.float64 and np.all(s == 0.0)
 
 
-def _assert_same_sums(got, want):
-    assert len(got) == len(want) == 6
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
-
-
-@pytest.mark.parametrize("spec", ["det:3", "spois:4", "geom:8", "geom:32", "snbin:3:9"])
-@pytest.mark.parametrize("k", [1, 2])
-def test_dense_chunk_sums_match_sorted_path(spec, k, monkeypatch):
-    # at k <= 2 the chunk is reduced without a sort, to the same arrays
-    import pickroute.simulate as sim
-    rng = _rng_for_batch(13, 0)
-    m = parse_dist_spec(spec).sample(rng, size=5_000)
-    aisle = rng.integers(0, k, size=int(m.sum()))
-    pos = rng.random(aisle.size)
-    want = _sorted_chunk_sums(k, aisle, pos, m)
-    monkeypatch.setattr(sim, "_sort_cells", None)
-    _assert_same_sums(_chunk_sums(k, aisle, pos, m), want)
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_dense_chunk_sums_with_item_at_zero(k):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunk_sums_with_item_at_zero(k):
     # an occupied cell whose only item sits at 0.0 has a furthest item of 0.0,
-    # the value of an empty cell: occupancy must come from the counts
+    # the value of an empty cell, and still counts as occupied; at k = 3 the
+    # fourth order's aisle 2 is such a cell and interior, where neither the
+    # midpoint nor the largest-gap route walks into it
     m = np.array([1, 2, 2, 3, 1])
-    aisle = np.array([0, 1, 0, 0, 1, 0, 1, 0, 1]) % k
+    aisle = np.array([0, 1, 0, 0, 1, 0, 1, 2, 1]) % k
     pos = np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
+    kplus, n_occ, a_last = {1: ([1, 1, 1, 1, 1], [1, 1, 1, 1, 1], [0.0, 0.25, 0.0, 0.5, 0.0]),
+                            2: ([1, 2, 2, 2, 2], [1, 2, 2, 2, 1], [0.0] * 5),
+                            3: ([1, 2, 2, 3, 2], [1, 2, 2, 3, 1], [0.0] * 5)}[k]
     got = _chunk_sums(k, aisle, pos, m)
-    _assert_same_sums(got, _sorted_chunk_sums(k, aisle, pos, m))
-    ret = [0.0, 0.25, 0.0, 0.5, 0.0]
-    if k == 2:
-        expect = ([1, 2, 2, 2, 2], [1, 2, 2, 2, 1], [0.0] * 5, ret)
-    else:
-        expect = ([1] * 5, [1] * 5, ret, ret)
-    assert [s.tolist() for s in got[:4]] == list(expect)
+    assert [s.tolist() for s in got] == [kplus, n_occ, a_last, [0.0, 0.25, 0.0, 0.5, 0.0],
+                                         [0.0] * 5, [0.0] * 5]
 
 
 @pytest.mark.parametrize("spec", ["det:3", "geom:32", "snbin:3:9"])
@@ -293,6 +272,26 @@ def test_negative_seed_is_rejected_by_name():
     # numpy's own message named no input
     with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         run_replications_all(CFG, Geometric(1 / 3), PickTimeModel.from_scv(2.0, 1.0), 10, seed=-1)
+
+
+@pytest.mark.parametrize("n,seed,message", [
+    (1000.0, 0, "replication count n must be an integer >= 2, got 1000.0"),
+    (True, 0, "replication count n must be an integer >= 2, got True"),
+    (1, 0, "replication count n must be an integer >= 2, got 1"),
+    (1000, 1.5, "seed must be an integer >= 0, got 1.5"),
+    (1000, True, "seed must be an integer >= 0, got True"),
+])
+def test_replication_arguments_are_checked_by_name(n, seed, message):
+    # a float n failed inside range(), a float seed inside SeedSequence, and
+    # seed=True ran as seed 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_replications_all(CFG, Geometric(1 / 3), PickTimeModel(0.0, 0.0), n, seed)
+
+
+def test_replication_arguments_take_numpy_integers():
+    want = run_replications_all(CFG, Geometric(1 / 3), PickTimeModel(0.0, 0.0), 1000, 7)
+    assert run_replications_all(CFG, Geometric(1 / 3), PickTimeModel(0.0, 0.0),
+                                np.int64(1000), np.uint32(7)) == want
 
 
 def test_run_replications_deterministic():
