@@ -241,7 +241,9 @@ class ShiftedPoisson(OrderSizeDistribution):
         return self.lam * (2 + self.lam)
 
     def sample(self, rng, size):
-        return (1 + rng.poisson(self.lam, size=size)).astype(np.int64)
+        m = rng.poisson(self.lam, size=size).astype(np.int64, copy=False)
+        m += 1
+        return m
 
     def spec(self):
         return f"spois:{1.0 + self.lam:g}"
@@ -279,7 +281,7 @@ class Geometric(OrderSizeDistribution):
         return 2 * q / self.p ** 2
 
     def sample(self, rng, size):
-        return rng.geometric(self.p, size=size).astype(np.int64)
+        return rng.geometric(self.p, size=size).astype(np.int64, copy=False)
 
     def spec(self):
         return f"geom:{1.0 / self.p:g}"
@@ -322,7 +324,9 @@ class ShiftedNegBinomial(OrderSizeDistribution):
         return var + mu * mu - mu
 
     def sample(self, rng, size):
-        return (self.r + rng.negative_binomial(self.r, self.p, size=size)).astype(np.int64)
+        m = rng.negative_binomial(self.r, self.p, size=size).astype(np.int64, copy=False)
+        m += self.r
+        return m
 
     def spec(self):
         return f"snbin:{self.r}:{self.r / self.p:g}"

@@ -19,12 +19,19 @@ instead of eight.  They are drawn once per batch, not per chunk: freeing
 that batch-sized array lifts glibc's dynamic mmap and trim thresholds, after
 which the chunks' temporaries are reused from the heap instead of being
 mapped and faulted in again on every chunk.  The chunks run in parallel on a
-thread pool with one worker per usable CPU.  Each chunk's positions are drawn
-as it is submitted, and the pick sums after the last chunk's positions; only
-the calling thread draws, so the stream is read in one fixed order.  The
-per-order sums come back in submission order and the route times are formed
-from them once per batch, so neither the worker count nor the order in which
-chunks finish can change a bit.
+thread pool with one worker per usable CPU.  The calling thread draws only
+the sizes and the aisles, keeps the generator's state after them, and queues
+every task at once; no limit on tasks in flight is needed, as a queued task
+holds views of the batch and no draws.  The stream is read in one fixed
+order, as if drawn serially: sizes, aisles, every item's position in item
+order, then the pick sums, last as a gamma draw takes a variable number of
+outputs.  Philox is counter-based, so a copy of the kept state moves exactly
+to any output (``_jumped``): each chunk task draws its positions from a copy
+moved past the items before its first, and one task draws the pick sums from
+a copy moved past all items.  Every task writes its orders' sums into their
+rows of six preallocated batch arrays, from which the route times are formed
+once per batch, so neither the worker count nor the order in which tasks
+finish can change a bit.
 
 A chunk is sorted by (cell, position) with one in-place value sort of a
 packed uint64 key: the cell in the high bits, the leading bits of the
@@ -42,7 +49,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -181,31 +187,63 @@ def _aisles(rng: np.random.Generator, k: int, size: int) -> np.ndarray:
     return rng.integers(0, k, size=size, dtype=np.uint32).astype(np.min_scalar_type(k - 1), copy=False)
 
 
+def _jumped(state: dict, n: int) -> np.random.Generator:
+    """A generator whose next 64-bit output is the one n outputs past the
+    Philox ``state``.
+
+    Philox makes four outputs per counter step: the rest of ``buffer`` comes
+    first, then ``advance`` moves whole steps and ``random_raw`` discards the
+    remainder.  ``advance`` also clears the 32-bit half-word kept for 32-bit
+    draws, which ``random`` and ``gamma`` never read.
+    """
+    bitgen = np.random.Philox()
+    bitgen.state = state
+    rest = 4 - state["buffer_pos"]
+    if n > rest:
+        bitgen.advance((n - rest) // 4)  # also empties the buffer
+        n = (n - rest) % 4
+    bitgen.random_raw(n)
+    return np.random.Generator(bitgen)
+
+
+def _chunk_task(k: int, aisle: np.ndarray, m: np.ndarray, state: dict, first: int,
+                out: list, lo: int) -> None:
+    """Draw a chunk's positions, its first item being output ``first`` past
+    ``state``, and write its orders' sums into ``out`` from row ``lo``."""
+    pos = _jumped(state, first).random(aisle.size)
+    for column, sums in zip(out, _chunk_sums(k, aisle, pos, m)):
+        column[lo:lo + m.size] = sums
+
+
 def _batch_route_times(cfg: WarehouseConfig, dist: OrderSizeDistribution,
                        pick: PickTimeModel, b: int, rng: np.random.Generator):
     """Route times for b orders, all heuristics at once (shared samples).
 
-    At most two chunks per worker are in flight, so the positions drawn ahead
-    of the workers stay a few chunks long.
+    The calling thread draws the sizes and aisles and queues every task at
+    once: each chunk task draws its positions and the pick task the pick
+    sums, from the state after the aisles moved to their place in the stream.
     """
     l, wa, v = cfg.l, cfg.wa, cfg.v
     m = dist.sample(rng, size=b)
-    aisle = _aisles(rng, cfg.k, int(m.sum()))
+    first = np.cumsum(m) - m  # index of each order's first item
+    items = int(first[-1] + m[-1])
+    aisle = _aisles(rng, cfg.k, items)
+    state = rng.bit_generator.state
 
     # cut before the first order that starts at or after each multiple of _CHUNK
-    first = np.cumsum(m) - m  # index of each order's first item
     cuts = np.unique(np.searchsorted(first, np.arange(_CHUNK, first[-1] + 1, _CHUNK)))
-    workers = _workers()
-    sums, running = [], deque()
-    with ThreadPoolExecutor(workers) as pool:
-        for chunk_aisle, chunk_m in zip(np.split(aisle, first[cuts]), np.split(m, cuts)):
-            if len(running) == 2 * workers:
-                sums.append(running.popleft().result())
-            running.append(pool.submit(_chunk_sums, cfg.k, chunk_aisle,
-                                       rng.random(chunk_aisle.size), chunk_m))
-        picks = _pick_sums(pick, m, rng)
-        sums += [future.result() for future in running]
-    kplus, n_occ, a_last, s_ret, s_mid, s_gap = map(np.concatenate, zip(*sums))
+    lo = np.concatenate(([0], cuts))  # each chunk's first order
+    orders = np.append(lo, b).tolist()
+    starts = np.append(first[lo], items).tolist()  # and first item
+    out = [*np.empty((2, b), dtype=np.int64), *np.empty((4, b))]
+    with ThreadPoolExecutor(_workers()) as pool:
+        pick_task = pool.submit(_pick_sums, pick, m, _jumped(state, items))
+        tasks = [pool.submit(_chunk_task, cfg.k, aisle[i:j], m[o:p], state, i, out, o)
+                 for o, p, i, j in zip(orders, orders[1:], starts, starts[1:])]
+        for task in tasks:
+            task.result()
+        picks = pick_task.result()
+    kplus, n_occ, a_last, s_ret, s_mid, s_gap = out
 
     cross = (2.0 * wa / v) * (kplus - 1)
     return {

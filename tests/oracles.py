@@ -611,3 +611,15 @@ def route_times_batch(cfg: WarehouseConfig, dist: OrderSizeDistribution,
     from the stream of ``run_replications_all`` with the same seed."""
     batches = list(_batches(cfg, dist, pick, n, seed))
     return {h: np.concatenate([times[h] for times in batches]) for h in HEURISTICS}
+
+
+def mg1_sojourn_times(service: np.ndarray, lam: float, rng: np.random.Generator) -> np.ndarray:
+    """Sojourn times of successive orders in an FCFS M/G/1 queue that starts
+    empty, with Poisson arrivals at rate ``lam`` and the given service times.
+
+    Lindley's recursion W_{n+1} = max(0, W_n + S_n - A_{n+1}), W_0 = 0, is
+    the random walk X_n = sum_{i<n} (S_i - A_{i+1}) minus its running minimum.
+    """
+    steps = service[:-1] - rng.exponential(1.0 / lam, size=service.size - 1)
+    walk = np.concatenate(([0.0], np.cumsum(steps)))
+    return walk - np.minimum.accumulate(walk) + service

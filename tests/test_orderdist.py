@@ -219,6 +219,20 @@ def test_sampler_examples():
     assert draws.mean() == pytest.approx(2.0, abs=4 * se)
 
 
+@pytest.mark.parametrize("dist,draw", [
+    (ShiftedPoisson(2.0), lambda rng, n: 1 + rng.poisson(2.0, size=n)),
+    (Geometric(1 / 8), lambda rng, n: rng.geometric(1 / 8, size=n)),
+    (ShiftedNegBinomial(7, 7 / 31), lambda rng, n: 7 + rng.negative_binomial(7, 7 / 31, size=n)),
+], ids=lambda d: d.spec() if hasattr(d, "spec") else "")
+def test_sampler_is_the_shifted_int64_draw(dist, draw):
+    # the shift is added in place to numpy's own draw: same values and
+    # stream as the shifted copy, as one writable int64 array
+    got = dist.sample(np.random.default_rng(3), size=1_001)
+    want = draw(np.random.default_rng(3), 1_001)
+    assert got.dtype == np.int64 and got.flags.writeable and got.flags.owndata
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec())
 def test_empirical_pgf_matches_analytic(dist):
     n = 10**6

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from oracles import mg1_sojourn_times, route_times_batch
 from pickroute import (
+    HEURISTICS,
     Geometric,
     PickTimeModel,
     QueueScenario,
@@ -14,6 +17,7 @@ from pickroute import (
     erlang_c_wait_prob,
     lead_time_estimate,
 )
+from pickroute.cli import _model, parse_config
 from pickroute.heuristics import MomentReport
 from pickroute.queueing import MAX_PICKERS
 
@@ -145,6 +149,26 @@ def test_lead_time_from_real_report():
     lead = lead_time_estimate(rep, QueueScenario(5, 51 / 3600))
     assert lead.stable
     assert lead.e_r >= rep.e_t
+
+
+def test_lead_time_against_queue_simulation_at_c1():
+    # the baseline geometry served by one picker at rho = 0.5: the route times
+    # of the Monte Carlo engine fed through an FCFS queue (Lindley's
+    # recursion), against E[R] from the analytic E_T and Var_T; at c = 1 the
+    # formula is the exact M/G/1 mean, so route times -> moments -> E[R] are
+    # checked end to end.  64 batch means of 4,096 consecutive orders, each
+    # far longer than the queue's memory at this load.
+    baseline = parse_config((Path(__file__).parent / "golden" / "baseline.cfg").read_text())
+    cfg, dist, pick = _model(baseline)
+    times = route_times_batch(cfg, dist, pick, 1 << 18, baseline.seed)
+    for h in HEURISTICS:
+        rep = compute_moments(cfg, dist, pick, h)
+        scenario = QueueScenario(1, 0.5 / rep.e_t)
+        want = lead_time_estimate(rep, scenario).e_r
+        sojourn = mg1_sojourn_times(times[h], scenario.lam, np.random.default_rng(baseline.seed))
+        means = sojourn.reshape(64, -1).mean(axis=1)
+        z = (means.mean() - want) / (means.std(ddof=1) / math.sqrt(means.size))
+        assert abs(z) <= 4.0, (h, z)
 
 
 def test_scenario_validation():

@@ -14,7 +14,7 @@ from pickroute import (
     parse_dist_spec,
     run_replications_all,
 )
-from pickroute.simulate import _aisles, _chunk_sums, _rng_for_batch, _sort_cells
+from pickroute.simulate import _aisles, _chunk_sums, _jumped, _pick_sums, _rng_for_batch, _sort_cells
 
 CFG = WarehouseConfig(3, 20.0, 2.5, 1.0)
 
@@ -156,18 +156,25 @@ def test_chunk_sums_with_item_at_zero(k):
 @pytest.mark.parametrize("k", [1, 5, 9, 64])
 def test_chunks_match_one_chunk(spec, k, monkeypatch):
     # every order lies in one chunk, so neither the cut points nor the number
-    # of pool workers changes a bit
+    # of pool workers changes a bit; tasks write their rows of shared arrays,
+    # so a lost or misplaced write would leave an uninitialised value
+    import sys
     import pickroute.simulate as sim
     args = (WarehouseConfig(k, 20.0, 2.5, 5 / 6), parse_dist_spec(spec),
             PickTimeModel.from_scv(5.0, 1.0), 1_001, 8)
     monkeypatch.setattr(sim, "_CHUNK", 1 << 40)
     whole = route_times_batch(*args)
     monkeypatch.setattr(sim, "_CHUNK", 300)
-    for workers in (sim._workers(), 1, 3):
-        monkeypatch.setattr(sim, "_workers", lambda: workers)
-        chunked = route_times_batch(*args)
-        for h in HEURISTICS:
-            assert np.array_equal(chunked[h], whole[h]), (workers, h)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (sim._workers(), 1, 3, 8):
+            monkeypatch.setattr(sim, "_workers", lambda: workers)
+            chunked = route_times_batch(*args)
+            for h in HEURISTICS:
+                assert np.array_equal(chunked[h], whole[h]), (workers, h)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_chunk_error_reaches_caller(monkeypatch):
@@ -198,6 +205,76 @@ def test_chunk_error_reaches_caller(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive(), "run_replications_all hung after a chunk error"
     assert [str(exc) for exc in raised] == ["chunk failed"]
+
+
+def test_pick_error_reaches_caller(monkeypatch):
+    import threading
+    import pickroute.simulate as sim
+
+    def failing(*args):
+        raise RuntimeError("picks failed")
+
+    monkeypatch.setattr(sim, "_CHUNK", 300)
+    monkeypatch.setattr(sim, "_pick_sums", failing)
+    raised = []
+
+    def run():
+        try:
+            run_replications_all(CFG, parse_dist_spec("geom:8"), PickTimeModel.from_scv(2.0, 1.0),
+                                 1_001, 4)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "run_replications_all hung after a pick-sum error"
+    assert [str(exc) for exc in raised] == ["picks failed"]
+
+
+def _states():
+    """Philox states with every buffer position, and one holding a 32-bit
+    half-word: k = 3 aisles for an odd item count take an odd number of
+    32-bit words."""
+    states = {}
+    for used in range(4):  # buffer positions 4, 1, 2, 3
+        rng = _rng_for_batch(5, 0)
+        rng.bit_generator.random_raw(used)
+        states[f"used{used}"] = rng.bit_generator.state
+    state = dict(states["used1"], buffer_pos=0)  # the whole buffer still to come
+    states["buffer_pos0"] = state
+    rng = _rng_for_batch(5, 0)
+    _aisles(rng, 3, 1_001)
+    states["half_word"] = rng.bit_generator.state
+    return states
+
+
+STATES = _states()
+OFFSETS = [*range(10), *(4 * j + d for j in (3, 16, 1_000) for d in (-1, 1)), 65_539]
+
+
+def test_states_cover_every_buffer_position():
+    assert {s["buffer_pos"] for s in STATES.values()} == {0, 1, 2, 3, 4}
+    assert STATES["half_word"]["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("name", STATES)
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_jumped_draws_match_one_serial_draw(name, offset):
+    # a chunk's positions from a jumped copy, and the pick sums from a copy
+    # jumped past every item, equal the serial draw of positions then picks
+    state = STATES[name]
+    m = np.array([1, 4, 2, 9, 3])
+    pick = PickTimeModel.from_scv(4.0, 0.7)
+    serial = np.random.Generator(np.random.Philox())
+    serial.bit_generator.state = state
+    pos = serial.random(offset + 7)
+    picks = _pick_sums(pick, m, serial)
+    raw = serial.bit_generator.random_raw(5)
+    np.testing.assert_array_equal(_jumped(state, offset).random(7), pos[offset:])
+    jumped = _jumped(state, offset + 7)
+    np.testing.assert_array_equal(_pick_sums(pick, m, jumped), picks)
+    np.testing.assert_array_equal(jumped.bit_generator.random_raw(5), raw)
 
 
 def _same_state(a, b):
