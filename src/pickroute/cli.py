@@ -132,7 +132,7 @@ _KEYS = {
     "pick_mean": ("pick_mean", _number({"": 1.0, "s": 1.0}, "duration"), None),
     "pick_scv": ("pick_scv", _number({"": 1.0}, "ratio"), None),
     "heuristics": ("heuristics", _heuristics, "restrict to one heuristic (repeatable)"),
-    "pickers": ("pickers", _integer, None),
+    "pickers": ("pickers", _integer, "number of pickers c, any integer >= 1"),
     "lambda": ("lam", _number(_RATE_UNITS, "rate"), "orders per hour"),
     "samples": ("samples", _integer, None),
     "seed": ("seed", _integer, None),

@@ -98,14 +98,11 @@ def _xlog(n: np.ndarray, log_y: float) -> np.ndarray:
     return n * log_y
 
 
-def as_count(value, what: str, most: int | None = None, least: int = 1) -> int:
-    """``value`` as an ``int``, for a count that must be an integer >= ``least``,
-    and at most ``most`` if given: any integral value but a bool, numpy integers
-    included."""
+def as_count(value, what: str, least: int = 1) -> int:
+    """``value`` as an ``int``, for a count that must be an integer >= ``least``:
+    any integral value but a bool, numpy integers included."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    if most is not None and value > most:
-        raise ValueError(f"{what} must be at most {most}, got {value!r}")
     return int(value)
 
 

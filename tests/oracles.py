@@ -19,7 +19,8 @@ occupancy blocks, evaluated in mpmath at 40 + 0.6k digits.
 ``route_time`` evaluates one sampled order's route literally, item by item:
 the scalar definition that the vectorized Monte Carlo engine must reproduce.
 ``route_times_batch`` returns that engine's per-order route times, which the
-package only reduces to moments.
+package only reduces to moments.  ``mg1_sojourn_times`` and
+``mgc_sojourn_times`` run them through an FCFS queue, for the lead time.
 
 ``pair_event_prob``, ``contiguous_probs`` and ``iodd_mean`` are quantities
 the package no longer needs, derived from its PGF and occupancy law for the
@@ -27,6 +28,7 @@ tests that check them.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -623,3 +625,24 @@ def mg1_sojourn_times(service: np.ndarray, lam: float, rng: np.random.Generator)
     steps = service[:-1] - rng.exponential(1.0 / lam, size=service.size - 1)
     walk = np.concatenate(([0.0], np.cumsum(steps)))
     return walk - np.minimum.accumulate(walk) + service
+
+
+def mgc_sojourn_times(service: np.ndarray, lam: float, c: int, rng: np.random.Generator) -> np.ndarray:
+    """Sojourn times of successive orders in an FCFS M/G/c queue that starts
+    empty, with Poisson arrivals at rate ``lam`` and the given service times;
+    the arrivals are drawn as ``mg1_sojourn_times`` draws them.
+
+    The Kiefer-Wolfowitz workload vector W_n, the work each server still has
+    when order n arrives, sorted, follows W_{n+1} = sort((W_n + S_n e_1 -
+    A_{n+1})^+), and order n waits W_n[0].  It is kept here as the times at
+    which the servers fall idle, a heap whose least entry is the server that
+    order n takes: W_n is (heap - t_n)^+.
+    """
+    arrivals = np.concatenate(([0.0], np.cumsum(rng.exponential(1.0 / lam, size=service.size - 1))))
+    idle = [0.0] * c
+    done = []
+    for t, s in zip(arrivals.tolist(), service.tolist()):
+        end = max(t, idle[0]) + s
+        heapq.heapreplace(idle, end)
+        done.append(end)
+    return np.array(done) - arrivals
