@@ -21,7 +21,7 @@ from functools import cache
 
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
 from .layout import layout_sweep
-from .orderdist import parse_dist_spec
+from .orderdist import as_count, parse_dist_spec
 from .queueing import QueueScenario, lead_time_estimate
 from .simulate import run_replications_all
 
@@ -212,8 +212,15 @@ def _pick(cfg: RunConfig) -> PickTimeModel:
 
 
 def _scenario(cfg: RunConfig) -> QueueScenario:
+    """The queue of a run; a value it refuses is reported under its key."""
     _require(cfg, "pickers", "lambda")
-    return QueueScenario(c=cfg.pickers, lam=cfg.lam / 3600.0)
+    key = "pickers"
+    try:
+        c = as_count(cfg.pickers, "picker count")
+        key = "lambda"
+        return QueueScenario(c=c, lam=cfg.lam / 3600.0)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
 
 
 def _model(cfg: RunConfig):

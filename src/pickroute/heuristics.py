@@ -22,13 +22,12 @@ completely (2l, even when both coincide), and their X sums the interior units
 of each span d = kplus - kminus.  For all four, E[T] and E[T^2] follow from
 four sums, E[X], E[X^2], E[kplus X] and E[M X], through one assembler, and
 every report names the same terms.  Each second moment is an explicit
-named-term sum (logged at DEBUG level), so that any discrepancy against the
-Monte Carlo oracle is attributable to a single term.  Speeds are in
-meters/second and times in seconds.
+named-term sum, so that any discrepancy against the Monte Carlo oracle is
+attributable to a single term.  Speeds are in meters/second and times in
+seconds.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -45,8 +44,6 @@ __all__ = [
     "HEURISTICS",
     "compute_moments",
 ]
-
-log = logging.getLogger(__name__)
 
 HEURISTICS = ("return", "midpoint", "largest-gap", "s-shaped")
 
@@ -191,9 +188,6 @@ def _assemble(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: Pic
         if var < -1e-9 * max(e_t2, 1.0):
             raise ArithmeticError(f"{heuristic}: negative variance {var} beyond tolerance")
         var = 0.0
-    if log.isEnabledFor(logging.DEBUG):
-        for name, value in terms.items():
-            log.debug("%s term %s = %.12g", heuristic, name, value)
     return MomentReport(e_t, e_t2, var, math.sqrt(var), e_tw, e_ttr, terms)
 
 

@@ -61,23 +61,23 @@ The rows run over the order sizes of the truncated pmf, and stop at the
 latest at the n past which all k aisles are occupied but for probability
 1e-18.  Beyond n only column k gains mass, through the tail sums
 sum_{m>n} p_m {1, m, 1/(m+1), 1/((m+1)(m+2))}; they are totals minus head
-sums, the totals being 1, E[M], int_0^1 P and int_0^1 (1-x) P.  The rows are
-built in blocks of order sizes, in one of two regimes.
+sums, the totals being 1, E[M], int_0^1 P and int_0^1 (1-x) P.
 
-Below k = 128 a block is 512 rows long and is doubled from its first row
-alone: rows m+h..m+2h-1 = rows m..m+h-1 times T^h for h = 1, 2, 4, ..., with
-T the bidiagonal chain matrix and T^2, T^4, ... squared once per table.  A
-doubled row costs (k+1)^2 multiply-adds in one BLAS call, less than the few
-numpy calls of a chain step while k is small.  At most 514 rows are held at
-a time.
-
-From k = 128 the chain alone builds the rows, 128 at a time.  Late rows are
-mostly zeros and subnormals: q_m(j) falls like (j/k)^m in the low columns,
-and at large k also near column m while m < k.  So a built block's entries
-not above a floor of 1e-280, far below anything the sums can see, become
-exact zeros in one pass.  A step moves mass at most one column up, so if the
-next block's first row is zero outside [lo, hi), that block is stepped and
-summed on the columns [lo, hi + 129) alone: O(hi - lo + 128) a row, not O(k).
+The rows are built in one loop over blocks of b order sizes, each block's
+rows 1..b+1 filled from its row 0 alone.  A step moves mass at most one
+column up, so if row 0 is zero outside [lo, hi), the block is zero outside
+[lo, hi + b + 1): it is filled, floored, summed and zeroed again on those
+columns alone, O(hi - lo + b) a row, not O(k).  Below k = 128 a block is
+512 rows, filled by doubling: rows h..2h-1 = rows 0..h-1 times T^h for
+h = 1, 2, 4, ..., T the bidiagonal chain matrix and T^2, T^4, ... squared
+once per table.  A doubled row costs its band squared in multiply-adds
+inside one BLAS call, less than the few numpy calls of a chain step while k
+is small.  From k = 128 a block is 128 rows, stepped by the chain one row at
+a time.  Late rows are mostly zeros and subnormals: q_m(j) falls like
+(j/k)^m in the low columns, and at large k also near column m while m < k.
+So the entries of every block not above a floor of 1e-280, far below
+anything the sums can see, become exact zeros, and the next block's columns
+start where its mass does.
 """
 from __future__ import annotations
 
@@ -355,14 +355,14 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
 # ---------------------------------------------------------------------------
 
 # Order sizes whose rows of the occupancy table are held at a time; bounds
-# its memory at large k.  The chain alone holds fewer, so that the columns a
-# block is stepped on stay close to the band of its first row.
+# its memory at large k.  A chained block is shorter, so that the columns it
+# is stepped on stay close to the band of its first row.
 _ROWS = 512
 _CHAIN_ROWS = 128
-# From this aisle count the table is built by the chain alone (see the module
-# docstring).
+# From this aisle count the blocks are stepped by the chain, below it doubled
+# (see the module docstring).
 _CHAIN_FROM = 128
-# Entries of the chain's rows under this become exact zeros, once per block.
+# Entries of the table not above this become exact zeros, once per block.
 _FLOOR = 1e-280
 
 
@@ -383,20 +383,20 @@ def _pgf_integrals(dist: OrderSizeDistribution) -> tuple[float, float]:
     return float(int_p), float(int_q)
 
 
-def _chain(q: np.ndarray, b: int, lo: int, hi: int, stay, move) -> int:
-    """Rows q[1..b+1] from q[0] by the chain alone, all on the columns
-    [lo, end) that they can reach: q[0] is zero outside [lo, hi), and a step
-    moves mass at most one column up, so the entries past a row's reach stay
-    exact zeros.  The block's entries that are not above the floor then
-    become zeros, in one pass; returns ``end``."""
-    end = min(hi + b + 1, q.shape[1])
-    rows, step_stay, step_move = q[:b + 2, lo:end], stay[lo:end], move[lo:end - 1]
-    for s in range(1, b + 2):
-        np.multiply(rows[s - 1], step_stay, out=rows[s])
-        rows[s, 1:] += rows[s - 1, :-1] * step_move
-    new = rows[1:]
-    new[new <= _FLOOR] = 0.0
-    return end
+def _fill(rows: np.ndarray, powers: list, stay: np.ndarray, move: np.ndarray) -> None:
+    """Rows 1.. of ``rows`` from its row 0: doubled when ``powers`` holds
+    T, T^2, ..., T^h for the h < len(rows) (rows h..2h-1 = rows 0..h-1 times
+    T^h), else stepped by the chain a row at a time.  ``powers``, ``stay``
+    and ``move`` are cut to the columns of ``rows``."""
+    n = len(rows)
+    if powers:
+        for i, power in enumerate(powers):
+            h = 1 << i
+            np.matmul(rows[:min(h, n - h)], power, out=rows[h:min(2 * h, n)])
+    else:
+        for s in range(1, n):
+            np.multiply(rows[s - 1], stay, out=rows[s])
+            rows[s, 1:] += rows[s - 1, :-1] * move
 
 
 @lru_cache(maxsize=1)
@@ -410,36 +410,34 @@ def _occupancy(model: AisleModel):
     j = np.arange(k + 1)
     stay, move = j / k, (k + 1 - j[1:]) / k
     chain = k >= _CHAIN_FROM
-    rows = _CHAIN_ROWS if chain else _ROWS
+    size = _CHAIN_ROWS if chain else _ROWS
     # T^h for h = 1, 2, 4, ... below the rows one block fills: q_{m+h} = q_m T^h
     powers = []
-    for _ in range(0 if chain else (min(rows, len(p)) + 1).bit_length()):
+    for _ in range(0 if chain else (min(size, len(p)) + 1).bit_length()):
         powers.append(powers[-1] @ powers[-1] if powers else np.diag(stay) + np.diag(move, 1))
     cp, mw, far, mfar, far2 = np.zeros((5, k + 1))
-    q = np.zeros((rows + 2, k + 1))   # q[i] = q_{start+i}
+    q = np.zeros((size + 2, k + 1))   # q[i] = q_{start+i}
     q[0, 0] = 1.0
-    for start in range(0, len(p), rows):
-        pm = p[start:start + rows]
+    for start in range(0, len(p), size):
+        pm = p[start:start + size]
         b = len(pm)
-        # the chain moves mass to higher columns only: every row is zero below q[0]'s first entry
+        # a step moves mass at most one column up, so rows 1..b+1 are zero
+        # outside the band from q[0]'s first non-zero column to b + 1 past its last
         nz = np.flatnonzero(q[0])
-        if chain:
-            band = slice(nz[0], _chain(q, b, nz[0], nz[-1] + 1, stay, move))
-        else:
-            # rows h..2h-1 from rows 0..h-1, up to row b + 1
-            for i, power in enumerate(powers):
-                h = 1 << i
-                if h >= b + 2:
-                    break
-                np.matmul(q[:min(h, b + 2 - h)], power, out=q[h:min(2 * h, b + 2)])
-            band = slice(nz[0], None)
+        band = slice(nz[0], min(nz[-1] + b + 2, k + 1))
+        rows = q[:b + 2, band]
+        used = powers[:(b + 1).bit_length()]   # T^h for h < b + 2
+        _fill(rows, [power[band, band] for power in used], stay[band], move[band.start:band.stop - 1])
+        rows[rows <= _FLOOR] = 0.0   # row 0 was floored with the block before
         if pm.any():
             m = np.arange(start, start + b, dtype=float)[:, None]
-            jb, q1, q2 = j[band], q[1:b + 1, band], q[2:b + 2, band]
-            cp[band] += pm @ q[:b, band]
-            mw[band] += (m[:, 0] * pm) @ q[:b, band]
-            # the sums of the module docstring, each step in place: a third
-            # faster at large k than fresh temporaries, and the same bits
+            jb, q0, q1, q2 = j[band], rows[:b], rows[1:b + 1], rows[2:]
+            cp[band] += pm @ q0
+            mw[band] += (m[:, 0] * pm) @ q0
+            # the sums of the module docstring, each step in place: with fresh
+            # temporaries of the block's size the whole build at k = 4096 was
+            # 6-8% slower (snbin:50:1e4, geom:1000; one BLAS thread on a
+            # 2-vCPU VM), for the same bits
             fw = np.divide(jb, m + 1)
             np.subtract(1, fw, out=fw)
             fw *= pm[:, None]
@@ -455,8 +453,7 @@ def _occupancy(model: AisleModel):
             bracket *= pm[:, None]
             far2[band] += bracket.sum(axis=0)
         q[0] = q[b]
-        if chain:
-            q[1:, band] = 0.0
+        q[1:, band] = 0.0
     if len(p) == n + 1:
         # order sizes beyond n occupy every aisle: only column k gains
         m = np.arange(n + 1)

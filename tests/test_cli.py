@@ -20,6 +20,7 @@ from pickroute.cli import (
     emit_csv,
     main,
     parse_config,
+    run_command,
 )
 from pickroute.quadrature import IntegrationError
 
@@ -554,6 +555,39 @@ def test_picker_count_at_bound_answers(tmp_path):
 def test_config_value_errors_named(text, message):
     with pytest.raises(ConfigError, match=f"line 1: key '{text.split()[0]}': {message}"):
         parse_config(text)
+
+
+def test_unknown_command_raises_config_error():
+    with pytest.raises(ConfigError, match="unknown command 'route'"):
+        run_command("route", RunConfig())
+
+
+@pytest.mark.parametrize("command", ["leadtime", "layout"])
+@pytest.mark.parametrize("key,message", [
+    ("pickers", "key 'pickers': picker count must be an integer >= 1, got 0"),
+    ("lambda", "key 'lambda': arrival rate must be finite and positive, got 0.0"),
+], ids=["pickers", "lambda"])
+def test_queue_value_errors_name_the_key(command, key, message, tmp_path, capsys):
+    # the queue's own check used to reach the user without the key's name
+    queue = {"pickers": "5", "lambda": "51", key: "0"}
+    sweep = ["--k-min", "2", "--k-max", "3"]
+    flags = [part for name, value in queue.items() for part in ("--" + name, value)]
+    shape = ["--k", "5", "--l", "20", "--wa", "2.5", "--v", "3 km/h", "--dist", "geom:32"]
+    assert main([command, *shape, *sweep, *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "c.cfg"
+    path.write_text(BASELINE + "".join(f"{name} = {value}\n" for name, value in queue.items()))
+    assert main([command, str(path), *sweep]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["moments", "simulate", "validate"])
+def test_commands_without_a_queue_ignore_its_keys(command, tmp_path):
+    out = tmp_path / "out.csv"
+    args = [command, "--k", "2", "--l", "20", "--wa", "2.5", "--v", "3 km/h", "--dist", "det:2",
+            "--samples", "2000", "--seed", "1", "--pickers", "0", "--lambda", "0", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert len(read_csv(out)) > 1
 
 
 def test_layout_k_min_above_k_max_exits_2(capsys):

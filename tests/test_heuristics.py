@@ -164,7 +164,7 @@ def test_sshaped_det3_at_k512_regression():
     ep, ep2 = Fraction(LARGE_K_PICK.mean), Fraction(LARGE_K_PICK.second_moment)
     for k in (1, 2, 3, 5):   # the oracle itself against full enumeration
         assert sshaped_det_moments(k, 3, l, wa, v, ep, ep2) == pytest.approx(
-            enum_moment_report(k, 3, l, wa, v, ep, ep2)["s-shaped"], rel=1e-14)
+            enum_moment_report(k, 3, l, wa, v, ep, ep2)["s-shaped"], rel=1e-14, abs=0)
     for k in (512, 2048):   # and past the overflow of C(k, j) near k = 1,030
         rep = compute_moments(WarehouseConfig(k, **LARGE_K_CFG), Deterministic(3), LARGE_K_PICK, "s-shaped")
         e_t, e_t2 = sshaped_det_moments(k, 3, l, wa, v, ep, ep2)
@@ -317,7 +317,7 @@ def test_negative_variance_guard(monkeypatch, capsys):
     rep = compute_moments(cfg, dist, pick, "return")
     assert rep.e_t2 < rep.e_t ** 2
     assert (rep.var_t, rep.sd_t) == (0.0, 0.0)
-    assert (rep.e_t, rep.e_t2) == pytest.approx((40 * ex, 1600 * ex * ex * (1 - 1e-12)), rel=1e-15)
+    assert (rep.e_t, rep.e_t2) == pytest.approx((40 * ex, 1600 * ex * ex * (1 - 1e-12)), rel=1e-15, abs=0)
 
     shrink_second_moment(0.5)
     with pytest.raises(ArithmeticError, match="return: negative variance .* beyond tolerance"):

@@ -24,15 +24,15 @@ ALL_DISTS = [
 
 def test_pgf_examples():
     assert Geometric(1 / 32).pgf(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert ShiftedPoisson(2.0).pgf(0.5) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
-    assert Deterministic(3).pgf(0.5) == pytest.approx(0.125, rel=1e-12)
+    assert ShiftedPoisson(2.0).pgf(0.5) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12, abs=0)
+    assert Deterministic(3).pgf(0.5) == pytest.approx(0.125, rel=1e-12, abs=0)
 
 
 def test_pgf_prime_examples():
     assert Deterministic(3).pgf_prime(1.0) == pytest.approx(3.0)
     assert ShiftedPoisson(2.0).pgf_prime(1.0) == pytest.approx(3.0)
     # d/dx [0.5x / (1 - 0.5x)] at x = 0.5, checked by central difference
-    assert Geometric(0.5).pgf_prime(0.5) == pytest.approx(8 / 9, rel=1e-12)
+    assert Geometric(0.5).pgf_prime(0.5) == pytest.approx(8 / 9, rel=1e-12, abs=0)
     h = 1e-6
     fd = (Geometric(0.5).pgf(0.5 + h) - Geometric(0.5).pgf(0.5 - h)) / (2 * h)
     assert Geometric(0.5).pgf_prime(0.5) == pytest.approx(fd, rel=1e-8)
@@ -256,6 +256,15 @@ def test_parse_dist_spec_rejects_invalid():
                 "snbin:7", "unknown:3", "geom", "", "det:inf", "det:1e400", "snbin:inf:5"):
         with pytest.raises(ValueError):
             parse_dist_spec(bad)
+
+
+@pytest.mark.parametrize("make", [lambda: Geometric(0.0), lambda: Geometric(1.5),
+                                  lambda: ShiftedNegBinomial(3, 0.0)], ids=["geom-0", "geom-1.5", "snbin-0"])
+def test_success_probability_outside_unit_interval_is_rejected(make):
+    # specs give means, which parse_dist_spec checks first; a direct
+    # construction reaches the laws' own checks
+    with pytest.raises(ValueError, match=r"success probability must be in \(0, 1\]"):
+        make()
 
 
 @pytest.mark.parametrize("spec", ["spois:1e160", "geom:1e160", "snbin:3:1e160", "geom:1e200",

@@ -430,15 +430,16 @@ def test_occupancy_blocks_match_chain(k, monkeypatch):
     prelim._occupancy.cache_clear()
 
 
-@pytest.mark.parametrize("k", [128, 256, 1024, 2048])
+@pytest.mark.parametrize("k", [12, 64, 127, 128, 256, 1024, 2048])
 def test_occupancy_band_matches_full_rows(k, monkeypatch):
-    # from k = 128 the chain steps and sums each block on the columns its
-    # first row's band reaches, floored once per block; with no floor that
-    # range holds every non-zero entry.  det:500 and spois:1000 start their
-    # bands far from column 0 and reach past column k, where the range is cut
+    # each block is filled and summed on the columns its first row's band
+    # reaches, floored once per block, by doubling below k = 128 and by the
+    # chain from there; with no floor that range holds every non-zero entry.
+    # det:500 and spois:1000 start their bands far from column 0 and reach
+    # past column k, where the range is cut
     cfg, pick = WarehouseConfig(k, 20.0, 2.5, 3000.0 / 3600.0), PickTimeModel.from_scv(5.0, 1.0)
     laws = PMF_LAWS + [Geometric(1 / 1000)]
-    laws += [parse_dist_spec(spec) for spec in ("det:500", "spois:1000") if k in (128, 256)]
+    laws += [parse_dist_spec(spec) for spec in ("det:500", "spois:1000") if k <= 256]
     for dist in laws:
         prelim._occupancy.cache_clear()
         got = compute_moments(cfg, dist, pick, "s-shaped")

@@ -42,7 +42,18 @@ def test_erlang_c_against_direct_formula():
             summation = sum(a ** n / math.factorial(n) for n in range(c))
             tail = a ** c / (math.factorial(c) * (1 - rho))
             expect = tail / (summation + tail)
-            assert erlang_c_wait_prob(c, rho) == pytest.approx(expect, rel=1e-12)
+            assert erlang_c_wait_prob(c, rho) == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_erlang_c_at_zero_load_is_zero():
+    assert erlang_c_wait_prob(5, 0.0) == 0.0
+    assert erlang_c_wait_prob(10 ** 9, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("e_t", [0.0, -1.0, math.nan])
+def test_lead_time_needs_a_positive_mean(e_t):
+    with pytest.raises(ValueError, match="mean picking time must be positive"):
+        lead_time_estimate(MomentReport(e_t, 1.0, 1.0, 1.0, 0.0, 0.0), QueueScenario(c=2, lam=0.01))
 
 
 def test_erlang_c_large_c_stable():
@@ -62,8 +73,8 @@ def test_erlang_c_below_normal_floats():
         for n in range(1, 501):
             b = a * b / (n + a * b)
         expect = float(b / (1 - rho * (1 - b)))
-    assert expect == pytest.approx(5.3657e-307, rel=1e-4)
-    assert erlang_c_wait_prob(500, 0.1) == pytest.approx(expect, rel=1e-12)
+    assert expect == pytest.approx(5.3657e-307, rel=1e-4, abs=0)
+    assert erlang_c_wait_prob(500, 0.1) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_picker_count_bound():

@@ -119,7 +119,7 @@ def test_vectorized_engine_matches_scalar_reference(monkeypatch):
             pick_samples = [float(picks[i])] + [0.0] * (order.m - 1)
             for h in HEURISTICS:
                 expect = route_time(cfg, h, order, pick_samples)
-                assert times[h][i] == pytest.approx(expect, rel=1e-12), (k, h, i)
+                assert times[h][i] == pytest.approx(expect, rel=1e-12, abs=0), (k, h, i)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -150,6 +150,19 @@ def test_chunk_sums_with_item_at_zero(k):
     got = _chunk_sums(k, aisle, pos, m)
     assert [s.tolist() for s in got] == [kplus, n_occ, a_last, [0.0, 0.25, 0.0, 0.5, 0.0],
                                          [0.0] * 5, [0.0] * 5]
+
+
+def test_workers_without_cpu_affinity(monkeypatch):
+    # platforms without sched_getaffinity size the pool by the CPU count
+    import os
+
+    import pickroute.simulate as sim
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sim._workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sim._workers() == 1
 
 
 @pytest.mark.parametrize("spec", ["det:3", "geom:32", "snbin:3:9"])
@@ -341,7 +354,7 @@ def test_deterministic_pick_time_constant_route():
         est = ests[h]
         assert (est.mean_t, est.se_mean, est.mean_t2, est.se_t2) == (50.0, 0.0, 2500.0, 0.0), h
         rep = compute_moments(cfg, dist, pick, h)
-        assert rep.e_t == pytest.approx(50.0, rel=1e-14), h
+        assert rep.e_t == pytest.approx(50.0, rel=1e-14, abs=0), h
         assert rep.var_t == pytest.approx(0.0, abs=1e-9), h
 
 
@@ -428,7 +441,7 @@ def test_all_heuristics_share_samples():
     assert set(ests) == set(HEURISTICS)
     times = route_times_batch(CFG, Deterministic(2), PickTimeModel(0.0, 0.0), 4000, seed=2)
     for h in HEURISTICS:
-        assert ests[h].mean_t == pytest.approx(times[h].mean(), rel=1e-14)
+        assert ests[h].mean_t == pytest.approx(times[h].mean(), rel=1e-14, abs=0)
 
 
 def _lexsorted(cell, pos):
