@@ -73,9 +73,11 @@ _SPEED_UNITS = {"m/s": 1.0, "km/h": 1000.0 / 3600.0}
 _RATE_UNITS = {"": 1.0, "/h": 1.0, "per_hour": 1.0}
 
 
-def _number(units: dict, what: str):
-    """Parser of ``value [unit]`` text, scaled to SI by ``units``; a unit is
-    required when ``units`` has no ``""`` entry."""
+def _number(units: dict, what: str, positive: bool = False):
+    """Parser of ``value [unit]`` text, scaled to SI by ``units`` (a unit is required
+    when it has no ``""`` entry), finite and > 0 if ``positive``, else >= 0."""
+    bound = "> 0" if positive else ">= 0"
+
     def parse(token: str, key: str) -> float:
         parts = token.split()
         if "" not in units and (len(parts) != 2 or parts[1] not in units):
@@ -88,23 +90,27 @@ def _number(units: dict, what: str):
             raise ConfigError(f"key {key!r}: unknown unit {unit!r} (expected one of"
                               f" {sorted(u for u in units if u)})")
         try:
-            number = float(value)
+            number = float(value) * units[unit]
         except ValueError:
             raise ConfigError(f"key {key!r}: invalid number {value!r}") from None
-        if not 0.0 <= number < math.inf:   # every key parsed here is >= 0
-            raise ConfigError(f"key {key!r}: {what} must be finite and >= 0, got {token!r}")
-        return number * units[unit]
+        if not (number > 0.0 if positive else number >= 0.0) or number == math.inf:
+            raise ConfigError(f"key {key!r}: {what} must be finite and {bound}, got {token!r}")
+        return number
     return parse
 
 
-_length = _number({"": 1.0, "m": 1.0}, "length")
+_METERS = {"": 1.0, "m": 1.0}
 
 
-def _integer(token: str, key: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: invalid integer {token!r}") from None
+def _count(what: str, least: int = 1):
+    """Parser of an integer token that the library's ``as_count`` accepts."""
+    def parse(token: str, key: str) -> int:
+        try:
+            value = int(token)
+        except ValueError:
+            raise ConfigError(f"key {key!r}: invalid integer {token!r}") from None
+        return as_count(value, what, least)
+    return parse
 
 
 def _dist(token: str, key: str) -> str:
@@ -124,22 +130,22 @@ def _heuristics(token: str, key: str) -> tuple:
 
 # config key -> (RunConfig field, parser of the value text, flag help)
 _KEYS = {
-    "k": ("k", _integer, None),
-    "l": ("l", _length, "aisle length in meters"),
-    "wa": ("wa", _length, "aisle spacing in meters"),
-    "v": ("v", _number(_SPEED_UNITS, "speed"), "walking speed, e.g. '3 km/h' or '0.8 m/s'"),
+    "k": ("k", _count("aisle count"), None),
+    "l": ("l", _number(_METERS, "length", positive=True), "aisle length in meters"),
+    "wa": ("wa", _number(_METERS, "length"), "aisle spacing in meters"),
+    "v": ("v", _number(_SPEED_UNITS, "speed", positive=True), "walking speed, e.g. '3 km/h' or '0.8 m/s'"),
     "dist": ("dist", _dist, "order-size spec, e.g. det:3, spois:4, geom:32, snbin:7:31"),
     "pick_mean": ("pick_mean", _number({"": 1.0, "s": 1.0}, "duration"), None),
     "pick_scv": ("pick_scv", _number({"": 1.0}, "ratio"), None),
     "heuristics": ("heuristics", _heuristics, "restrict to one heuristic (repeatable)"),
-    "pickers": ("pickers", _integer, "number of pickers c, any integer >= 1"),
-    "lambda": ("lam", _number(_RATE_UNITS, "rate"), "orders per hour"),
-    "samples": ("samples", _integer, None),
-    "seed": ("seed", _integer, None),
+    "pickers": ("pickers", _count("picker count"), "number of pickers c, any integer >= 1"),
+    "lambda": ("lam", _number(_RATE_UNITS, "rate", positive=True), "orders per hour"),
+    "samples": ("samples", _count("replication count", least=2), None),
+    "seed": ("seed", _count("seed", least=0), None),
     "out": ("out", lambda token, key: token.strip(), "output CSV path (default: stdout)"),
-    "total_length": ("total_length", _length, None),
-    "k_min": ("k_min", _integer, None),
-    "k_max": ("k_max", _integer, None),
+    "total_length": ("total_length", _number(_METERS, "length", positive=True), None),
+    "k_min": ("k_min", _count("aisle count"), None),
+    "k_max": ("k_max", _count("aisle count"), None),
 }
 
 
@@ -212,15 +218,8 @@ def _pick(cfg: RunConfig) -> PickTimeModel:
 
 
 def _scenario(cfg: RunConfig) -> QueueScenario:
-    """The queue of a run; a value it refuses is reported under its key."""
     _require(cfg, "pickers", "lambda")
-    key = "pickers"
-    try:
-        c = as_count(cfg.pickers, "picker count")
-        key = "lambda"
-        return QueueScenario(c=c, lam=cfg.lam / 3600.0)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
+    return QueueScenario(c=cfg.pickers, lam=cfg.lam / 3600.0)
 
 
 def _model(cfg: RunConfig):
@@ -277,7 +276,7 @@ def _cmd_layout(cfg: RunConfig) -> int:
         _require(cfg, "k", "l")
         total = cfg.k * cfg.l
     if cfg.k_min > cfg.k_max:
-        raise ConfigError("k_min must be <= k_max")
+        raise ConfigError(f"keys 'k_min' and 'k_max': k_min must be <= k_max, got {cfg.k_min} > {cfg.k_max}")
     dist, pick = parse_dist_spec(cfg.dist), _pick(cfg)
     scenario = _scenario(cfg) if cfg.pickers is not None or cfg.lam is not None else None
     rows = layout_sweep(total, range(cfg.k_min, cfg.k_max + 1), cfg.wa, cfg.v, dist, pick,

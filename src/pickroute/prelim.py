@@ -14,10 +14,10 @@ an order-size distribution) and is expressed through the order-size PGF:
 
 Conditional-event formulas depend on the aisle span ``d = kplus - kminus``
 only, never on the individual aisle indices.  Return, midpoint and largest
-gap need the PGF on one lattice per unit count u (u = 1 whole aisles, u = 2
-half-aisles), h = u k: the values P(j/h) and P'(j/h) for j = 0..h, and the
-rows P((j + x)/h) for j < h on the nodes of the rule in
-:mod:`pickroute.quadrature`, each evaluated once per model and unit count
+gap need the PGF on one aisle lattice, the values P(j/k) and P'(j/k) for
+j = 0..k, and one table per unit count u (u = 1 whole aisles, u = 2
+half-aisles), h = u k, of the rows P((j + x)/h) for j < h on the nodes of
+the rule in :mod:`pickroute.quadrature`; each is evaluated once per model
 and kept.  Every integral below is of rows on those nodes, taken by
 :func:`~pickroute.quadrature.integrate_1d` or
 :func:`~pickroute.quadrature.integrate_2d`.  A span-d term is a second
@@ -124,7 +124,7 @@ class AisleModel:
 def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     """(E[kplus], E[kplus^2], E[M * kplus]) for the furthest occupied aisle."""
     k = model.k
-    grid, slope = _pgf_lattice(model, 1)
+    grid, slope = _pgf_lattice(model)
     j = np.arange(k)
     p = grid[:-1]   # P(j/k)
     mean = k - math.fsum(p.tolist())
@@ -133,12 +133,10 @@ def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     return mean, second, cross_m
 
 
-@lru_cache(maxsize=2)
-def _pgf_lattice(model: AisleModel, u: int):
-    """(P(j/h), P'(j/h)) for j = 0..h on the lattice of an aisle split into
-    ``u`` units, h = u k, read-only; cached for both unit counts of a model."""
-    h = u * model.k
-    x = np.arange(h + 1) / h
+@lru_cache(maxsize=1)
+def _pgf_lattice(model: AisleModel):
+    """(P(j/k), P'(j/k)) for j = 0..k, read-only; cached per model."""
+    x = np.arange(model.k + 1) / model.k
     lattice = model.dist.pgf(x), model.dist.pgf_prime(x)
     for values in lattice:
         values.flags.writeable = False
@@ -154,9 +152,9 @@ _TABLE_ROWS = 8
 
 @lru_cache(maxsize=2)
 def _pgf_table(model: AisleModel, u: int):
-    """The rows P((j + x)/h) on the rule's nodes for j = 0..h-1 of the lattice
-    of :func:`_pgf_lattice`, read-only.  The return and span blocks below
-    read their PGF values from it and the lattice; cached for both unit
+    """The rows P((j + x)/h) on the rule's nodes for j = 0..h-1, h = u k for
+    an aisle split into ``u`` units, read-only.  The return and span blocks
+    below read their PGF values from it and the lattice; cached for both unit
     counts of a model, so that return and largest gap share one table
     whatever runs between them."""
     h = u * model.k
@@ -218,7 +216,7 @@ def sum_far_item_kplus_cross(model: AisleModel) -> float:
     E[A] = 1 - int_0^1 P((k-1+x)/k) dx is the row j = k of the same integral.
     """
     k = model.k
-    grid, rows = _pgf_lattice(model, 1)[0], _pgf_table(model, 1)
+    grid, rows = _pgf_lattice(model)[0], _pgf_table(model, 1)
     ints = integrate_1d(rows)[0]
     j = np.arange(1, k)
     return k * k * (1.0 - float(ints[-1])) - math.fsum(j * (grid[1:k] - ints[:-1]))
@@ -227,7 +225,7 @@ def sum_far_item_kplus_cross(model: AisleModel) -> float:
 def m_far_cross(model: AisleModel) -> float:
     """E[M * A_i], the order size against the furthest item in one aisle."""
     k = model.k
-    p = float(_pgf_lattice(model, 1)[0][k - 1])
+    p = float(_pgf_lattice(model)[0][k - 1])
     return model.dist.mean() - k + (k - 1) * p + integrate_1d(_pgf_table(model, 1)[-1])[0]
 
 
@@ -283,7 +281,7 @@ def gap_cond_moments(model: AisleModel) -> SpanCond:
     """Largest-gap span-d moments of X_i = 1 - D_i for an interior aisle, for
     every span d = 2..k-1."""
     k = model.k
-    grid, slope = _pgf_lattice(model, 1)
+    grid, slope = _pgf_lattice(model)
     rows = _pgf_table(model, 1)
 
     # gam(x) = E[x^N 1{event}] of an interior aisle, rows d-2, d-1, d of the
@@ -322,9 +320,9 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
     every span d = 2..k-1."""
     k = model.k
     h = 2 * k
-    grid, slope = _pgf_lattice(model, 2)
+    even, even_slope = _pgf_lattice(model)   # P(j/k), P'(j/k)
+    odd = model.dist.pgf((2 * np.arange(k) + 1) / h)   # P((2j+1)/h)
     rows = _pgf_table(model, 2)
-    even, odd, even_slope = grid[::2], grid[1::2], slope[::2]   # P(j/k); P((2j+1)/h); P'(j/k)
 
     # phi(z) = E[z^N 1{event}] of an interior half: odd rows 2d-3, 2d-1, 2d+1
     phi = np.diff(rows[1::2], 2, axis=0)
@@ -452,8 +450,10 @@ def _occupancy(model: AisleModel):
             np.subtract(q1, bracket, out=bracket)
             bracket *= pm[:, None]
             far2[band] += bracket.sum(axis=0)
+        # rows 1..b+1 need no zeroing while every block but the last has the
+        # same length b: each fill rewrites them on its band before they are
+        # read, and row b, the next row 0, stays zero off the band, as row 0 is
         q[0] = q[b]
-        q[1:, band] = 0.0
     if len(p) == n + 1:
         # order sizes beyond n occupy every aisle: only column k gains
         m = np.arange(n + 1)

@@ -80,9 +80,7 @@ def _rng_for_batch(seed: int, batch: int) -> np.random.Generator:
 def _pick_sums(pick: PickTimeModel, m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Total pick time per order: gamma with matched first two moments."""
     scv = pick.scv
-    if pick.mean == 0.0:
-        return np.zeros(m.shape)
-    if scv <= 0.0:
+    if scv <= 0.0:   # at mean 0 too, where the SCV is 0: no draw
         return m * pick.mean
     shape = 1.0 / scv
     scale = pick.mean * scv

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from pickroute.cli import (
     LEADTIME_SCHEMA,
     MOMENTS_SCHEMA,
     RunConfig,
+    _KEYS,
     emit_csv,
     main,
     parse_config,
@@ -209,7 +211,7 @@ def test_negative_seed_exits_2_naming_it(command, capsys):
     status = main([command, "--k", "2", "--l", "20", "--wa", "2.5", "--v", "3 km/h",
                    "--dist", "det:3", "--samples", "10", "--seed", "-1"])
     assert status == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: --seed: key 'seed': seed must be an integer >= 0, got -1\n"
 
 
 def test_validate_command_passes_and_is_deterministic(tmp_path):
@@ -365,8 +367,8 @@ def test_non_finite_flag_exits_2(dist, lam, message, capsys):
 
 
 @pytest.mark.parametrize("flag,token,message", [
-    ("--v", "-3 km/h", "--v: key 'v': speed must be finite and >= 0, got '-3 km/h'"),
-    ("--lambda", "-1", "--lambda: key 'lambda': rate must be finite and >= 0, got '-1'"),
+    ("--v", "-3 km/h", "--v: key 'v': speed must be finite and > 0, got '-3 km/h'"),
+    ("--lambda", "-1", "--lambda: key 'lambda': rate must be finite and > 0, got '-1'"),
     ("--pick-mean", "nan", "--pick-mean: key 'pick_mean': duration must be finite and >= 0, got 'nan'"),
 ], ids=["speed", "rate", "pick-mean"])
 def test_negative_or_nan_flag_names_flag_and_token(flag, token, message, capsys):
@@ -382,7 +384,7 @@ def test_negative_speed_config_line_names_line_and_token(tmp_path, capsys):
     path = tmp_path / "c.cfg"
     path.write_text(BASELINE.replace("v = 3 km/h", "v = -3 km/h"))
     assert main(["moments", str(path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == ("error: line 6: key 'v': speed must be finite and >= 0,"
+    assert capsys.readouterr().err == ("error: line 6: key 'v': speed must be finite and > 0,"
                                        " got '-3 km/h'\n")
 
 
@@ -562,39 +564,79 @@ def test_unknown_command_raises_config_error():
         run_command("route", RunConfig())
 
 
+@pytest.mark.parametrize("command,field,message", [
+    ("leadtime", {"pickers": 0}, "picker count must be an integer >= 1, got 0"),
+    ("simulate", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ("moments", {"v": 0.0}, "walking speed must be finite and positive, got 0.0"),
+], ids=["pickers", "seed", "v"])
+def test_hand_built_config_meets_the_library_checks(command, field, message):
+    # a RunConfig that no parser checked is refused by the library, without a key
+    cfg = replace(parse_config(BASELINE), **{"pickers": 5, "lam": 51.0, "samples": 10, **field})
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_command(command, cfg)
+
+
 @pytest.mark.parametrize("command", ["leadtime", "layout"])
-@pytest.mark.parametrize("key,message", [
-    ("pickers", "key 'pickers': picker count must be an integer >= 1, got 0"),
-    ("lambda", "key 'lambda': arrival rate must be finite and positive, got 0.0"),
+@pytest.mark.parametrize("key,line,message", [
+    ("pickers", 8, "key 'pickers': picker count must be an integer >= 1, got 0"),
+    ("lambda", 9, "key 'lambda': rate must be finite and > 0, got '0'"),
 ], ids=["pickers", "lambda"])
-def test_queue_value_errors_name_the_key(command, key, message, tmp_path, capsys):
+def test_queue_value_errors_name_the_key(command, key, line, message, tmp_path, capsys):
     # the queue's own check used to reach the user without the key's name
     queue = {"pickers": "5", "lambda": "51", key: "0"}
     sweep = ["--k-min", "2", "--k-max", "3"]
     flags = [part for name, value in queue.items() for part in ("--" + name, value)]
     shape = ["--k", "5", "--l", "20", "--wa", "2.5", "--v", "3 km/h", "--dist", "geom:32"]
     assert main([command, *shape, *sweep, *flags]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: --{key}: {message}\n"
     path = tmp_path / "c.cfg"
     path.write_text(BASELINE + "".join(f"{name} = {value}\n" for name, value in queue.items()))
     assert main([command, str(path), *sweep]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["moments", "simulate", "validate"])
 def test_commands_without_a_queue_ignore_its_keys(command, tmp_path):
+    # the queue they do not build may be unstable (rho >> 1); a value outside
+    # its key's domain is refused by every command (the every-key test below)
     out = tmp_path / "out.csv"
     args = [command, "--k", "2", "--l", "20", "--wa", "2.5", "--v", "3 km/h", "--dist", "det:2",
-            "--samples", "2000", "--seed", "1", "--pickers", "0", "--lambda", "0", "--out", str(out)]
+            "--samples", "2000", "--seed", "1", "--pickers", "1", "--lambda", "1e9", "--out", str(out)]
     assert main(args) == EXIT_OK
     assert len(read_csv(out)) > 1
+
+
+# a token outside each key's domain.  'out' is exempt: no token is refused at
+# parse time, and a path that cannot be written fails only when the CSV is.
+REFUSED = {"k": "0", "l": "0", "wa": "-1", "v": "0 km/h", "dist": "geom:0.5", "pick_mean": "-1",
+           "pick_scv": "-1", "heuristics": "foo", "pickers": "0", "lambda": "0", "samples": "1",
+           "seed": "-1", "total_length": "0", "k_min": "0", "k_max": "0"}
+
+
+@pytest.mark.parametrize("form", ["flag", "line"])
+@pytest.mark.parametrize("key", [key for key in _KEYS if key != "out"])
+def test_every_key_refuses_a_value_outside_its_domain_by_name(key, form, tmp_path, capsys):
+    token = REFUSED[key]
+    if form == "flag":
+        where = "--heuristic" if key == "heuristics" else "--" + key.replace("_", "-")
+        given = [where, token]
+    else:
+        where = "line 1"
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {token}\n")
+        given = [str(path)]
+    prefix = f"error: {where}: key {key!r}: "
+    for command in ("moments", "simulate", "leadtime", "layout", "validate"):
+        assert main([command, *given]) == EXIT_CONFIG, command
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and token in err[len(prefix):], (command, err)
 
 
 def test_layout_k_min_above_k_max_exits_2(capsys):
     status = main(["layout", "--total-length", "100", "--k-min", "4", "--k-max", "3",
                    "--wa", "2.5", "--v", "3 km/h", "--dist", "geom:18"])
     assert status == EXIT_CONFIG
-    assert "k_min must be <= k_max" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: keys 'k_min' and 'k_max': k_min must be <= k_max, got 4 > 3\n"
 
 
 def test_unreadable_config_file_exits_2(tmp_path, capsys):

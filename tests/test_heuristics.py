@@ -149,7 +149,7 @@ def test_sshaped_reads_only_the_occupancy_table():
     for k in (1, 2, 7, 64):
         model = AisleModel(k, CountedPoisson(3.0))
         prelim._occupancy(model)
-        prelim._pgf_lattice(model, 1)
+        prelim._pgf_lattice(model)
         calls.clear()
         heuristics._sshaped_sums(model)
         prelim.occupancy_law(model)
