@@ -100,6 +100,16 @@ def _number(units: dict, what: str, positive: bool = False):
 
 
 _METERS = {"": 1.0, "m": 1.0}
+_per_hour = _number(_RATE_UNITS, "rate", positive=True)
+
+
+def _rate(token: str, key: str) -> float:
+    """An arrival rate in orders/hour whose orders/second, as the queue takes
+    it, is still > 0."""
+    rate = _per_hour(token, key)
+    if rate / 3600.0 == 0.0:
+        raise ConfigError(f"key {key!r}: rate underflows to 0 orders per second, got {token!r}")
+    return rate
 
 
 def _count(what: str, least: int = 1):
@@ -139,7 +149,7 @@ _KEYS = {
     "pick_scv": ("pick_scv", _number({"": 1.0}, "ratio"), None),
     "heuristics": ("heuristics", _heuristics, "restrict to one heuristic (repeatable)"),
     "pickers": ("pickers", _count("picker count"), "number of pickers c, any integer >= 1"),
-    "lambda": ("lam", _number(_RATE_UNITS, "rate", positive=True), "orders per hour"),
+    "lambda": ("lam", _rate, "orders per hour"),
     "samples": ("samples", _count("replication count", least=2), None),
     "seed": ("seed", _count("seed", least=0), None),
     "out": ("out", lambda token, key: token.strip(), "output CSV path (default: stdout)"),
@@ -214,6 +224,10 @@ def emit_csv(rows, schema, path: str | None) -> None:
 
 
 def _pick(cfg: RunConfig) -> PickTimeModel:
+    if cfg.pick_mean * cfg.pick_mean * (1.0 + cfg.pick_scv) == math.inf:
+        raise ConfigError(f"keys 'pick_mean' and 'pick_scv': the pick-time second moment"
+                          f" pick_mean^2 (1 + pick_scv) must be finite, got {cfg.pick_mean!r}"
+                          f" and {cfg.pick_scv!r}")
     return PickTimeModel.from_scv(cfg.pick_mean, cfg.pick_scv)
 
 

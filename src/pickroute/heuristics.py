@@ -184,6 +184,8 @@ def _assemble(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: Pic
         terms["traverse_rest"] = (4 * l / v) * (e_t - 2 * l / v)
     e_t2 = math.fsum(terms.values())
     var = e_t2 - e_t * e_t
+    if not (math.isfinite(e_t2) and math.isfinite(var)):
+        raise ArithmeticError(f"{heuristic}: E[T^2] and Var(T) must be finite, got {e_t2} and {var}")
     if var < 0:
         if var < -1e-9 * max(e_t2, 1.0):
             raise ArithmeticError(f"{heuristic}: negative variance {var} beyond tolerance")

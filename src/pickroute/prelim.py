@@ -14,12 +14,12 @@ an order-size distribution) and is expressed through the order-size PGF:
 
 Conditional-event formulas depend on the aisle span ``d = kplus - kminus``
 only, never on the individual aisle indices.  Return, midpoint and largest
-gap need the PGF on one aisle lattice, the values P(j/k) and P'(j/k) for
-j = 0..k, and one table per unit count u (u = 1 whole aisles, u = 2
-half-aisles), h = u k, of the rows P((j + x)/h) for j < h on the nodes of
-the rule in :mod:`pickroute.quadrature`; each is evaluated once per model
-and kept.  Every integral below is of rows on those nodes, taken by
-:func:`~pickroute.quadrature.integrate_1d` or
+gap read the PGF from one lattice and one table per model: P(j/k) and
+P'(j/k) for j = 0..k, and the rows P((j + x)/k) for j < k on the nodes of
+the rule in :mod:`pickroute.quadrature`.  A half-aisle is an aisle of the
+model with 2k aisles and the same order sizes (items land uniformly on all
+2k), whose lattice and table midpoint reads.  Every integral below is of
+rows on those nodes, taken by :func:`~pickroute.quadrature.integrate_1d` or
 :func:`~pickroute.quadrature.integrate_2d`.  A span-d term is a second
 difference of rows in j, taken node by node for all spans 2..k-1 at once
 and then integrated against a fixed weight column: differencing first keeps
@@ -133,11 +133,21 @@ def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     return mean, second, cross_m
 
 
-@lru_cache(maxsize=1)
+# Points of the lattice per call of the PGF: under 128, every temporary stays in
+# numpy's cache of blocks under 1 KiB.  In one call, midpoint's 129 points at
+# k = 64 left malloc blocks inside freed tables, and the heap of wide-aisles
+# grew and shrank every pass (~330 more minor faults a pass, 2-vCPU VM).
+_LATTICE_POINTS = 64
+
+
+@lru_cache(maxsize=2)
 def _pgf_lattice(model: AisleModel):
-    """(P(j/k), P'(j/k)) for j = 0..k, read-only; cached per model."""
-    x = np.arange(model.k + 1) / model.k
-    lattice = model.dist.pgf(x), model.dist.pgf_prime(x)
+    """(P(j/k), P'(j/k)) for j = 0..k, read-only; cached for a model and its half model."""
+    k = model.k
+    lattice = np.empty(k + 1), np.empty(k + 1)
+    for lo in range(0, k + 1, _LATTICE_POINTS):
+        x = np.arange(lo, min(lo + _LATTICE_POINTS, k + 1)) / k
+        lattice[0][lo:lo + x.size], lattice[1][lo:lo + x.size] = model.dist.pgf(x), model.dist.pgf_prime(x)
     for values in lattice:
         values.flags.writeable = False
     return lattice
@@ -151,17 +161,15 @@ _TABLE_ROWS = 8
 
 
 @lru_cache(maxsize=2)
-def _pgf_table(model: AisleModel, u: int):
-    """The rows P((j + x)/h) on the rule's nodes for j = 0..h-1, h = u k for
-    an aisle split into ``u`` units, read-only.  The return and span blocks
-    below read their PGF values from it and the lattice; cached for both unit
-    counts of a model, so that return and largest gap share one table
-    whatever runs between them."""
-    h = u * model.k
-    top = np.arange(h)[:, None]
-    rows = np.empty((h, NODES.size))
-    for lo in range(0, h, _TABLE_ROWS):
-        rows[lo:lo + _TABLE_ROWS] = model.dist.pgf((top[lo:lo + _TABLE_ROWS] + NODES) / h)
+def _pgf_table(model: AisleModel):
+    """The rows P((j + x)/k) on the rule's nodes for j = 0..k-1, read-only.
+    The return and span blocks below read their PGF values from it and the
+    lattice; cached for a model and its half-aisle model, so that return and
+    largest gap share one table whatever runs between them."""
+    top = np.arange(model.k)[:, None]
+    rows = np.empty((model.k, NODES.size))
+    for lo in range(0, model.k, _TABLE_ROWS):
+        rows[lo:lo + _TABLE_ROWS] = model.dist.pgf((top[lo:lo + _TABLE_ROWS] + NODES) / model.k)
     rows.flags.writeable = False
     return rows
 
@@ -194,7 +202,7 @@ def far_item_moments(model: AisleModel) -> tuple[float, float, float]:
     ``A`` is the furthest item location as a fraction of the aisle length; the
     cross moment pairs two distinct aisles and is NaN when k = 1.
     """
-    rows = _pgf_table(model, 1)
+    rows = _pgf_table(model)
     last = rows[-1]   # P((k - 1 + x)/k)
     int_p = integrate_1d(last)[0]
     mean = 1.0 - int_p
@@ -216,7 +224,7 @@ def sum_far_item_kplus_cross(model: AisleModel) -> float:
     E[A] = 1 - int_0^1 P((k-1+x)/k) dx is the row j = k of the same integral.
     """
     k = model.k
-    grid, rows = _pgf_lattice(model)[0], _pgf_table(model, 1)
+    grid, rows = _pgf_lattice(model)[0], _pgf_table(model)
     ints = integrate_1d(rows)[0]
     j = np.arange(1, k)
     return k * k * (1.0 - float(ints[-1])) - math.fsum(j * (grid[1:k] - ints[:-1]))
@@ -226,7 +234,7 @@ def m_far_cross(model: AisleModel) -> float:
     """E[M * A_i], the order size against the furthest item in one aisle."""
     k = model.k
     p = float(_pgf_lattice(model)[0][k - 1])
-    return model.dist.mean() - k + (k - 1) * p + integrate_1d(_pgf_table(model, 1)[-1])[0]
+    return model.dist.mean() - k + (k - 1) * p + integrate_1d(_pgf_table(model)[-1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +248,7 @@ def gap_moments(model: AisleModel) -> tuple[float, float, float]:
     an empty aisle has D = 1 so 1 - D contributes nothing).  The cross moment
     needs two distinct aisles and is NaN for k = 1.
     """
-    rows = _pgf_table(model, 1)
+    rows = _pgf_table(model)
     last = rows[-1]   # P((k - 1 + x)/k)
     int_log = integrate_1d(last, _log1m)[0]
     mean = 1.0 + int_log
@@ -282,7 +290,7 @@ def gap_cond_moments(model: AisleModel) -> SpanCond:
     every span d = 2..k-1."""
     k = model.k
     grid, slope = _pgf_lattice(model)
-    rows = _pgf_table(model, 1)
+    rows = _pgf_table(model)
 
     # gam(x) = E[x^N 1{event}] of an interior aisle, rows d-2, d-1, d of the
     # table: spans 2..k-1 down, nodes across
@@ -318,16 +326,15 @@ def gap_cond_moments(model: AisleModel) -> SpanCond:
 def far_half_cond_moments(model: AisleModel) -> SpanCond:
     """Midpoint span-d moments of X_i = A^f for an interior half-aisle, for
     every span d = 2..k-1."""
-    k = model.k
-    h = 2 * k
-    even, even_slope = _pgf_lattice(model)   # P(j/k), P'(j/k)
-    odd = model.dist.pgf((2 * np.arange(k) + 1) / h)   # P((2j+1)/h)
-    rows = _pgf_table(model, 2)
+    half = AisleModel(2 * model.k, model.dist)
+    grid, slope = _pgf_lattice(half)
+    even, odd, even_slope = grid[::2], grid[1::2], slope[::2]   # 2j/2k is j/k
+    rows = _pgf_table(half)
 
     # phi(z) = E[z^N 1{event}] of an interior half: odd rows 2d-3, 2d-1, 2d+1
     phi = np.diff(rows[1::2], 2, axis=0)
     prob = np.diff(even, 2)[1:]
-    dphi1 = (even_slope[3:] - 2 * even_slope[2:-1] + even_slope[1:-2]) / h
+    dphi1 = (even_slope[3:] - 2 * even_slope[2:-1] + even_slope[1:-2]) / half.k
 
     int_phi = integrate_1d(phi)[0]
     int_zphi = integrate_1d(phi, _x)[0]
@@ -342,7 +349,7 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
 
     # endpoint aisle halves: distinct joint PGF (the tagged endpoint half may
     # be empty while the endpoint aisle is still occupied through its twin)
-    dpsi1 = (even_slope[3:] - even_slope[2:-1]) / h
+    dpsi1 = (even_slope[3:] - even_slope[2:-1]) / half.k
     bracket = even[3:] - even[2:-1] - odd[2:] + odd[1:-1]
     n_endpoint = dpsi1 - bracket
     return SpanCond(prob, mean, second, cross, n_same, n_other, n_endpoint)

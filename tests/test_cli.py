@@ -595,6 +595,46 @@ def test_queue_value_errors_name_the_key(command, key, line, message, tmp_path, 
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
+def _given(form: str, values: dict, tmp_path) -> list:
+    """The BASELINE warehouse plus ``values`` (config key -> token), all as
+    flags or all as config lines."""
+    if form == "flag":
+        flags = {"k": "5", "l": "20", "wa": "2.5", "v": "3 km/h", "dist": "geom:32", **values}
+        return [part for key, token in flags.items() for part in ("--" + key.replace("_", "-"), token)]
+    path = tmp_path / "c.cfg"
+    path.write_text(BASELINE + "".join(f"{key} = {token}\n" for key, token in values.items()))
+    return [str(path)]
+
+
+@pytest.mark.parametrize("form,where", [("flag", "--lambda"), ("line", "line 9")])
+def test_rate_that_underflows_per_second_names_its_key(form, where, tmp_path, capsys):
+    # 1e-321 orders/hour is > 0, but 0.0 orders/second: the queue used to
+    # refuse it without the key
+    given = _given(form, {"pickers": "5", "lambda": "1e-321"}, tmp_path)
+    assert main(["leadtime", *given]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: {where}: key 'lambda': rate underflows to 0 orders"
+                                       f" per second, got '1e-321'\n")
+
+
+@pytest.mark.parametrize("form", ["flag", "line"])
+@pytest.mark.parametrize("pick,got", [({"pick_mean": "1e160"}, "1e+160 and 0.0"),
+                                      ({"pick_mean": "1e200", "pick_scv": "1e200"}, "1e+200 and 1e+200")],
+                         ids=["mean", "mean-and-scv"])
+def test_pick_second_moment_beyond_a_double_names_both_keys(pick, got, form, tmp_path, capsys):
+    # pick_mean^2 (1 + pick_scv) is inf; the library used to refuse it without the keys
+    assert main(["moments", *_given(form, pick, tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: keys 'pick_mean' and 'pick_scv': the pick-time second moment"
+                                       f" pick_mean^2 (1 + pick_scv) must be finite, got {got}\n")
+
+
+def test_overflowing_report_exits_2(tmp_path, capsys):
+    # every row used to print E_T2 = inf and Var_T = SD_T = NA, with exit status 0
+    given = _given("flag", {"wa": "1e200"}, tmp_path)
+    assert main(["moments", *given, "--heuristic", "midpoint"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: numerical failure: midpoint: E[T^2] and Var(T) must be finite,"
+                                       " got inf and nan\n")
+
+
 @pytest.mark.parametrize("command", ["moments", "simulate", "validate"])
 def test_commands_without_a_queue_ignore_its_keys(command, tmp_path):
     # the queue they do not build may be unstable (rho >> 1); a value outside

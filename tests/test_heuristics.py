@@ -290,10 +290,11 @@ def test_largest_gap_with_steep_pgf(k):
     assert rep.var_t >= 0.0
 
 
-def test_pgf_table_built_once_per_unit_count():
-    # return and largest gap read the u = 1 table and midpoint the u = 2 one;
-    # a layout cell runs them in that order, and the u = 1 table outlives
-    # midpoint's, so one model builds two tables, not three
+def test_pgf_table_built_once_per_model():
+    # return and largest gap read the model's table and midpoint the table of
+    # its half-aisle model, the one with 2k aisles; a layout cell runs them in
+    # that order, and the model's table outlives midpoint's, so one model
+    # builds two tables, not three
     cfg, pick = WarehouseConfig(12, 20.0, 2.5, 1.0), PickTimeModel.from_scv(5.0, 1.0)
     dist = parse_dist_spec("geom:17.25")   # a model no other test builds
     before = prelim._pgf_table.cache_info().misses
@@ -326,6 +327,15 @@ def test_negative_variance_guard(monkeypatch, capsys):
                    "--dist", "geom:8", "--heuristic", "return"])
     assert status == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: numerical failure: return: negative variance")
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_overflowing_report_is_refused(heuristic):
+    # l = 1e200 m: E[T^2] overflows to inf and Var_T = inf - inf is NaN, which
+    # the negative-variance guard let through
+    cfg = WarehouseConfig(3, 1e200, 2.5, 0.8)
+    with pytest.raises(ArithmeticError, match=rf"^{heuristic}: E\[T\^2\] and Var\(T\) must be finite, got inf and nan$"):
+        compute_moments(cfg, Deterministic(3), PickTimeModel(0.0, 0.0), heuristic)
 
 
 def test_unknown_heuristic_rejected():

@@ -142,6 +142,15 @@ def test_numerical_failure_is_one_na_cell(monkeypatch):
                if (row.k, h) != (3, "midpoint"))
 
 
+def test_overflowing_report_is_one_na_cell_each():
+    # an aisle spacing of 1e200 m overflows E[T^2] in every cell, which
+    # used to keep its E_T as if the report were sound
+    rows = layout_sweep(100.0, [2, 3], 1e200, V, DIST, PICK, QueueScenario(5, 51 / 3600))
+    cells = [cell for row in rows for cell in row.cells.values()]
+    assert len(cells) == 8
+    assert all(cell.e_t != cell.e_t and cell.e_r is None for cell in cells)
+
+
 def test_invalid_law_raises_instead_of_na_cells():
     # a spec string is not a law: an error in the call, not a numerical failure of a cell
     with pytest.raises(AttributeError):

@@ -242,6 +242,43 @@ def test_span_block_cross_terms_match_high_precision_oracle(spec, d):
         assert block(model).cross[d - 2] == pytest.approx(want[name][3], rel=2e-10, abs=0.0), name
 
 
+@pytest.mark.parametrize("spec", ["det:3", "geom:18", "geom:1e6", "spois:1e5", "snbin:50:1e4"])
+def test_half_model_lattice_holds_the_aisle_lattice(spec):
+    # midpoint reads P(j/k) and P'(j/k) from the even entries of the lattice
+    # of the model with 2k aisles: 2j/2k and j/k round to the same double.
+    # The lattice is evaluated in blocks, with the bits of one call.
+    dist = parse_dist_spec(spec)
+    for k in (1, 2, 3, 5, 24, 127, 128, 4096):
+        aisle = prelim._pgf_lattice(AisleModel(k, dist))
+        half = prelim._pgf_lattice(AisleModel(2 * k, dist))
+        x = np.arange(k + 1) / k
+        for whole, halves, one_call in zip(aisle, half, (dist.pgf(x), dist.pgf_prime(x))):
+            assert halves[::2].tobytes() == whole.tobytes() == one_call.tobytes(), k
+
+
+def test_far_half_cond_moments_reads_the_half_model_lattice_and_table():
+    # midpoint evaluates no PGF of its own: everything comes from the lattice
+    # and the table of the model with 2k aisles
+    calls = []
+
+    class CountedGeometric(Geometric):
+        def pgf(self, x):
+            calls.append("pgf")
+            return super().pgf(x)
+
+        def pgf_prime(self, x):
+            calls.append("pgf_prime")
+            return super().pgf_prime(x)
+
+    dist = CountedGeometric(1 / 9)
+    half = AisleModel(14, dist)
+    prelim._pgf_lattice(half)
+    prelim._pgf_table(half)
+    calls.clear()
+    prelim.far_half_cond_moments(AisleModel(7, dist))
+    assert calls == []
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_steep_pgf_integrals(k):
     # spois:1e5 climbs within k/mean of x = 1; an adaptive rule without the

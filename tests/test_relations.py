@@ -18,11 +18,12 @@ TOL = 1e-15
 LAWS = ["det:3", "geom:32", "spois:1e5", "snbin:3:9"]
 
 
-def report(k: int, spec: str, heuristic: str, scale: float = 1.0):
+def report(k: int, spec: str, heuristic: str, scale: float = 1.0, wa: float = WA, v: float = V,
+           pick_mean: float = PICK_MEAN):
     """The report with the aisle length, the aisle spacing and the pick mean
     all multiplied by ``scale``."""
-    cfg = WarehouseConfig(k, scale * L, scale * WA, V)
-    pick = PickTimeModel.from_scv(scale * PICK_MEAN, PICK_SCV)
+    cfg = WarehouseConfig(k, scale * L, scale * wa, v)
+    pick = PickTimeModel.from_scv(scale * pick_mean, PICK_SCV)
     return compute_moments(cfg, parse_dist_spec(spec), pick, heuristic)
 
 
@@ -73,3 +74,25 @@ def test_lengths_and_pick_mean_times_3_scale_the_moments(spec, k):
         base = report(k, spec, h)
         assert_agree(report(k, spec, h, scale=3.0), 3 * base.e_t, 9 * base.e_t2, 9 * base.var_t,
                      var_rel=5e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 24])
+@pytest.mark.parametrize("spec", LAWS)
+def test_no_aisle_spacing_leaves_all_travel_within_aisles(spec, k):
+    # wa = 0: the cross-aisle walk adds an exact 0, so E_TTr is E_TW bit for bit
+    for h in HEURISTICS:
+        rep = report(k, spec, h, wa=0.0)
+        assert rep.e_ttr == rep.e_tw, h
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 24])
+@pytest.mark.parametrize("spec", LAWS)
+def test_a_third_of_the_speed_scales_the_travel_moments(spec, k):
+    # with no pick time T is a sum of lengths over v, so T scales by 3;
+    # measured: E_T, E_TW and E_T2 within 2.2e-16 of 3 E_T, 3 E_TW and 9 E_T2,
+    # and Var_T within 4.3e-16 E_T2 of 9 Var_T
+    for h in HEURISTICS:
+        base = report(k, spec, h, pick_mean=0.0)
+        slow = report(k, spec, h, v=V / 3, pick_mean=0.0)
+        assert_agree(slow, 3 * base.e_t, 9 * base.e_t2, 9 * base.var_t)
+        assert slow.e_tw == pytest.approx(3 * base.e_tw, rel=TOL, abs=0)
