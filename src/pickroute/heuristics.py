@@ -164,7 +164,9 @@ def _assemble(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: Pic
     E[kplus X] and E[M X]; the pick-time and cross-aisle terms are common to
     every heuristic, and E[T^2] is the sum of the named terms."""
     ex, ex2, ekx, emx = sums
-    dist, l, wa, v = model.dist, cfg.l, cfg.wa, cfg.v
+    # a one-aisle route crosses no aisle, so wa is 0 there: an overflowing
+    # wa^2 times the exact 0 of kp_sec - 2 kp_mean + 1 would be NaN
+    dist, l, wa, v = model.dist, cfg.l, (cfg.wa if model.k > 1 else 0.0), cfg.v
     em, ep = dist.mean(), pick.mean
     kp_mean, kp_sec, m_kp = prelim.kplus_moments(model)
     unit = 2 * l / (u * v)   # walking time per unit of X

@@ -6,11 +6,13 @@ picking-time mean and, when a queue scenario is given, the mean lead time.
 A cell whose queue is unstable has no lead time, and a cell whose moments
 fail numerically (``ArithmeticError``, such as a negative variance from lost
 precision or an ``IntegrationError``) has NaN E[T]; both render as NA without
-aborting the sweep.  Any other error, such as an invalid argument, raises.
+aborting the sweep, and nothing is logged: ``pickroute moments`` at that k and
+heuristic states the reason.  Any other error, such as an invalid argument or
+an unknown heuristic name, raises.
 """
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
@@ -18,8 +20,6 @@ from .orderdist import OrderSizeDistribution, as_count
 from .queueing import QueueScenario, lead_time_estimate
 
 __all__ = ["LayoutCell", "LayoutRow", "NoFeasibleLayoutError", "layout_sweep", "recommend"]
-
-log = logging.getLogger(__name__)
 
 _METRICS = ("mean_pick_time", "lead_time")
 
@@ -46,16 +46,13 @@ def layout_sweep(total_length: float, k_range, wa: float, v: float,
                  scenario: QueueScenario | None = None,
                  heuristics=HEURISTICS) -> list[LayoutRow]:
     """One row per k in ``k_range``, with l = total_length / k."""
-    if not total_length > 0:
-        raise ValueError(f"total aisle length must be positive, got {total_length!r}")
+    if not (math.isfinite(total_length) and total_length > 0):
+        raise ValueError(f"total aisle length must be finite and positive, got {total_length!r}")
     ks = sorted({as_count(k, "aisle count in k_range") for k in k_range})
     if not ks:
         raise ValueError("k_range must contain integers >= 1")
     if isinstance(heuristics, str):
         raise ValueError(f"heuristics must be a sequence of names, got the string {heuristics!r}")
-    for h in heuristics:
-        if h not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {h!r}")
 
     rows = []
     for k in ks:
@@ -66,7 +63,6 @@ def layout_sweep(total_length: float, k_range, wa: float, v: float,
             try:
                 report = compute_moments(cfg, dist, pick, h)
             except ArithmeticError:
-                log.exception("layout cell k=%d heuristic=%s failed", k, h)
                 cells[h] = LayoutCell(float("nan"), None)
                 continue
             e_r = None

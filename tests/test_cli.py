@@ -635,6 +635,31 @@ def test_overflowing_report_exits_2(tmp_path, capsys):
                                        " got inf and nan\n")
 
 
+def test_one_aisle_report_at_huge_wa_is_the_wa_0_report(tmp_path):
+    # a one-aisle route crosses no aisle; wa = 1e200 was refused with a NaN E[T^2]
+    reports = {}
+    for wa in ("1e200", "0"):
+        out = tmp_path / f"wa{wa}.csv"
+        assert main(["moments", "--k", "1", "--l", "20", "--wa", wa, "--v", "1", "--dist", "geom:3",
+                     "--out", str(out)]) == EXIT_OK
+        reports[wa] = [row[:3] + row[4:] for row in read_csv(out)]   # all but the wa column
+    assert reports["1e200"] == reports["0"]
+    assert len(reports["0"]) == 5
+
+
+def test_layout_failed_cells_are_na_and_print_nothing(tmp_path, capfd, caplog):
+    # each NA cell used to log its whole traceback, which reached stderr (88
+    # lines here) when no logging was configured; under pytest it reaches caplog
+    out = tmp_path / "layout.csv"
+    cfg = os.path.join(os.path.dirname(__file__), "golden", "baseline.cfg")
+    assert main(["layout", cfg, "--wa", "1e200", "--k-min", "2", "--k-max", "3", "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out)
+    assert len(rows) == 1 + 8
+    assert all(row[3:] == ["NA", "NA"] for row in rows[1:])
+    assert capfd.readouterr().err == ""
+    assert caplog.records == []
+
+
 @pytest.mark.parametrize("command", ["moments", "simulate", "validate"])
 def test_commands_without_a_queue_ignore_its_keys(command, tmp_path):
     # the queue they do not build may be unstable (rho >> 1); a value outside

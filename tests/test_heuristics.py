@@ -338,6 +338,20 @@ def test_overflowing_report_is_refused(heuristic):
         compute_moments(cfg, Deterministic(3), PickTimeModel(0.0, 0.0), heuristic)
 
 
+@pytest.mark.parametrize("spec", ["det:3", "geom:3", "spois:4", "snbin:3:9"])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_one_aisle_report_does_not_depend_on_wa(heuristic, spec):
+    # a one-aisle route crosses no aisle; wa = 1e200 was refused as NaN,
+    # from an overflowing wa^2 times the exact 0 of its cross-aisle factor
+    dist, pick = parse_dist_spec(spec), PickTimeModel(5.0, 30.0)
+    ref = compute_moments(WarehouseConfig(1, 20.0, 0.0, 1.0), dist, pick, heuristic)
+    for wa in (2.5, 1e200):
+        rep = compute_moments(WarehouseConfig(1, 20.0, wa, 1.0), dist, pick, heuristic)
+        assert (rep.e_t, rep.e_t2, rep.var_t, rep.sd_t, rep.e_tw, rep.e_ttr) == \
+            (ref.e_t, ref.e_t2, ref.var_t, ref.sd_t, ref.e_tw, ref.e_ttr)
+        assert rep.terms == ref.terms
+
+
 def test_unknown_heuristic_rejected():
     with pytest.raises(ValueError):
         compute_moments(STANDARD, Deterministic(2), PickTimeModel(0.0, 0.0), "optimal")

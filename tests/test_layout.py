@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pickroute import (
@@ -107,12 +109,17 @@ def test_failed_cell_renders_nan_without_aborting():
 def test_layout_sweep_validation():
     with pytest.raises(ValueError):
         layout_sweep(0.0, [2], 2.5, V, DIST, PICK)
+    with pytest.raises(ValueError, match="total aisle length must be finite and positive, got inf"):
+        layout_sweep(math.inf, [2], 2.5, V, DIST, PICK)
     with pytest.raises(ValueError):
         layout_sweep(100.0, [], 2.5, V, DIST, PICK)
     with pytest.raises(ValueError):
         layout_sweep(100.0, [0, 2], 2.5, V, DIST, PICK)
     with pytest.raises(ValueError):
         layout_sweep(100.0, [2], 2.5, V, DIST, PICK, heuristics=("bogus",))
+    # compute_moments checks each name, at the first cell that uses it
+    with pytest.raises(ValueError, match="unknown heuristic 'bogus'"):
+        layout_sweep(100.0, [2, 3], 2.5, V, DIST, PICK, heuristics=("return", "bogus"))
 
 
 def test_layout_sweep_refuses_one_name_as_a_string():
