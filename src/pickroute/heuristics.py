@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import prelim
-from .orderdist import OrderSizeDistribution, as_count
+from .orderdist import OrderSizeDistribution, as_count, as_real
 from .prelim import AisleModel
 
 __all__ = [
@@ -59,12 +59,9 @@ class WarehouseConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_count(self.k, "aisle count"))
-        if not (math.isfinite(self.l) and self.l > 0):
-            raise ValueError(f"aisle length must be finite and positive, got {self.l!r}")
-        if not (math.isfinite(self.wa) and self.wa >= 0):
-            raise ValueError(f"aisle spacing must be finite and >= 0, got {self.wa!r}")
-        if not (math.isfinite(self.v) and self.v > 0):
-            raise ValueError(f"walking speed must be finite and positive, got {self.v!r}")
+        as_real(self.l, "aisle length", positive=True)
+        as_real(self.wa, "aisle spacing")
+        as_real(self.v, "walking speed", positive=True)
 
 
 @dataclass(frozen=True)
@@ -75,23 +72,21 @@ class PickTimeModel:
     second_moment: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and self.mean >= 0):
-            raise ValueError(f"pick-time mean must be finite and >= 0, got {self.mean!r}")
-        if not (math.isfinite(self.second_moment) and self.second_moment >= self.mean ** 2 - 1e-12):
+        as_real(self.mean, "pick-time mean")
+        if not (math.isfinite(self.second_moment) and self.second_moment >= self.mean * self.mean - 1e-12):
             raise ValueError(f"pick-time second moment must be finite and >= mean^2, got {self.second_moment!r}")
 
     @classmethod
     def from_scv(cls, mean: float, scv: float) -> "PickTimeModel":
         """Build from mean and squared coefficient of variation."""
-        if not (math.isfinite(scv) and scv >= 0):
-            raise ValueError(f"squared coefficient of variation must be finite and >= 0, got {scv!r}")
+        as_real(scv, "squared coefficient of variation")
         return cls(mean, mean * mean * (1.0 + scv))
 
     @property
     def scv(self) -> float:
         if self.mean == 0:
             return 0.0
-        return self.second_moment / self.mean ** 2 - 1.0
+        return self.second_moment / (self.mean * self.mean) - 1.0
 
 
 @dataclass(frozen=True)
@@ -178,11 +173,11 @@ def _assemble(heuristic: str, cfg: WarehouseConfig, model: AisleModel, pick: Pic
         "within2": unit * unit * ex2,
         "pick_within": 2 * unit * ep * emx,
         "within_cross": 2 * unit * (2 * wa / v) * (ekx - ex),
-        "cross2": (4 * wa * wa / v ** 2) * (kp_sec - 2 * kp_mean + 1),
+        "cross2": (4 * wa * wa / (v * v)) * (kp_sec - 2 * kp_mean + 1),
         "pick_cross": (4 * wa / v) * ep * (m_kp - em),
     }
     if traverse:
-        terms["traverse2"] = 4 * l * l / v ** 2
+        terms["traverse2"] = 4 * l * l / (v * v)
         terms["traverse_rest"] = (4 * l / v) * (e_t - 2 * l / v)
     e_t2 = math.fsum(terms.values())
     var = e_t2 - e_t * e_t

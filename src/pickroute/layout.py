@@ -12,11 +12,10 @@ an unknown heuristic name, raises.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .heuristics import HEURISTICS, PickTimeModel, WarehouseConfig, compute_moments
-from .orderdist import OrderSizeDistribution, as_count
+from .orderdist import OrderSizeDistribution, as_count, as_real
 from .queueing import QueueScenario, lead_time_estimate
 
 __all__ = ["LayoutCell", "LayoutRow", "NoFeasibleLayoutError", "layout_sweep", "recommend"]
@@ -46,8 +45,7 @@ def layout_sweep(total_length: float, k_range, wa: float, v: float,
                  scenario: QueueScenario | None = None,
                  heuristics=HEURISTICS) -> list[LayoutRow]:
     """One row per k in ``k_range``, with l = total_length / k."""
-    if not (math.isfinite(total_length) and total_length > 0):
-        raise ValueError(f"total aisle length must be finite and positive, got {total_length!r}")
+    as_real(total_length, "total aisle length", positive=True)
     ks = sorted({as_count(k, "aisle count in k_range") for k in k_range})
     if not ks:
         raise ValueError("k_range must contain integers >= 1")

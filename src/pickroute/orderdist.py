@@ -106,6 +106,14 @@ def as_count(value, what: str, least: int = 1) -> int:
     return int(value)
 
 
+def as_real(value, what: str, positive: bool = False):
+    """``value`` unchanged, for a real parameter that must be finite and > 0
+    if ``positive``, else >= 0."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{what} must be finite and {'positive' if positive else '>= 0'}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OrderSizeDistribution:
     """Base class; concrete subclasses implement the PGF, its derivative, the
@@ -221,8 +229,7 @@ class ShiftedPoisson(OrderSizeDistribution):
     lam: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"shifted-Poisson rate must be finite and >= 0, got {self.lam!r}")
+        as_real(self.lam, "shifted-Poisson rate")
         self._check_factorial2()
 
     def pgf(self, x):

@@ -29,6 +29,13 @@ first loses (the largest-gap cross term at k = 64, d = 3, geom:18 went from
 is the same second difference one lattice row lower (s < 1) and where it is
 (s = 1 + x), against the two halves of its kernel.
 
+A unit's mean, second moment and pair cross moment, joint with an event, are
+written once per kind, X = A in :func:`_far_moments` and X = 1 - D in
+:func:`_gap_moments`, from the event's probability, the rows
+E[x^N 1{event}] and the pair's kernel integral.  A whole aisle is the
+certain event, with probability 1 and table rows k - 1 and k - 2; a span d
+supplies second differences of rows.
+
 The occupancy quantities are PGF sums with alternating signs, which cancel
 like 3^k.  They are instead taken from one table of numbers in [0, 1],
 
@@ -196,6 +203,21 @@ def _x_gap_kernel(x):
 # furthest-item location moments
 # ---------------------------------------------------------------------------
 
+def _far_moments(prob, g, pair):
+    """(int g, E[X 1{event}], E[X^2 1{event}], E[X_i X_m 1{event}]) for X = A
+    of one unit, the event of probability ``prob``, ``g`` = E[x^N 1{event}] on
+    the nodes and ``pair`` the kernel integral of two units (NaN if none)."""
+    int_g = integrate_1d(g)[0]
+    return int_g, prob - int_g, prob - 2 * integrate_1d(g, _x)[0], prob - 2 * int_g + pair
+
+
+def _gap_moments(prob, g, pair):
+    """As :func:`_far_moments` for X = 1 - D, int g log(1 - x) first."""
+    int_log = integrate_1d(g, _log1m)[0]
+    head = prob + 2 * int_log
+    return int_log, prob + int_log, head + integrate_1d(g, _x_gap_kernel)[0], head + pair
+
+
 def far_item_moments(model: AisleModel) -> tuple[float, float, float]:
     """(E[A], E[A^2], E[A_i A_j]) for the furthest item in an aisle.
 
@@ -203,17 +225,9 @@ def far_item_moments(model: AisleModel) -> tuple[float, float, float]:
     cross moment pairs two distinct aisles and is NaN when k = 1.
     """
     rows = _pgf_table(model)
-    last = rows[-1]   # P((k - 1 + x)/k)
-    int_p = integrate_1d(last)[0]
-    mean = 1.0 - int_p
-    second = 1.0 - 2.0 * integrate_1d(last, _x)[0]
-    if model.k >= 2:
-        # the box kernel of the pair's sum s: row k - 2 for s < 1, row k - 1
-        # for s = 1 + x
-        cross = 1.0 - 2.0 * int_p + integrate_2d(rows[-2], last, BOX_HALVES)[0]
-    else:
-        cross = math.nan
-    return mean, second, cross
+    # the box kernel of the pair's sum s: row k - 2 for s < 1, row k - 1 for s = 1 + x
+    pair = integrate_2d(rows[-2], rows[-1], BOX_HALVES)[0] if model.k >= 2 else math.nan
+    return _far_moments(1.0, rows[-1], pair)[1:]
 
 
 def sum_far_item_kplus_cross(model: AisleModel) -> float:
@@ -249,17 +263,8 @@ def gap_moments(model: AisleModel) -> tuple[float, float, float]:
     needs two distinct aisles and is NaN for k = 1.
     """
     rows = _pgf_table(model)
-    last = rows[-1]   # P((k - 1 + x)/k)
-    int_log = integrate_1d(last, _log1m)[0]
-    mean = 1.0 + int_log
-    second = 1.0 + 2.0 * int_log + integrate_1d(last, _x_gap_kernel)[0]
-    if model.k >= 2:
-        # the log kernel of the pair's sum s: row k - 2 for s < 1, row k - 1
-        # for s = 1 + x
-        cross = 1.0 + 2.0 * int_log + integrate_2d(rows[-2], last, LOG_HALVES)[0]
-    else:
-        cross = math.nan
-    return mean, second, cross
+    pair = integrate_2d(rows[-2], rows[-1], LOG_HALVES)[0] if model.k >= 2 else math.nan
+    return _gap_moments(1.0, rows[-1], pair)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +309,15 @@ def gap_cond_moments(model: AisleModel) -> SpanCond:
     dlam1 = (slope[3:] - slope[2:-1]) / k
 
     int_gam = integrate_1d(gam)[0]
-    int_gam_log = integrate_1d(gam, _log1m)[0]
-    int_gam_kernel = integrate_1d(gam, _x_gap_kernel)[0]
     r = integrate_1d(prob[:, None] - gam, _slope)[0]
     r_end = integrate_1d(end1[:, None] - step[1:], _slope)[0]
-
-    mean = prob + int_gam_log
-    second = prob + 2 * int_gam_log + int_gam_kernel
-    n_same = dgam1 - int_gam_log - r - int_gam
     # two interior aisles need d >= 3; their pair PGF depends on its two
     # arguments only through their sum s, which the log kernel weighs: the
     # rows of s < 1 are gam one span down, those of s = 1 + x gam itself
-    cross = np.full(prob.shape, math.nan)
-    cross[1:] = (prob + 2 * int_gam_log)[1:] + integrate_2d(gam[:-1], gam[1:], LOG_HALVES)[0]
+    pair = np.full(prob.shape, math.nan)
+    pair[1:] = integrate_2d(gam[:-1], gam[1:], LOG_HALVES)[0]
+    int_gam_log, mean, second, cross = _gap_moments(prob, gam, pair)
+    n_same = dgam1 - int_gam_log - r - int_gam
     n_other = dgam1 - r
     n_other[:1] = math.nan
     n_endpoint = dlam1 - r_end
@@ -336,14 +337,10 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
     prob = np.diff(even, 2)[1:]
     dphi1 = (even_slope[3:] - 2 * even_slope[2:-1] + even_slope[1:-2]) / half.k
 
-    int_phi = integrate_1d(phi)[0]
-    int_zphi = integrate_1d(phi, _x)[0]
-
-    mean = prob - int_phi
-    second = prob - 2 * int_zphi
     # the box kernel of the pair's sum s: even rows 2d-4, 2d-2, 2d for s < 1,
     # phi for s = 1 + x
-    cross = prob - 2 * int_phi + integrate_2d(np.diff(rows[::2], 2, axis=0), phi, BOX_HALVES)[0]
+    pair = integrate_2d(np.diff(rows[::2], 2, axis=0), phi, BOX_HALVES)[0]
+    int_phi, mean, second, cross = _far_moments(prob, phi, pair)
     n_same = dphi1 - prob + int_phi
     n_other = dphi1 - prob + np.diff(odd, 2)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .heuristics import MomentReport
-from .orderdist import as_count
+from .orderdist import as_count, as_real
 
 __all__ = ["QueueScenario", "LeadTimeReport", "UnstableQueueError", "erlang_c_wait_prob",
            "lead_time_estimate"]
@@ -35,8 +35,7 @@ class QueueScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_count(self.c, "picker count"))
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"arrival rate must be finite and positive, got {self.lam!r}")
+        as_real(self.lam, "arrival rate", positive=True)
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ def erlang_c_wait_prob(c: int, rho: float) -> float:
     the sum stops when that cannot change it.  A sum that overflows means
     B < 1/DBL_MAX, and Q is 0.0."""
     c = as_count(c, "server count")
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ValueError(f"utilization must be finite and >= 0, got {rho!r}")
+    as_real(rho, "utilization")
     if rho >= 1:
         raise UnstableQueueError(f"utilization must be < 1, got {rho!r}")
     if rho == 0:

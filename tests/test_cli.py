@@ -349,6 +349,14 @@ def test_moments_beyond_a_double_exits_2(spec, heuristic, capsys):
     assert "E[M(M-1)]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mean", ["128.468", "8366.378111848124", "2.759"])
+def test_deterministic_pick_time_is_accepted(mean):
+    # the pick-time check squared the mean with ** 2, one ulp above mean * mean
+    status = main(["moments", "--k", "3", "--l", "20", "--wa", "2.5", "--v", "1", "--dist", "geom:3",
+                   "--pick-mean", mean, "--pick-scv", "0", "--out", os.devnull])
+    assert status == EXIT_OK
+
+
 def test_unknown_dist_flag_exits_2(capsys):
     status = main(["moments", "--k", "1", "--l", "20", "--wa", "1", "--v", "1 m/s",
                    "--dist", "weird:2"])

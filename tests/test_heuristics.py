@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -414,3 +415,44 @@ def test_integer_fields_take_any_integral_value_but_bool(build):
 def test_non_finite_inputs_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: WarehouseConfig(5, -1.0, 2.5, 1.0), "aisle length must be finite and positive, got -1.0"),
+    (lambda: WarehouseConfig(5, 20.0, -2.5, 1.0), "aisle spacing must be finite and >= 0, got -2.5"),
+    (lambda: WarehouseConfig(5, 20.0, 2.5, 0.0), "walking speed must be finite and positive, got 0.0"),
+    (lambda: PickTimeModel(math.nan, 1.0), "pick-time mean must be finite and >= 0, got nan"),
+    (lambda: PickTimeModel.from_scv(2.0, -0.5),
+     "squared coefficient of variation must be finite and >= 0, got -0.5"),
+    (lambda: QueueScenario(5, 0.0), "arrival rate must be finite and positive, got 0.0"),
+    (lambda: erlang_c_wait_prob(5, -0.1), "utilization must be finite and >= 0, got -0.1"),
+    (lambda: layout_sweep(math.inf, [2], 2.5, 1.0, Deterministic(2), PickTimeModel(0.0, 0.0)),
+     "total aisle length must be finite and positive, got inf"),
+    (lambda: ShiftedPoisson(-1.0), "shifted-Poisson rate must be finite and >= 0, got -1.0"),
+], ids=["l", "wa", "v", "pick-mean", "scv", "arrival-rate", "utilization", "total-length", "spois-rate"])
+def test_real_parameter_messages(build, message):
+    # one rule for every real parameter: finite, and > 0 or >= 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("mean", [128.468, 8366.378111848124, 2.759])
+def test_deterministic_pick_time_has_zero_scv(mean):
+    # mean ** 2 is one ulp off mean * mean for these: the first two were
+    # refused, the last had an scv of 2.2e-16
+    assert PickTimeModel.from_scv(mean, 0.0).scv == 0.0
+
+
+def test_overflowing_pick_second_moment_is_a_value_error():
+    with pytest.raises(ValueError, match="second moment"):
+        PickTimeModel(1e155, 1e300)
+
+
+@pytest.mark.parametrize("v", [1e155, 1e300])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_huge_speed_leaves_pick_time_only(heuristic, v):
+    # v ** 2 overflowed; the walking terms round to 0 instead
+    rep = compute_moments(WarehouseConfig(3, 20.0, 2.5, v), Geometric(1 / 3),
+                          PickTimeModel.from_scv(5.0, 1.0), heuristic)
+    assert rep.e_t == 15.0
+    assert all(math.isfinite(x) for x in (rep.e_t2, rep.var_t, rep.sd_t, rep.e_tw, rep.e_ttr))
