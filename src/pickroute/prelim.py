@@ -18,8 +18,11 @@ gap read the PGF from one lattice and one table per model: P(j/k) and
 P'(j/k) for j = 0..k, and the rows P((j + x)/k) for j < k on the nodes of
 the rule in :mod:`pickroute.quadrature`.  A half-aisle is an aisle of the
 model with 2k aisles and the same order sizes (items land uniformly on all
-2k), whose lattice and table midpoint reads.  Every integral below is of
-rows on those nodes, taken by :func:`~pickroute.quadrature.integrate_1d` or
+2k), whose table midpoint reads; of its lattice, midpoint evaluates P at the
+k odd points (2j + 1)/2k alone, as 2j/2k is the aisle lattice's j/k.  Both
+span blocks read their event terms from the aisle lattice, through
+:func:`_span_events`.  Every integral below is of rows on those nodes, taken
+by :func:`~pickroute.quadrature.integrate_1d` or
 :func:`~pickroute.quadrature.integrate_2d`.  A span-d term is a second
 difference of rows in j, taken node by node for all spans 2..k-1 at once
 and then integrated against a fixed weight column: differencing first keeps
@@ -140,21 +143,11 @@ def kplus_moments(model: AisleModel) -> tuple[float, float, float]:
     return mean, second, cross_m
 
 
-# Points of the lattice per call of the PGF: under 128, every temporary stays in
-# numpy's cache of blocks under 1 KiB.  In one call, midpoint's 129 points at
-# k = 64 left malloc blocks inside freed tables, and the heap of wide-aisles
-# grew and shrank every pass (~330 more minor faults a pass, 2-vCPU VM).
-_LATTICE_POINTS = 64
-
-
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _pgf_lattice(model: AisleModel):
-    """(P(j/k), P'(j/k)) for j = 0..k, read-only; cached for a model and its half model."""
-    k = model.k
-    lattice = np.empty(k + 1), np.empty(k + 1)
-    for lo in range(0, k + 1, _LATTICE_POINTS):
-        x = np.arange(lo, min(lo + _LATTICE_POINTS, k + 1)) / k
-        lattice[0][lo:lo + x.size], lattice[1][lo:lo + x.size] = model.dist.pgf(x), model.dist.pgf_prime(x)
+    """(P(j/k), P'(j/k)) for j = 0..k, read-only; cached for one aisle model."""
+    x = np.arange(model.k + 1) / model.k
+    lattice = model.dist.pgf(x), model.dist.pgf_prime(x)
     for values in lattice:
         values.flags.writeable = False
     return lattice
@@ -290,26 +283,30 @@ class SpanCond:
     n_endpoint: np.ndarray  # E[N_m X_i 1{event}], m a unit of the closest or furthest aisle
 
 
+def _span_events(model: AisleModel, h: int):
+    """Over the spans d = 2..k-1, from the aisle lattice: P(event), the endpoint
+    aisle's first difference of P, and the second and first differences of P'
+    over h, the number of units (k aisles or 2k half-aisles)."""
+    grid, slope = _pgf_lattice(model)
+    return (np.diff(grid, 2)[1:], grid[3:] - grid[2:-1],
+            (slope[3:] - 2 * slope[2:-1] + slope[1:-2]) / h, (slope[3:] - slope[2:-1]) / h)
+
+
 def gap_cond_moments(model: AisleModel) -> SpanCond:
     """Largest-gap span-d moments of X_i = 1 - D_i for an interior aisle, for
     every span d = 2..k-1."""
-    k = model.k
-    grid, slope = _pgf_lattice(model)
     rows = _pgf_table(model)
 
     # gam(x) = E[x^N 1{event}] of an interior aisle, rows d-2, d-1, d of the
     # table: spans 2..k-1 down, nodes across
     step = np.diff(rows, axis=0)
     gam = np.diff(step, axis=0)
-    prob = np.diff(grid, 2)[1:]
-    dgam1 = (slope[3:] - 2 * slope[2:-1] + slope[1:-2]) / k
-    # endpoint aisle: the joint PGF with the closest (or furthest) aisle has a
-    # different inclusion-exclusion structure than the interior pair
-    end1 = grid[3:] - grid[2:-1]
-    dlam1 = (slope[3:] - slope[2:-1]) / k
+    prob, end1, dgam1, dlam1 = _span_events(model, model.k)
 
     int_gam = integrate_1d(gam)[0]
     r = integrate_1d(prob[:, None] - gam, _slope)[0]
+    # endpoint aisle: the joint PGF with the closest (or furthest) aisle has a
+    # different inclusion-exclusion structure than the interior pair
     r_end = integrate_1d(end1[:, None] - step[1:], _slope)[0]
     # two interior aisles need d >= 3; their pair PGF depends on its two
     # arguments only through their sum s, which the log kernel weighs: the
@@ -327,15 +324,14 @@ def gap_cond_moments(model: AisleModel) -> SpanCond:
 def far_half_cond_moments(model: AisleModel) -> SpanCond:
     """Midpoint span-d moments of X_i = A^f for an interior half-aisle, for
     every span d = 2..k-1."""
-    half = AisleModel(2 * model.k, model.dist)
-    grid, slope = _pgf_lattice(half)
-    even, odd, even_slope = grid[::2], grid[1::2], slope[::2]   # 2j/2k is j/k
-    rows = _pgf_table(half)
+    k = model.k
+    # P at the odd half-aisle points (2j + 1)/2k; the even ones are the aisle lattice
+    odd = model.dist.pgf(np.arange(1, 2 * k, 2) / (2 * k))
+    rows = _pgf_table(AisleModel(2 * k, model.dist))
 
     # phi(z) = E[z^N 1{event}] of an interior half: odd rows 2d-3, 2d-1, 2d+1
     phi = np.diff(rows[1::2], 2, axis=0)
-    prob = np.diff(even, 2)[1:]
-    dphi1 = (even_slope[3:] - 2 * even_slope[2:-1] + even_slope[1:-2]) / half.k
+    prob, end1, dphi1, dpsi1 = _span_events(model, 2 * k)
 
     # the box kernel of the pair's sum s: even rows 2d-4, 2d-2, 2d for s < 1,
     # phi for s = 1 + x
@@ -346,8 +342,7 @@ def far_half_cond_moments(model: AisleModel) -> SpanCond:
 
     # endpoint aisle halves: distinct joint PGF (the tagged endpoint half may
     # be empty while the endpoint aisle is still occupied through its twin)
-    dpsi1 = (even_slope[3:] - even_slope[2:-1]) / half.k
-    bracket = even[3:] - even[2:-1] - odd[2:] + odd[1:-1]
+    bracket = end1 - odd[2:] + odd[1:-1]
     n_endpoint = dpsi1 - bracket
     return SpanCond(prob, mean, second, cross, n_same, n_other, n_endpoint)
 

@@ -7,6 +7,11 @@ rewrite them after a deliberate numeric change (and say so in CHANGES.md).
 Monte Carlo output must match byte for byte; analytic cells within 1e-12
 relative (z-scores within 1e-9 absolute, being differences of nearly equal
 numbers); text cells exactly.
+
+``python tests/compare_golden.py OTHER_ROOT`` runs the same commands and
+:func:`mc_grid` on this tree and on another checkout, on one machine, and
+reports every cell in which they differ: a change meant to keep the numbers
+shows ``byte-identical`` against its parent.
 """
 import csv
 import json

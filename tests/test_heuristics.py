@@ -295,13 +295,14 @@ def test_pgf_table_built_once_per_model():
     # return and largest gap read the model's table and midpoint the table of
     # its half-aisle model, the one with 2k aisles; a layout cell runs them in
     # that order, and the model's table outlives midpoint's, so one model
-    # builds two tables, not three
+    # builds two tables, not three.  All four read the model's lattice alone.
     cfg, pick = WarehouseConfig(12, 20.0, 2.5, 1.0), PickTimeModel.from_scv(5.0, 1.0)
     dist = parse_dist_spec("geom:17.25")   # a model no other test builds
-    before = prelim._pgf_table.cache_info().misses
-    for heuristic in ("return", "midpoint", "largest-gap"):
+    tables, lattices = prelim._pgf_table.cache_info().misses, prelim._pgf_lattice.cache_info().misses
+    for heuristic in ("return", "midpoint", "largest-gap", "s-shaped"):
         compute_moments(cfg, dist, pick, heuristic)
-    assert prelim._pgf_table.cache_info().misses - before == 2
+    assert prelim._pgf_table.cache_info().misses - tables == 2
+    assert prelim._pgf_lattice.cache_info().misses - lattices == 1
 
 
 def test_negative_variance_guard(monkeypatch, capsys):

@@ -244,39 +244,41 @@ def test_span_block_cross_terms_match_high_precision_oracle(spec, d):
 
 @pytest.mark.parametrize("spec", ["det:3", "geom:18", "geom:1e6", "spois:1e5", "snbin:50:1e4"])
 def test_half_model_lattice_holds_the_aisle_lattice(spec):
-    # midpoint reads P(j/k) and P'(j/k) from the even entries of the lattice
-    # of the model with 2k aisles: 2j/2k and j/k round to the same double.
-    # The lattice is evaluated in blocks, with the bits of one call.
+    # midpoint reads P and P' at the even half-aisle points 2j/2k from the
+    # aisle lattice and P at the k odd ones (2j + 1)/2k from a call of its
+    # own: interleaved, they are the half model's lattice in one call, as
+    # 2j/2k and j/k round to the same double
     dist = parse_dist_spec(spec)
     for k in (1, 2, 3, 5, 24, 127, 128, 4096):
-        aisle = prelim._pgf_lattice(AisleModel(k, dist))
-        half = prelim._pgf_lattice(AisleModel(2 * k, dist))
-        x = np.arange(k + 1) / k
-        for whole, halves, one_call in zip(aisle, half, (dist.pgf(x), dist.pgf_prime(x))):
-            assert halves[::2].tobytes() == whole.tobytes() == one_call.tobytes(), k
+        grid, slope = prelim._pgf_lattice(AisleModel(k, dist))
+        x = np.arange(2 * k + 1) / (2 * k)
+        halves = np.empty(2 * k + 1)
+        halves[::2], halves[1::2] = grid, dist.pgf(np.arange(1, 2 * k, 2) / (2 * k))
+        assert halves.tobytes() == dist.pgf(x).tobytes(), k
+        assert slope.tobytes() == dist.pgf_prime(x)[::2].tobytes(), k
 
 
-def test_far_half_cond_moments_reads_the_half_model_lattice_and_table():
-    # midpoint evaluates no PGF of its own: everything comes from the lattice
-    # and the table of the model with 2k aisles
+def test_far_half_cond_moments_reads_the_aisle_lattice_and_the_half_model_table():
+    # with the aisle lattice and the half model's table built, midpoint
+    # evaluates the PGF once, at the k odd half-aisle points, and never P'
     calls = []
 
     class CountedGeometric(Geometric):
         def pgf(self, x):
-            calls.append("pgf")
+            calls.append(("pgf", np.size(x)))
             return super().pgf(x)
 
         def pgf_prime(self, x):
-            calls.append("pgf_prime")
+            calls.append(("pgf_prime", np.size(x)))
             return super().pgf_prime(x)
 
     dist = CountedGeometric(1 / 9)
-    half = AisleModel(14, dist)
-    prelim._pgf_lattice(half)
-    prelim._pgf_table(half)
+    model = AisleModel(7, dist)
+    prelim._pgf_lattice(model)
+    prelim._pgf_table(AisleModel(14, dist))
     calls.clear()
-    prelim.far_half_cond_moments(AisleModel(7, dist))
-    assert calls == []
+    prelim.far_half_cond_moments(model)
+    assert calls == [("pgf", 7)]
 
 
 @pytest.mark.parametrize("k", [3, 5])
