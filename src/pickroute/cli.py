@@ -78,23 +78,21 @@ def _number(units: dict, what: str, positive: bool = False):
     when it has no ``""`` entry), finite and > 0 if ``positive``, else >= 0."""
     bound = "> 0" if positive else ">= 0"
 
-    def parse(token: str, key: str) -> float:
+    def parse(token: str) -> float:
         parts = token.split()
         if "" not in units and (len(parts) != 2 or parts[1] not in units):
-            raise ConfigError(f"key {key!r}: {what} needs a unit,"
-                              f" {' or '.join(map(repr, units))}, got {token!r}")
+            raise ValueError(f"{what} needs a unit, {' or '.join(map(repr, units))}, got {token!r}")
         if len(parts) not in (1, 2):
-            raise ConfigError(f"key {key!r}: cannot parse {what} {token!r}")
+            raise ValueError(f"cannot parse {what} {token!r}")
         value, unit = parts[0], parts[1] if len(parts) == 2 else ""
         if unit not in units:
-            raise ConfigError(f"key {key!r}: unknown unit {unit!r} (expected one of"
-                              f" {sorted(u for u in units if u)})")
+            raise ValueError(f"unknown unit {unit!r} (expected one of {sorted(u for u in units if u)})")
         try:
             number = float(value) * units[unit]
         except ValueError:
-            raise ConfigError(f"key {key!r}: invalid number {value!r}") from None
+            raise ValueError(f"invalid number {value!r}") from None
         if not (number > 0.0 if positive else number >= 0.0) or number == math.inf:
-            raise ConfigError(f"key {key!r}: {what} must be finite and {bound}, got {token!r}")
+            raise ValueError(f"{what} must be finite and {bound}, got {token!r}")
         return number
     return parse
 
@@ -103,38 +101,38 @@ _METERS = {"": 1.0, "m": 1.0}
 _per_hour = _number(_RATE_UNITS, "rate", positive=True)
 
 
-def _rate(token: str, key: str) -> float:
+def _rate(token: str) -> float:
     """An arrival rate in orders/hour whose orders/second, as the queue takes
     it, is still > 0."""
-    rate = _per_hour(token, key)
+    rate = _per_hour(token)
     if rate / 3600.0 == 0.0:
-        raise ConfigError(f"key {key!r}: rate underflows to 0 orders per second, got {token!r}")
+        raise ValueError(f"rate underflows to 0 orders per second, got {token!r}")
     return rate
 
 
 def _count(what: str, least: int = 1):
     """Parser of an integer token that the library's ``as_count`` accepts."""
-    def parse(token: str, key: str) -> int:
+    def parse(token: str) -> int:
         try:
             value = int(token)
         except ValueError:
-            raise ConfigError(f"key {key!r}: invalid integer {token!r}") from None
+            raise ValueError(f"invalid integer {token!r}") from None
         return as_count(value, what, least)
     return parse
 
 
-def _dist(token: str, key: str) -> str:
+def _dist(token: str) -> str:
     parse_dist_spec(token)  # validate eagerly
     return token.strip()
 
 
-def _heuristics(token: str, key: str) -> tuple:
+def _heuristics(token: str) -> tuple:
     names = tuple(h.strip() for h in token.split(",") if h.strip())
     for h in names:
         if h not in HEURISTICS:
-            raise ConfigError(f"key {key!r}: unknown heuristic {h!r}")
+            raise ValueError(f"unknown heuristic {h!r}")
     if not names:
-        raise ConfigError(f"key {key!r}: empty list")
+        raise ValueError("empty list")
     return names
 
 
@@ -152,7 +150,7 @@ _KEYS = {
     "lambda": ("lam", _rate, "orders per hour"),
     "samples": ("samples", _count("replication count", least=2), None),
     "seed": ("seed", _count("seed", least=0), None),
-    "out": ("out", lambda token, key: token.strip(), "output CSV path (default: stdout)"),
+    "out": ("out", str.strip, "output CSV path (default: stdout)"),
     "total_length": ("total_length", _number(_METERS, "length", positive=True), None),
     "k_min": ("k_min", _count("aisle count"), None),
     "k_max": ("k_max", _count("aisle count"), None),
@@ -165,9 +163,7 @@ def _apply_key(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
     except KeyError:
         raise ConfigError(f"{where}: unknown key {key!r}") from None
     try:
-        return replace(cfg, **{field: parse(value, key)})
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        return replace(cfg, **{field: parse(value)})
     except ValueError as exc:
         raise ConfigError(f"{where}: key {key!r}: {exc}") from None
 
@@ -385,8 +381,6 @@ def run_command(command: str, cfg: RunConfig) -> int:
         raise ConfigError(f"unknown command {command!r}")
     try:
         return _COMMANDS[command][1](cfg)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     except ArithmeticError as exc:

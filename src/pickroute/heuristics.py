@@ -62,6 +62,8 @@ class WarehouseConfig:
         as_real(self.l, "aisle length", positive=True)
         as_real(self.wa, "aisle spacing")
         as_real(self.v, "walking speed", positive=True)
+        if self.v * self.v == 0.0:   # every report divides by v^2
+            raise ValueError(f"walking speed's square underflows to 0, got {self.v!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ class PickTimeModel:
 
     def __post_init__(self):
         as_real(self.mean, "pick-time mean")
-        if not (math.isfinite(self.second_moment) and self.second_moment >= self.mean * self.mean - 1e-12):
+        square = self.mean * self.mean   # mean ** 2 may round one ulp below it
+        if not (math.isfinite(self.second_moment) and self.second_moment >= square - max(1e-12, 1e-15 * square)):
             raise ValueError(f"pick-time second moment must be finite and >= mean^2, got {self.second_moment!r}")
 
     @classmethod

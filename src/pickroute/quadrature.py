@@ -92,13 +92,7 @@ _ERR_WEIGHTS = WEIGHTS - _WEIGHTS_2H
 
 
 class IntegrationError(ArithmeticError):
-    """Raised when the rule's error estimate is above tolerance; carries the
-    partial result and the estimate (arrays for several integrands)."""
-
-    def __init__(self, message: str, partial_value, err_est):
-        super().__init__(message)
-        self.partial_value = partial_value
-        self.err_est = err_est
+    """Raised when the rule's error estimate is above tolerance; carries only its message."""
 
 
 def _checked(value, err):
@@ -106,8 +100,7 @@ def _checked(value, err):
     if value.ndim == 0:
         value, err = float(value), float(err)
     if not (err <= np.maximum(ABS_TOL, REL_TOL * np.abs(value))).all():
-        raise IntegrationError(f"integration failed: error estimate {np.max(err):.3g} above tolerance",
-                               value, err)
+        raise IntegrationError(f"integration failed: error estimate {np.max(err):.3g} above tolerance")
     return value, err
 
 

@@ -76,6 +76,9 @@ def lead_time_estimate(report: MomentReport, scenario: QueueScenario) -> LeadTim
     """Two-moment mean lead-time approximation from a picking-time report."""
     if not report.e_t > 0:
         raise ValueError("mean picking time must be positive for a lead-time estimate")
+    if report.e_t ** 2 == 0.0:
+        raise ValueError(f"mean picking time E[T] = {report.e_t!r} s is too small for a lead-time"
+                         " estimate: its square underflows to 0")
     rho = scenario.lam * report.e_t / scenario.c
     if rho >= 1:
         return LeadTimeReport(rho, float("nan"), None)

@@ -396,8 +396,31 @@ def test_negative_speed_config_line_names_line_and_token(tmp_path, capsys):
                                        " got '-3 km/h'\n")
 
 
+@pytest.mark.parametrize("command", ["moments", "simulate"])
+def test_speed_whose_square_underflows_is_refused_by_name(command, capsys):
+    # was "numerical failure: float division by zero" (moments) and an
+    # overflow warning plus "(34, 'Numerical result out of range')" (simulate)
+    status = main([command, "--k", "3", "--l", "20", "--wa", "2.5", "--v", "1e-300", "--dist", "geom:3",
+                   "--pick-mean", "5", "--pick-scv", "1", "--samples", "1000"])
+    assert status == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: walking speed's square underflows to 0, got 1e-300\n"
+
+
+@pytest.mark.parametrize("command, geometry, e_t", [
+    ("leadtime", ["--k", "3", "--l", "1e-200"], "2.1038540791591254e-200"),
+    ("layout", ["--total-length", "1e-200", "--k-min", "2", "--k-max", "3"], "9.205584583201643e-201"),
+], ids=["leadtime", "layout"])
+def test_mean_whose_square_underflows_has_no_lead_time(command, geometry, e_t, capsys):
+    # was "numerical failure: float division by zero"; the sweep still aborts
+    status = main([command, *geometry, "--wa", "0", "--v", "1", "--dist", "geom:3",
+                   "--pickers", "5", "--lambda", "51"])
+    assert status == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: mean picking time E[T] = {e_t} s is too small for a"
+                                       " lead-time estimate: its square underflows to 0\n")
+
+
 @pytest.mark.parametrize("error", [ArithmeticError("s-shaped: negative variance -3.2 beyond tolerance"),
-                                   IntegrationError("integration failed: roundoff", 1.0, 0.5)],
+                                   IntegrationError("integration failed: roundoff")],
                          ids=["arithmetic", "integration"])
 def test_numerical_failure_exits_2_with_error_csv(tmp_path, monkeypatch, capsys, error):
     # stands in for a real failure (s-shaped at k = 256, geom:40), which takes seconds

@@ -444,6 +444,26 @@ def test_deterministic_pick_time_has_zero_scv(mean):
     assert PickTimeModel.from_scv(mean, 0.0).scv == 0.0
 
 
+def test_pick_second_moment_may_round_below_the_squared_mean():
+    # mean ** 2 can be one ulp below mean * mean, which beyond 100 s exceeds an
+    # absolute slack of 1e-12: 69 of these means were refused.  A shortfall
+    # beyond rounding still is
+    for i in range(100_001, 300_001):
+        mean = i / 1000
+        PickTimeModel(mean, mean ** 2)
+        PickTimeModel(mean, mean * mean)
+    PickTimeModel(1e-3, 1e-6 - 5e-13)
+    with pytest.raises(ValueError, match="second moment"):
+        PickTimeModel(132.851, 132.851 * 132.851 * (1 - 1e-14))
+
+
+def test_speed_whose_square_underflows_is_refused_by_name():
+    # every report divides by v^2, which raised ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^walking speed's square underflows to 0, got 1e-300$"):
+        WarehouseConfig(3, 20.0, 2.5, 1e-300)
+    assert WarehouseConfig(3, 20.0, 2.5, 1e-160).v == 1e-160
+
+
 def test_overflowing_pick_second_moment_is_a_value_error():
     with pytest.raises(ValueError, match="second moment"):
         PickTimeModel(1e155, 1e300)

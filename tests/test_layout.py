@@ -137,7 +137,7 @@ def test_numerical_failure_is_one_na_cell(monkeypatch):
 
     def failing_at_k3_midpoint(cfg, dist, pick, heuristic):
         if cfg.k == 3 and heuristic == "midpoint":
-            raise IntegrationError("integration failed: roundoff", 1.0, 0.5)
+            raise IntegrationError("integration failed: roundoff")
         return real(cfg, dist, pick, heuristic)
 
     monkeypatch.setattr(layout_mod, "compute_moments", failing_at_k3_midpoint)

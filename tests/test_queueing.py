@@ -56,6 +56,13 @@ def test_lead_time_needs_a_positive_mean(e_t):
         lead_time_estimate(MomentReport(e_t, 1.0, 1.0, 1.0, 0.0, 0.0), QueueScenario(c=2, lam=0.01))
 
 
+def test_lead_time_refuses_a_mean_whose_square_underflows():
+    # Var_T / E[T]^2 divided by zero
+    with pytest.raises(ValueError, match=r"E\[T\] = 1e-200 s .* its square underflows to 0"):
+        lead_time_estimate(MomentReport(1e-200, 0.0, 0.0, 0.0, 0.0, 0.0), QueueScenario(c=5, lam=0.01))
+    assert lead_time_estimate(make_report(1e-150, 1.0), QueueScenario(c=5, lam=0.01)).e_r > 0
+
+
 def test_erlang_c_large_c_stable():
     q = erlang_c_wait_prob(2000, 0.95)
     assert 0.0 <= q <= 1.0 and math.isfinite(q)
